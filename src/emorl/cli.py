@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +103,7 @@ def _load(args) -> tuple[ExperimentConfig, dict, str]:
     config: ExperimentConfig = loaded["experiment"]
     seed = _seed_override(args)
     if seed is not None:
-        config.seeds = (seed,)
+        config = replace(config, seeds=(seed,))
     text = Path(args.config).read_text(encoding="utf-8")
     return config, loaded["stages"], text
 
@@ -211,9 +212,9 @@ def cmd_pretrain_intent(args) -> int:
 def cmd_run_online(args) -> int:
     config, _, text = _load(args)
     if args.interactions is not None:
-        config.interactions = args.interactions
-        config.eval_every = min(config.eval_every, max(1, args.interactions))
-        config.window = min(config.window, max(1, args.interactions))
+        # replace() re-runs the config's validation before anything is written
+        n, cap = args.interactions, max(1, args.interactions)
+        config = replace(config, interactions=n, eval_every=min(config.eval_every, cap), window=min(config.window, cap))
     scope_model, emotion_model = _learned_models(args, config)
     run_dir = Path(args.run_dir)
     (run_dir / "curves").mkdir(parents=True, exist_ok=True)

@@ -6,7 +6,9 @@ the analytic gradients stable. Supported pieces: dense layers with
 relu/tanh/identity activations, a softmax or per-unit sigmoid output head,
 cross-entropy and policy-gradient (score-function) losses, plain SGD with
 optional momentum, and a binary checkpoint format with a bit-exact
-round-trip guarantee.
+round-trip guarantee. Tensors may carry a leading stack axis of heads that
+share no entry and run in one pass, each computing bit for bit what it
+computes alone; the forward pass also takes a batch of inputs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,11 +70,11 @@ class Layer:
 
     @property
     def out_dim(self) -> int:
-        return self.w.shape[0]
+        return self.w.shape[-2]
 
     @property
     def in_dim(self) -> int:
-        return self.w.shape[1]
+        return self.w.shape[-1]
 
 
 def _activate(z: np.ndarray, tag: str) -> np.ndarray:
@@ -92,9 +94,9 @@ def _activate_prime(z: np.ndarray, tag: str) -> np.ndarray:
 
 
 def softmax(u: np.ndarray) -> np.ndarray:
-    "Numerically stable softmax over a 1-d logit vector."
-    e = np.exp(u - np.max(u))
-    return e / np.sum(e)
+    "Numerically stable softmax over the last axis of a logit array."
+    e = np.exp(u - np.max(u, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def sigmoid(u: np.ndarray) -> np.ndarray:
@@ -168,13 +170,26 @@ class Network:
             )
         return cls(layers, head)
 
+    @classmethod
+    def stack(cls, nets: Sequence["Network"]) -> "Network":
+        "One network holding `nets`, which must share head, activations and shapes, along a new leading axis."
+        layout = [(l.activation, l.w.shape) for l in nets[0].layers]
+        if any(n.head != nets[0].head or [(l.activation, l.w.shape) for l in n.layers] != layout for n in nets):
+            raise ValueError("stacked networks must share head, activations and shapes")
+        return nets[0]._relaid((np.stack([p.values for p in ps]), None) for ps in zip(*(n.params() for n in nets)))
+
+    def unstack(self) -> list["Network"]:
+        "The heads along the leading stack axis, as networks that view this one's arrays."
+        return [self._relaid((p.values[k], p.grad[k]) for p in self.params()) for k in range(self.stack_shape[0])]
+
     def copy(self) -> "Network":
+        return self._relaid((p.values.copy(), p.grad.copy()) for p in self.params())
+
+    def _relaid(self, tensors: Iterable[tuple[np.ndarray, np.ndarray | None]]) -> "Network":
+        "This network's layout around new (values, grad) pairs, one per tensor in `params()` order."
+        pairs = iter(tensors)
         layers = [
-            Layer(
-                w=ParamTensor(l.w.name, l.w.values.copy(), l.w.grad.copy()),
-                b=ParamTensor(l.b.name, l.b.values.copy(), l.b.grad.copy()),
-                activation=l.activation,
-            )
+            Layer(ParamTensor(l.w.name, *next(pairs)), ParamTensor(l.b.name, *next(pairs)), l.activation)
             for l in self.layers
         ]
         return Network(layers, self.head)
@@ -189,6 +204,11 @@ class Network:
     def output_dim(self) -> int:
         return self.layers[-1].out_dim
 
+    @property
+    def stack_shape(self) -> tuple[int, ...]:
+        "Leading axes of every tensor: () for a single network, (heads,) for a stack."
+        return self.layers[0].w.shape[:-2]
+
     def params(self) -> list[ParamTensor]:
         out = []
         for layer in self.layers:
@@ -199,14 +219,16 @@ class Network:
     # -- forward ---------------------------------------------------------
 
     def _trace(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        h = np.asarray(x, dtype=np.float64).ravel()
-        if h.shape[0] != self.input_dim:
-            raise ValueError(f"input dim {h.shape[0]} does not match network input {self.input_dim}")
-        zs, hs = [], [h]
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 0 or x.shape[-1] != self.input_dim:
+            raise ValueError(f"input of shape {x.shape} does not match network input dim {self.input_dim}")
+        # one singleton axis per stack axis, so that batch axes lead the result
+        h = x.reshape(x.shape[:-1] + (1,) * len(self.stack_shape) + x.shape[-1:])
+        zs, hs = [], [x]
         for layer in self.layers:
             # float32 @ float64 promotes to float64, so reductions run in
             # double precision while storage stays float32
-            z = layer.w.values @ h + layer.b.values
+            z = np.matmul(layer.w.values, h[..., None])[..., 0] + layer.b.values
             h = _activate(z, layer.activation)
             zs.append(z)
             hs.append(h)
@@ -214,30 +236,43 @@ class Network:
         return probs, zs, hs
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Map an input vector to the head's probability vector."""
+        """Map an input vector, or a batch along leading axes, to the head's probabilities."""
         probs, _, _ = self._trace(x)
         return probs
 
     # -- backward --------------------------------------------------------
 
     def _backprop(self, g_head: np.ndarray, zs: list[np.ndarray], hs: list[np.ndarray]) -> None:
-        """Accumulate parameter gradients given dLoss/d(pre-head output)."""
+        """Accumulate parameter gradients of one input given dLoss/d(pre-head output)."""
         g = g_head
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             gz = g * _activate_prime(zs[i], layer.activation)
-            layer.w.grad += np.outer(gz, hs[i])
             layer.b.grad += gz
             if i > 0:
-                g = layer.w.values.T @ gz
+                layer.w.grad += gz[..., :, None] * hs[i][..., None, :]
+                g = np.matmul(np.swapaxes(layer.w.values, -1, -2), gz[..., None])[..., 0]
+            else:
+                # the input is sparse and its zero columns get an exactly zero
+                # gradient, so only its nonzero columns are written
+                cols = np.flatnonzero(hs[0])
+                layer.w.grad[..., cols] += gz[..., :, None] * hs[0][cols]
 
-    def _target_bits(self, target) -> np.ndarray:
-        bits = np.asarray(target, dtype=np.float64).ravel()
-        if bits.shape[0] != self.output_dim:
-            raise ValueError(f"target length {bits.shape[0]} != output dim {self.output_dim}")
+    def _target(self, probs: np.ndarray, target) -> np.ndarray:
+        "A one-hot vector for a softmax index, or the 0/1 bits shaped as `probs`."
+        if self.head == "softmax":
+            a = int(target)
+            if a < 0 or a >= self.output_dim:
+                raise ValueError(f"index {a} out of range for {self.output_dim} outputs")
+            onehot = np.zeros(self.output_dim)
+            onehot[a] = 1.0
+            return onehot
+        bits = np.asarray(target, dtype=np.float64)
+        if bits.size != probs.size:
+            raise ValueError(f"target length {bits.size} != output size {probs.size}")
         if not np.all((bits == 0.0) | (bits == 1.0)):
             raise ValueError("sigmoid-head target must be a 0/1 vector")
-        return bits
+        return bits.reshape(probs.shape)
 
     def reinforce_backward(self, x: np.ndarray, action, reward: float) -> None:
         """Accumulate the gradient of -reward * ln pi(action | x).
@@ -248,18 +283,10 @@ class Network:
         """
         if reward == 0.0:
             return
-        probs, zs, hs = self._trace(x)
-        if self.head == "softmax":
-            a = int(action)
-            if a < 0 or a >= self.output_dim:
-                raise ValueError(f"action index {a} out of range for {self.output_dim} outputs")
-            target = np.zeros(self.output_dim)
-            target[a] = 1.0
-        else:
-            target = self._target_bits(action)
+        probs, zs, hs = self._trace(np.ravel(x))
         # d(-R ln pi)/d(head input) = R * (p - target), identical in form for
         # the softmax-categorical and the factored-Bernoulli log-likelihood.
-        self._backprop(reward * (probs - target), zs, hs)
+        self._backprop(reward * (probs - self._target(probs, action)), zs, hs)
 
     def supervised_backward(self, x: np.ndarray, label) -> None:
         """Accumulate the cross-entropy gradient against a gold label.
@@ -267,16 +294,8 @@ class Network:
         Softmax head: categorical cross-entropy with an index label.
         Sigmoid head: summed per-unit binary cross-entropy with a bit vector.
         """
-        probs, zs, hs = self._trace(x)
-        if self.head == "softmax":
-            a = int(label)
-            if a < 0 or a >= self.output_dim:
-                raise ValueError(f"label index {a} out of range for {self.output_dim} outputs")
-            target = np.zeros(self.output_dim)
-            target[a] = 1.0
-        else:
-            target = self._target_bits(label)
-        self._backprop(probs - target, zs, hs)
+        probs, zs, hs = self._trace(np.ravel(x))
+        self._backprop(probs - self._target(probs, label), zs, hs)
 
     def zero_grads(self) -> None:
         for p in self.params():
@@ -288,7 +307,7 @@ def log_prob(probs: np.ndarray, action, head: str) -> float:
     if head == "softmax":
         return float(np.log(max(probs[int(action)], 1e-300)))
     bits = np.asarray(action, dtype=np.float64).ravel()
-    p = np.clip(probs, 1e-300, 1.0 - 1e-16)
+    p = np.clip(np.ravel(probs), 1e-300, 1.0 - 1e-16)
     return float(np.sum(bits * np.log(p) + (1.0 - bits) * np.log(1.0 - p)))
 
 
@@ -328,9 +347,7 @@ def apply_update(params: Sequence[ParamTensor], opt: SGD) -> None:
             opt.velocity[p.name] = vel
             step = vel
         p.values -= (opt.learning_rate * step).astype(np.float32)
-        # a float64 sum of finite float32 values cannot overflow, so a
-        # non-finite sum pinpoints a poisoned tensor
-        if not np.isfinite(np.sum(p.values, dtype=np.float64)):
+        if not np.isfinite(p.values).all():
             raise TrainingFault(f"non-finite values in tensor {p.name!r} after update")
         p.zero_grad()
 
@@ -447,14 +464,8 @@ def load_checkpoint(path) -> Network:
 
 
 def _loss(net: Network, x: np.ndarray, mode: str, target, reward: float) -> float:
-    probs = net.forward(x)
-    if mode == "reinforce":
-        return -reward * log_prob(probs, target, net.head)
-    if net.head == "softmax":
-        return -float(np.log(max(probs[int(target)], 1e-300)))
-    bits = np.asarray(target, dtype=np.float64).ravel()
-    p = np.clip(probs, 1e-300, 1.0 - 1e-16)
-    return -float(np.sum(bits * np.log(p) + (1.0 - bits) * np.log(1.0 - p)))
+    scale = reward if mode == "reinforce" else 1.0
+    return -scale * log_prob(net.forward(x), target, net.head)
 
 
 def gradient_check(

@@ -1,10 +1,10 @@
 """Intent policies learned online with score-function (REINFORCE) updates.
 
 Two agents share one interface: a 3-way softmax policy for multi-class
-intents and an ensemble of six independent sigmoid networks for multi-label
-intents (one Bernoulli head per action bit, no shared parameters). Acting
-samples from the current policy; evaluation uses argmax / 0.5-thresholded
-bits. A reward of zero, or absent feedback, changes nothing.
+intents and one stacked network of six independent sigmoid heads for
+multi-label intents (one Bernoulli head per action bit, no shared entries).
+Acting samples from the current policy; evaluation uses argmax /
+0.5-thresholded bits. A reward of zero, or absent feedback, changes nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .nn import SGD, Network, apply_update, load_checkpoint, log_prob, save_checkpoint
+from .nn import SGD, CheckpointFormatError, Network, apply_update, load_checkpoint, log_prob, save_checkpoint
 
 # an action is a class index (multiclass) or a 6-bit tuple (multilabel)
 IntentAction = int | tuple[int, ...]
@@ -37,7 +37,45 @@ def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     return min(int(np.searchsorted(c, rng.random(), side="right")), len(probs) - 1)
 
 
-class MulticlassPolicy:
+class _Policy:
+    "Learning shared by both agents: one backward pass and one update of `net` per step."
+
+    def learn(self, record) -> None:
+        """One REINFORCE step from an interaction record.
+
+        Absent feedback and zero reward are both exact no-ops: no gradient
+        noise may leak into the parameters from uninformative turns.
+        """
+        if not record.feedback_present or record.reward == 0.0:
+            return
+        self.net.reinforce_backward(record.state, record.action, record.reward)
+        apply_update(self.net.params(), self.opt)
+
+    def pretrain(
+        self,
+        examples: Sequence[tuple[np.ndarray, IntentAction]],
+        epochs: int,
+        rng: np.random.Generator | None = None,
+    ) -> None:
+        "Supervised cross-entropy pass over a labeled subset, `epochs` times."
+        if not examples:
+            raise ValueError("pretraining needs a non-empty labeled subset")
+        rng = rng if rng is not None else self.rng
+        for _ in range(epochs):
+            for i in rng.permutation(len(examples)):
+                state, label = examples[i]
+                self.net.supervised_backward(state, label)
+                apply_update(self.net.params(), self.opt)
+
+
+def _batch(examples: Sequence[tuple[np.ndarray, IntentAction]]) -> tuple[np.ndarray, np.ndarray]:
+    if not examples:
+        raise ValueError("evaluation set is empty")
+    states, labels = zip(*examples)
+    return np.stack(states), np.array(labels)
+
+
+class MulticlassPolicy(_Policy):
     """Softmax policy over a small fixed set of intent classes."""
 
     task = "multiclass"
@@ -74,46 +112,19 @@ class MulticlassPolicy:
         action = _sample_index(probs, rng)
         return action, log_prob(probs, action, "softmax")
 
-    def learn(self, record) -> None:
-        """One REINFORCE step from an interaction record.
-
-        Absent feedback and zero reward are both exact no-ops: no gradient
-        noise may leak into the parameters from uninformative turns.
-        """
-        if not record.feedback_present or record.reward == 0.0:
-            return
-        self.net.reinforce_backward(record.state, record.action, record.reward)
-        apply_update(self.net.params(), self.opt)
-
-    def pretrain(
-        self,
-        examples: Sequence[tuple[np.ndarray, int]],
-        epochs: int,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        "Supervised cross-entropy pass over a labeled subset, `epochs` times."
-        if not examples:
-            raise ValueError("pretraining needs a non-empty labeled subset")
-        rng = rng if rng is not None else self.rng
-        for _ in range(epochs):
-            for i in rng.permutation(len(examples)):
-                state, label = examples[i]
-                self.net.supervised_backward(state, label)
-                apply_update(self.net.params(), self.opt)
-
     def evaluate(self, examples: Sequence[tuple[np.ndarray, int]]) -> float:
         "Argmax accuracy on labeled (state, intent) pairs."
-        if not examples:
-            raise ValueError("evaluation set is empty")
-        hits = sum(int(np.argmax(self.net.forward(s)) == y) for s, y in examples)
-        return hits / len(examples)
+        states, labels = _batch(examples)
+        hits = np.argmax(self.net.forward(states), axis=-1) == labels
+        return int(hits.sum()) / len(examples)
 
     def networks(self) -> list[Network]:
         return [self.net]
 
 
-class MultilabelPolicy:
-    """Six independent Bernoulli heads; an action is the sampled bit vector."""
+class MultilabelPolicy(_Policy):
+    """Six independent Bernoulli heads; an action is the sampled bit vector.
+    Head k is slice k of every stacked tensor, initialised from stream `[seed, 10 + k]`."""
 
     task = "multilabel"
 
@@ -129,23 +140,20 @@ class MultilabelPolicy:
         zero_init: bool = False,
         valid_combos: tuple[tuple[int, ...], ...] = DEFAULT_VALID_COMBOS,
     ):
-        self.heads = []
-        self.opts = []
-        for k in range(n_bits):
-            init_rng = None if zero_init else np.random.default_rng([seed, 10 + k])
-            self.heads.append(
-                Network.build([input_dim, *hidden, 1], head="sigmoid", rng=init_rng, init_scale=init_scale)
-            )
-            self.opts.append(SGD(learning_rate=lr, momentum=momentum))
+        rngs = [None if zero_init else np.random.default_rng([seed, 10 + k]) for k in range(n_bits)]
+        heads = [Network.build([input_dim, *hidden, 1], head="sigmoid", rng=r, init_scale=init_scale) for r in rngs]
+        self.net = Network.stack(heads)
+        self.opt = SGD(learning_rate=lr, momentum=momentum)
         self.rng = np.random.default_rng([seed, 1])
         self.valid_combos = tuple(tuple(int(b) for b in combo) for combo in valid_combos)
 
     @property
     def n_bits(self) -> int:
-        return len(self.heads)
+        return self.net.stack_shape[0]
 
     def bit_probs(self, state: np.ndarray) -> np.ndarray:
-        return np.array([float(head.forward(state)[0]) for head in self.heads])
+        "Each head's probability of bit 1, for a state or a batch of them."
+        return self.net.forward(state)[..., 0]
 
     def act(
         self, state: np.ndarray, rng: np.random.Generator | None = None
@@ -158,42 +166,18 @@ class MultilabelPolicy:
         bits = tuple(int(d < p) for d, p in zip(draws, probs))
         return bits, log_prob(probs, bits, "sigmoid")
 
-    def learn(self, record) -> None:
-        if not record.feedback_present or record.reward == 0.0:
-            return
-        bits = record.action
-        for k, (head, opt) in enumerate(zip(self.heads, self.opts)):
-            head.reinforce_backward(record.state, (bits[k],), record.reward)
-            apply_update(head.params(), opt)
-
-    def pretrain(
-        self,
-        examples: Sequence[tuple[np.ndarray, tuple[int, ...]]],
-        epochs: int,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        if not examples:
-            raise ValueError("pretraining needs a non-empty labeled subset")
-        rng = rng if rng is not None else self.rng
-        for _ in range(epochs):
-            for i in rng.permutation(len(examples)):
-                state, combo = examples[i]
-                for k, (head, opt) in enumerate(zip(self.heads, self.opts)):
-                    head.supervised_backward(state, (combo[k],))
-                    apply_update(head.params(), opt)
-
     def predict(self, state: np.ndarray) -> tuple[int, ...]:
         return tuple(int(p >= 0.5) for p in self.bit_probs(state))
 
     def evaluate(self, examples: Sequence[tuple[np.ndarray, tuple[int, ...]]]) -> float:
         "Exact-match accuracy of the thresholded bit vector."
-        if not examples:
-            raise ValueError("evaluation set is empty")
-        hits = sum(int(self.predict(s) == tuple(y)) for s, y in examples)
-        return hits / len(examples)
+        states, labels = _batch(examples)
+        hits = np.all((self.bit_probs(states) >= 0.5) == labels, axis=-1)
+        return int(hits.sum()) / len(examples)
 
     def networks(self) -> list[Network]:
-        return list(self.heads)
+        "One network per head, viewing the stacked arrays; for `save_agent`."
+        return self.net.unstack()
 
 
 PolicyAgent = MulticlassPolicy | MultilabelPolicy
@@ -226,8 +210,12 @@ def load_agent(in_dir, lr: float = 0.05, momentum: float = 0.0, seed: int = 0) -
         agent.net = nets[0]
         return agent
     combos = tuple(tuple(c) for c in manifest["valid_combos"])
+    try:
+        net = Network.stack(nets)
+    except ValueError as exc:
+        raise CheckpointFormatError(f"{in_dir}: {exc}") from exc
     agent = MultilabelPolicy(
         manifest["input_dim"], n_bits=len(nets), lr=lr, momentum=momentum, seed=seed, valid_combos=combos
     )
-    agent.heads = nets
+    agent.net = net
     return agent

@@ -1,0 +1,72 @@
+"""Golden bytes: SHA-256 of the curve and checkpoint files of two short runs.
+
+The hashes pin the exact RNG draw order and float32 arithmetic of a run, so
+a refactor of the networks, the policies or the loop that is meant to keep
+behaviour must leave them unchanged. A change that alters results on
+purpose records new hashes here and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from emorl.envsim import FeedbackRegime, default_config
+from emorl.harness import ExperimentConfig, run_online
+
+RUNS = {
+    # criterion 6's generator and pretraining subset, full feedback so that
+    # most interactions update all six heads
+    "multilabel": ExperimentConfig(
+        task="multilabel",
+        init="pretrained",
+        regime=FeedbackRegime.full(),
+        interactions=400,
+        eval_every=100,
+        window=100,
+        eval_size=60,
+        pretrain_size=100,
+        pretrain_epochs=10,
+        generator=default_config(task="multilabel", pretrain_template_frac=0.6),
+    ),
+    "multiclass": ExperimentConfig(
+        task="multiclass",
+        init="pretrained",
+        regime=FeedbackRegime.full(),
+        interactions=400,
+        eval_every=100,
+        window=100,
+        eval_size=60,
+    ),
+}
+
+GOLDEN = {
+    "multilabel": {
+        "agent/agent.json": "86aeb9ed762faa750e56507c6c239728be370507d09b726eb0c1b9cfefb78dfc",
+        "agent/head0.ckpt": "4bee127f41ea819af622f7e308f96245a07d238b707f737e12b85ddd882d9616",
+        "agent/head1.ckpt": "3d5ed520c7840fa431c02a7e7eaea84429369d9e23080ee90b35b6dcdaf89fc5",
+        "agent/head2.ckpt": "198a256a3bb83413cbdb557575cb8cf39496cf53a99ed913cc8360eb61f65b77",
+        "agent/head3.ckpt": "ff76335a8a3e0014f61de0e12bae0ce0d81d06c3cfcf18d8c5285b40f8efe4c3",
+        "agent/head4.ckpt": "6feadef3a1d4ccc4c05dc2828cff2b790284740ea126bf9bdb63d15de8bc3dc6",
+        "agent/head5.ckpt": "13335fc33c80302cbe2b651c0f1aa7070d55a3777fc3d9aa5d10fe11c3b41162",
+        "curve.csv": "238733ba6fa7e2d2fc91a2ee12fdbba63e86ea1d75f868c927faf8f321c2bb13",
+    },
+    "multiclass": {
+        "agent/agent.json": "06a876dc38e4bf38532f1d6fc0b69207718e03b69a6672e9f395ab9577f35ef8",
+        "agent/head0.ckpt": "dcb9e34e4695d31a3b1bd66e6d96c06f84cd30444160616d4432d0ded8223b34",
+        "curve.csv": "75e69bbed7fda0469e0275935ce39529de9de15cc69dd08476a2a1c5d3fc8995",
+    },
+}
+
+
+def file_hashes(root) -> dict[str, str]:
+    return {
+        p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_bytes_match_golden_hashes(name, tmp_path):
+    run_online(RUNS[name], 3, curve_path=tmp_path / "curve.csv", checkpoint_dir=tmp_path / "agent")
+    assert file_hashes(tmp_path) == GOLDEN[name]

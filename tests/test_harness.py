@@ -339,3 +339,11 @@ def test_cli_run_online_interactions_override_is_fast(config_file, tmp_path):
     assert time.time() - start < 10.0
     curve = next((run_dir / "curves").glob("*.csv"))
     assert curve.read_text(encoding="utf-8").splitlines()[-1].startswith("100,")
+
+
+def test_cli_run_online_rejects_negative_interactions_before_writing(config_file, tmp_path, capsys):
+    run_dir = tmp_path / "bad"
+    rc = main(["run-online", "--config", str(config_file), "--run-dir", str(run_dir), "--interactions", "-5"])
+    assert rc != 0
+    assert "interactions must be non-negative" in capsys.readouterr().err
+    assert not run_dir.exists()

@@ -277,6 +277,49 @@ def test_package_gradient_check_utility():
     assert gradient_check(net, rng.normal(0, 1, 5), 1, mode="reinforce", reward=1.0) < 1e-4
 
 
+def test_gradient_check_on_stacked_heads():
+    # two sigmoid heads in one stacked network; zero input entries exercise
+    # the first layer's gradient on nonzero columns only
+    rng = np.random.default_rng(21)
+    nets = [Network.build([6, 4, 2], head="sigmoid", activations=["tanh", "identity"], rng=rng) for _ in range(2)]
+    stacked = Network.stack(nets)
+    assert stacked.stack_shape == (2,)
+    x = rng.normal(0.0, 1.0, 6)
+    x[[1, 4]] = 0.0
+    assert gradient_check(stacked, x, (1, 0, 0, 1), mode="reinforce", reward=-1.0) < 1e-4
+    assert gradient_check(stacked, x, (0, 1, 1, 1), mode="supervised") < 1e-4
+
+
+def test_stacked_forward_and_gradients_equal_each_head_alone():
+    rng = np.random.default_rng(22)
+    nets = [Network.build([7, 5, 3], head="sigmoid", rng=rng) for _ in range(3)]
+    stacked = Network.stack(nets)
+    x = rng.normal(0.0, 1.0, 7)
+    x[2] = 0.0
+    batch = rng.normal(0.0, 1.0, (4, 7))
+    assert stacked.forward(x).tobytes() == np.stack([n.forward(x) for n in nets]).tobytes()
+    assert stacked.forward(batch).tobytes() == np.stack([[n.forward(r) for n in nets] for r in batch]).tobytes()
+    target = rng.integers(0, 2, (3, 3))
+    stacked.supervised_backward(x, target)
+    for net, t in zip(nets, target):
+        net.supervised_backward(x, t)
+    for k, view in enumerate(stacked.unstack()):
+        for a, b in zip(view.params(), nets[k].params()):
+            assert a.grad.tobytes() == b.grad.tobytes()
+
+
+def test_stack_rejects_mismatched_networks():
+    rng = np.random.default_rng(23)
+    base = Network.build([5, 4, 1], head="sigmoid", rng=rng)
+    for other in (
+        Network.build([5, 3, 1], head="sigmoid", rng=rng),
+        Network.build([5, 4, 1], head="softmax", rng=rng),
+        Network.build([5, 4, 1], head="sigmoid", activations=["tanh", "identity"], rng=rng),
+    ):
+        with pytest.raises(ValueError, match="stacked"):
+            Network.stack([base, other])
+
+
 # -- optimizer ----------------------------------------------------------------
 
 
@@ -334,6 +377,13 @@ def test_non_finite_update_raises_training_fault():
     net.layers[0].w.grad[...] = np.inf
     with pytest.raises(TrainingFault):
         apply_update(net.params(), SGD(learning_rate=1.0))
+    # one poisoned entry in one head of a stacked tensor names that tensor
+    for bad in (np.nan, np.inf, -np.inf):
+        heads = [Network.build([3, 4, 2], head="sigmoid", rng=np.random.default_rng(s)) for s in (18, 19)]
+        stacked = Network.stack(heads)
+        stacked.layers[1].w.grad[1, 0, 2] = bad
+        with pytest.raises(TrainingFault, match=r"'L01\.identity\.W'"):
+            apply_update(stacked.params(), SGD(learning_rate=1.0))
 
 
 def test_optimizer_validation():

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from emorl.nn import SGD, apply_update
+from emorl.nn import SGD, CheckpointFormatError, Network, apply_update, save_checkpoint
 from emorl.policy import (
     DEFAULT_VALID_COMBOS,
     MulticlassPolicy,
@@ -27,6 +27,13 @@ def agent_bytes(agent):
 
 def rand_state(rng):
     v = rng.random(DIM)
+    return v / v.sum()
+
+
+def sparse_state(rng, dim=DIM, nonzero=4):
+    "A normalized bag-of-words-like state: a few nonzero entries, the rest zero."
+    v = np.zeros(dim)
+    np.add.at(v, rng.integers(0, dim, nonzero), rng.random(nonzero))
     return v / v.sum()
 
 
@@ -133,22 +140,64 @@ def test_negative_reward_monotonically_lowers_action_probability():
 
 
 def test_multilabel_heads_have_no_shared_parameters():
-    agent = MultilabelPolicy(DIM, seed=6)
-    ids = [id(p) for net in agent.heads for p in net.params()]
-    assert len(ids) == len(set(ids))
+    # the heads are slices of stacked tensors: writing one head's slice must
+    # leave every other head's values and outputs bitwise unchanged
+    state = sparse_state(np.random.default_rng(6))
+    for k in range(6):
+        agent = MultilabelPolicy(DIM, seed=6)
+        before = [[p.values.tobytes() for p in net.params()] for net in agent.networks()]
+        probs = agent.bit_probs(state)
+        for p in agent.net.params():
+            p.grad[k] = 1.0
+        apply_update(agent.net.params(), agent.opt)
+        after = [[p.values.tobytes() for p in net.params()] for net in agent.networks()]
+        for j in range(6):
+            assert (after[j] == before[j]) == (j != k)
+        changed = agent.bit_probs(state) != probs
+        assert changed[k] and not np.delete(changed, k).any()
+
+
+def reference_heads(seed, momentum):
+    "Six plain networks and optimizers, initialised as MultilabelPolicy initialises its heads."
+    heads = [
+        Network.build([DIM, 32, 1], head="sigmoid", rng=np.random.default_rng([seed, 10 + k]), init_scale=0.5)
+        for k in range(6)
+    ]
+    return heads, [SGD(learning_rate=0.05, momentum=momentum) for _ in heads]
 
 
 def test_multilabel_update_decomposes_per_head():
-    # the joint update must equal updating each head in isolation
-    state = rand_state(np.random.default_rng(2))
-    bits = (1, 0, 1, 0, 0, 1)
-    joint = MultilabelPolicy(DIM, seed=8, lr=0.05)
-    isolated = MultilabelPolicy(DIM, seed=8, lr=0.05)
-    joint.learn(record(state, bits, 1.0))
-    for k, head in enumerate(isolated.heads):
-        head.reinforce_backward(state, (bits[k],), 1.0)
-        apply_update(head.params(), SGD(learning_rate=0.05))
-    assert agent_bytes(joint) == agent_bytes(isolated)
+    # the stacked agent's pretraining and REINFORCE steps must equal driving
+    # each head alone, one network and one optimizer per head, byte for byte
+    rng = np.random.default_rng(2)
+    examples = [(sparse_state(rng), DEFAULT_VALID_COMBOS[i % 6]) for i in range(12)]
+    records = [
+        record(sparse_state(rng), tuple(int(b) for b in rng.integers(0, 2, 6)), reward, present)
+        for reward, present in [(1.0, True), (-1.0, True), (0.0, True), (1.0, False)] * 5
+    ]
+    for momentum in (0.0, 0.9):
+        agent = MultilabelPolicy(DIM, seed=8, lr=0.05, momentum=momentum)
+        heads, opts = reference_heads(8, momentum)
+
+        agent.pretrain(examples, 3, rng=np.random.default_rng(0))
+        order = np.random.default_rng(0)
+        for _ in range(3):
+            for i in order.permutation(len(examples)):
+                state, combo = examples[i]
+                for k, (head, opt) in enumerate(zip(heads, opts)):
+                    head.supervised_backward(state, (combo[k],))
+                    apply_update(head.params(), opt)
+        assert agent_bytes(agent) == [p.values.tobytes() for head in heads for p in head.params()]
+
+        for rec in records:
+            agent.learn(rec)
+            if rec.feedback_present and rec.reward != 0.0:
+                for k, (head, opt) in enumerate(zip(heads, opts)):
+                    head.reinforce_backward(rec.state, (rec.action[k],), rec.reward)
+                    apply_update(head.params(), opt)
+        assert agent_bytes(agent) == [p.values.tobytes() for head in heads for p in head.params()]
+        state = records[0].state
+        assert agent.bit_probs(state).tobytes() == np.array([head.forward(state)[0] for head in heads]).tobytes()
 
 
 def test_expected_gradient_enumeration_matches_monte_carlo():
@@ -229,6 +278,27 @@ def test_evaluate_multilabel_one_bit_wrong_is_zero():
     assert agent.evaluate(examples) == 0.0
 
 
+@pytest.mark.parametrize("cls", [MulticlassPolicy, MultilabelPolicy])
+def test_batched_evaluate_matches_per_state_loop(cls):
+    # the eval set goes through one batched forward pass; its probabilities,
+    # and so its accuracy, must equal one forward pass per state
+    dim = 356
+    rng = np.random.default_rng(21)
+    agent = cls(dim, hidden=(64,), seed=22)
+    states = [sparse_state(rng, dim, nonzero=9) for _ in range(300)]
+    batched = agent.net.forward(np.stack(states))
+    assert batched.tobytes() == np.stack([agent.net.forward(s) for s in states]).tobytes()
+    if cls is MulticlassPolicy:
+        examples = [(s, int(rng.integers(3))) for s in states]
+        hits = sum(int(np.argmax(agent.net.forward(s)) == y) for s, y in examples)
+    else:
+        examples = [(s, DEFAULT_VALID_COMBOS[int(rng.integers(6))]) for s in states]
+        examples[:100] = [(s, agent.predict(s)) for s, _ in examples[:100]]
+        hits = sum(int(agent.predict(s) == tuple(y)) for s, y in examples)
+    assert 0 < hits < len(examples)
+    assert agent.evaluate(examples) == hits / len(examples)
+
+
 def test_random_agent_on_balanced_set_is_chance():
     rng = np.random.default_rng(16)
     agent = MulticlassPolicy(DIM, seed=17)
@@ -249,10 +319,25 @@ def test_save_load_multiclass_round_trip(tmp_path):
 
 def test_save_load_multilabel_round_trip(tmp_path):
     agent = MultilabelPolicy(DIM, seed=19)
+    rng = np.random.default_rng(19)
+    for _ in range(5):
+        agent.learn(record(sparse_state(rng), (1, 0, 1, 1, 0, 0), 1.0))
     save_agent(agent, tmp_path / "agent")
     loaded = load_agent(tmp_path / "agent")
     assert isinstance(loaded, MultilabelPolicy)
     assert loaded.valid_combos == DEFAULT_VALID_COMBOS
     assert agent_bytes(loaded) == agent_bytes(agent)
+    assert [p.values.tobytes() for p in loaded.net.params()] == [p.values.tobytes() for p in agent.net.params()]
+    save_agent(loaded, tmp_path / "again")
+    for name in ["agent.json"] + [f"head{k}.ckpt" for k in range(6)]:
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "agent" / name).read_bytes()
     manifest = (tmp_path / "agent" / "agent.json").read_text(encoding="utf-8")
     assert "head5.ckpt" in manifest and "valid_combos" in manifest
+
+
+@pytest.mark.parametrize("odd_head", [dict(dims=[DIM, 16, 1]), dict(dims=[DIM, 32, 1], activations=["tanh", "identity"])])
+def test_load_agent_rejects_heads_that_cannot_stack(tmp_path, odd_head):
+    save_agent(MultilabelPolicy(DIM, seed=20), tmp_path / "agent")
+    save_checkpoint(Network.build(head="sigmoid", rng=np.random.default_rng(0), **odd_head), tmp_path / "agent" / "head3.ckpt")
+    with pytest.raises(CheckpointFormatError):
+        load_agent(tmp_path / "agent")

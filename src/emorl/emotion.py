@@ -161,9 +161,8 @@ def train_emotion(
     for _ in range(epochs):
         total = 0.0
         for i in rng.permutation(train_idx):
-            probs = model.net.forward(X[i])
+            probs = model.net.supervised_backward(X[i], y[i])
             total += -float(np.log(max(probs[y[i]], 1e-300)))
-            model.net.supervised_backward(X[i], y[i])
             apply_update(model.net.params(), opt)
         train_ce.append(total / len(train_idx))
 

@@ -567,6 +567,10 @@ class Environment:
         self.scope_model = scope_model
         self.emotion_model = emotion_model
         self.vocab = vocab if vocab is not None else config_vocab(config)
+        for name, model in (("scope", scope_model), ("emotion", emotion_model)):
+            # token ids index the models' weights, so the tables must agree id for id
+            if model is not None and model.vocab.id_to_token != self.vocab.id_to_token:
+                raise ValueError(f"the {name} model's vocabulary differs from the one the environment segments with")
         self.rng = np.random.default_rng(seed)
         self._pending: tuple[EmailMessage, np.ndarray] | None = None
         self._step = 0

@@ -1,18 +1,22 @@
 """Minimal dense-network substrate with hand-written gradients.
 
-Parameters are stored as float32; all matrix arithmetic runs in float64 and
-results are rounded back on write, which keeps finite-difference checks of
-the analytic gradients stable. Supported pieces: dense layers with
-relu/tanh/identity activations, a softmax or per-unit sigmoid output head,
-cross-entropy and policy-gradient (score-function) losses, plain SGD with
-optional momentum, and a binary checkpoint format with a bit-exact
-round-trip guarantee. Tensors may carry a leading stack axis of heads that
-share no entry and run in one pass, each computing bit for bit what it
-computes alone; the forward pass also takes a batch of inputs.
+Parameters hold float32 values in float64 arrays, so the forward and
+backward passes multiply float64 operands with no cast, and every update
+rounds its result back to float32; this keeps finite-difference checks of
+the analytic gradients stable and the checkpoints float32. An update of the
+first layer touches only the input columns its backward passes wrote.
+Supported pieces: dense layers with relu/tanh/identity activations, a
+softmax or per-unit sigmoid output head, cross-entropy and policy-gradient
+(score-function) losses, plain SGD with optional momentum, and a binary
+checkpoint format with a bit-exact round-trip guarantee. Tensors may carry
+a leading stack axis of heads that share no entry and run in one pass, each
+computing bit for bit what it computes alone; the forward pass also takes a
+batch of inputs.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 from dataclasses import dataclass, field
@@ -39,16 +43,32 @@ class TrainingFault(RuntimeError):
 
 @dataclass
 class ParamTensor:
-    """Named float32 parameter array with a same-shape gradient buffer."""
+    """Named parameter array with a same-shape float32 gradient buffer.
+
+    `values` is a C-contiguous float64 array whose entries are all float32
+    numbers: other input is rounded through float32, and a float64 array
+    that already qualifies is kept as it is, so views stay views.
+
+    `cols`, when set, names the last-axis columns outside which `grad` is
+    zero, so that an update can skip the rest. Only `_backprop` sets it, on
+    the first layer, whose gradient it writes on the input's nonzero columns
+    alone; `copy()` and `unstack()` carry it, and an update and `zero_grad`
+    clear it. Code that writes `grad` directly leaves it unset and gets the
+    whole-tensor update.
+    """
 
     name: str
     values: np.ndarray
     grad: np.ndarray = field(default=None)  # type: ignore[assignment]
+    cols: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self.values = np.ascontiguousarray(self.values, dtype=np.float32)
+        values = np.asarray(self.values)
+        exact = np.ascontiguousarray(values, dtype=np.float32).astype(np.float64)
+        keep = values.dtype == np.float64 and values.flags.c_contiguous and np.array_equal(values, exact)
+        self.values = values if keep else exact
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
+            self.grad = np.zeros(self.values.shape, dtype=np.float32)
         else:
             self.grad = np.ascontiguousarray(self.grad, dtype=np.float32)
         if self.grad.shape != self.values.shape:
@@ -60,6 +80,7 @@ class ParamTensor:
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
+        self.cols = None
 
 
 @dataclass
@@ -176,20 +197,24 @@ class Network:
         layout = [(l.activation, l.w.shape) for l in nets[0].layers]
         if any(n.head != nets[0].head or [(l.activation, l.w.shape) for l in n.layers] != layout for n in nets):
             raise ValueError("stacked networks must share head, activations and shapes")
-        return nets[0]._relaid((np.stack([p.values for p in ps]), None) for ps in zip(*(n.params() for n in nets)))
+        return nets[0]._relaid(
+            (np.stack([p.values for p in ps]), None, None) for ps in zip(*(n.params() for n in nets))
+        )
 
     def unstack(self) -> list["Network"]:
         "The heads along the leading stack axis, as networks that view this one's arrays."
-        return [self._relaid((p.values[k], p.grad[k]) for p in self.params()) for k in range(self.stack_shape[0])]
+        return [
+            self._relaid((p.values[k], p.grad[k], p.cols) for p in self.params()) for k in range(self.stack_shape[0])
+        ]
 
     def copy(self) -> "Network":
-        return self._relaid((p.values.copy(), p.grad.copy()) for p in self.params())
+        return self._relaid((p.values.copy(), p.grad.copy(), p.cols) for p in self.params())
 
-    def _relaid(self, tensors: Iterable[tuple[np.ndarray, np.ndarray | None]]) -> "Network":
-        "This network's layout around new (values, grad) pairs, one per tensor in `params()` order."
-        pairs = iter(tensors)
+    def _relaid(self, tensors: Iterable[tuple[np.ndarray, np.ndarray | None, np.ndarray | None]]) -> "Network":
+        "This network's layout around new (values, grad, cols) triples, one per tensor in `params()` order."
+        triples = iter(tensors)
         layers = [
-            Layer(ParamTensor(l.w.name, *next(pairs)), ParamTensor(l.b.name, *next(pairs)), l.activation)
+            Layer(ParamTensor(l.w.name, *next(triples)), ParamTensor(l.b.name, *next(triples)), l.activation)
             for l in self.layers
         ]
         return Network(layers, self.head)
@@ -226,8 +251,6 @@ class Network:
         h = x.reshape(x.shape[:-1] + (1,) * len(self.stack_shape) + x.shape[-1:])
         zs, hs = [], [x]
         for layer in self.layers:
-            # float32 @ float64 promotes to float64, so reductions run in
-            # double precision while storage stays float32
             z = np.matmul(layer.w.values, h[..., None])[..., 0] + layer.b.values
             h = _activate(z, layer.activation)
             zs.append(z)
@@ -254,9 +277,11 @@ class Network:
                 g = np.matmul(np.swapaxes(layer.w.values, -1, -2), gz[..., None])[..., 0]
             else:
                 # the input is sparse and its zero columns get an exactly zero
-                # gradient, so only its nonzero columns are written
+                # gradient, so only its nonzero columns are written, and the
+                # update is told which they are
                 cols = np.flatnonzero(hs[0])
                 layer.w.grad[..., cols] += gz[..., :, None] * hs[0][cols]
+                layer.w.cols = cols if layer.w.cols is None else np.union1d(layer.w.cols, cols)
 
     def _target(self, probs: np.ndarray, target) -> np.ndarray:
         "A one-hot vector for a softmax index, or the 0/1 bits shaped as `probs`."
@@ -288,14 +313,16 @@ class Network:
         # the softmax-categorical and the factored-Bernoulli log-likelihood.
         self._backprop(reward * (probs - self._target(probs, action)), zs, hs)
 
-    def supervised_backward(self, x: np.ndarray, label) -> None:
-        """Accumulate the cross-entropy gradient against a gold label.
+    def supervised_backward(self, x: np.ndarray, label) -> np.ndarray:
+        """Accumulate the cross-entropy gradient against a gold label, and
+        return the head's probabilities for `x` that the gradient used.
 
         Softmax head: categorical cross-entropy with an index label.
         Sigmoid head: summed per-unit binary cross-entropy with a bit vector.
         """
         probs, zs, hs = self._trace(np.ravel(x))
         self._backprop(probs - self._target(probs, label), zs, hs)
+        return probs
 
     def zero_grads(self) -> None:
         for p in self.params():
@@ -332,24 +359,33 @@ class SGD:
 def apply_update(params: Sequence[ParamTensor], opt: SGD) -> None:
     """Apply `values -= lr * grad` (with optional momentum), then zero grads.
 
-    Raises TrainingFault if any updated value is non-finite; the run must
-    abort rather than continue from poisoned parameters.
+    Without momentum, a tensor whose `cols` is set is updated on those
+    columns only; every other entry has zero gradient and would not move.
+    Momentum decays every entry's velocity, so it updates whole tensors.
+
+    Raises TrainingFault, naming the tensor and leaving it unchanged, if any
+    updated value is non-finite; the run must abort rather than continue
+    from poisoned parameters.
     """
     for p in params:
-        step = p.grad
+        at = (..., p.cols) if p.cols is not None and opt.momentum == 0.0 else ...
+        step = p.grad[at]
         if opt.momentum > 0.0:
             vel = opt.velocity.get(p.name)
             if vel is None:
-                vel = np.zeros_like(p.values)
+                vel = np.zeros(p.values.shape, dtype=np.float32)
             elif vel.shape != p.values.shape:
                 raise ValueError(f"momentum buffer shape {vel.shape} != tensor {p.values.shape}")
             vel = (opt.momentum * vel + p.grad).astype(np.float32)
             opt.velocity[p.name] = vel
             step = vel
-        p.values -= (opt.learning_rate * step).astype(np.float32)
-        if not np.isfinite(p.values).all():
+        # a float32 subtraction, as the values are float32 numbers
+        new = np.subtract(p.values[at], opt.learning_rate * step, dtype=np.float32)
+        if not np.isfinite(new).all():
             raise TrainingFault(f"non-finite values in tensor {p.name!r} after update")
-        p.zero_grad()
+        p.values[at] = new
+        p.grad[at] = 0.0
+        p.cols = None
 
 
 # -- checkpoint format ---------------------------------------------------
@@ -357,7 +393,7 @@ def apply_update(params: Sequence[ParamTensor], opt: SGD) -> None:
 # Little-endian layout:
 #   magic "NARL" | u32 version | u32 tensor count
 #   per tensor: u32 name length | UTF-8 name | u32 rank | u64 dims... |
-#               raw float32 payload
+#               raw float32 payload, every value finite
 
 
 def _read_exact(f, n: int) -> bytes:
@@ -383,7 +419,8 @@ def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:
-    "Read a checkpoint container; raises CheckpointFormatError on bad files."
+    """Read a checkpoint container; raises CheckpointFormatError on bad files,
+    a NaN or an infinity in a payload included."""
     tensors: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
         if _read_exact(f, 4) != CHECKPOINT_MAGIC:
@@ -393,16 +430,21 @@ def read_tensors(path) -> dict[str, np.ndarray]:
             raise CheckpointFormatError(f"unsupported checkpoint version {version}")
         for _ in range(count):
             (name_len,) = struct.unpack("<I", _read_exact(f, 4))
-            name = _read_exact(f, name_len).decode("utf-8")
+            try:
+                name = _read_exact(f, name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointFormatError(f"tensor name is not UTF-8: {exc}") from None
             (rank,) = struct.unpack("<I", _read_exact(f, 4))
             if rank > 8:
                 raise CheckpointFormatError(f"implausible tensor rank {rank}")
             dims = struct.unpack(f"<{rank}Q", _read_exact(f, 8 * rank)) if rank else ()
-            size = int(np.prod(dims, dtype=np.int64)) if rank else 1
+            size = math.prod(dims)  # a Python int, which cannot overflow
             if any(d <= 0 for d in dims) or size > 1 << 30:
                 raise CheckpointFormatError(f"bad tensor shape {dims} for {name!r}")
             payload = _read_exact(f, 4 * size)
             arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
+            if not np.isfinite(arr).all():
+                raise CheckpointFormatError(f"non-finite values in tensor {name!r}")
             tensors[name] = arr
         if f.read(1):
             raise CheckpointFormatError("trailing bytes after last tensor")

@@ -67,16 +67,15 @@ class ScopeModel:
 
     def sentence_matrix(self, token_ids: Sequence[Sequence[int]]) -> np.ndarray:
         "Stack of mean token embeddings, one row per sentence."
-        emb = self.embed.values.astype(np.float64)
         rows = np.zeros((len(token_ids), self.dim), dtype=np.float64)
         for i, ids in enumerate(token_ids):
             if ids:
-                rows[i] = emb[list(ids)].mean(axis=0)
+                rows[i] = self.embed.values[list(ids)].mean(axis=0)
         return rows
 
     def _logits(self, sent_vecs: np.ndarray) -> np.ndarray:
         n = sent_vecs.shape[0]
-        mix = self.mix.values.astype(np.float64)
+        mix = self.mix.values
         logits = np.full(n, float(self.bias.values[0]))
         for j, k in enumerate(range(-self.window, self.window + 1)):
             if k == 0:
@@ -176,7 +175,7 @@ def train_scope(
             # head and mixer gradients
             mix_grad = np.zeros_like(model.mix.values, dtype=np.float64)
             d_vecs = np.zeros_like(vecs)
-            mix = model.mix.values.astype(np.float64)
+            mix = model.mix.values
             for j, k in enumerate(mix_offsets):
                 if k == 0:
                     mix_grad[j] = g @ vecs

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from emorl.emotion import EmotionLabel
+from emorl.emotion import EmotionLabel, EmotionModel
 from emorl.envsim import (
     Environment,
     FeedbackRegime,
@@ -21,7 +21,8 @@ from emorl.envsim import (
     respond,
 )
 from emorl.policy import MulticlassPolicy
-from emorl.text import insertion_positions, segment
+from emorl.scope import ScopeModel
+from emorl.text import Vocabulary, insertion_positions, segment
 
 
 # -- configuration ------------------------------------------------------------
@@ -321,6 +322,37 @@ def test_step_consumes_pending_email(gen_config):
 def test_learned_channel_requires_models(gen_config):
     with pytest.raises(ValueError, match="train-scope"):
         Environment(gen_config, seed=0, channel="learned")
+
+
+def _reordered(vocab):
+    "The same tokens with two ids swapped."
+    tokens = list(vocab.id_to_token)
+    tokens[1], tokens[2] = tokens[2], tokens[1]
+    return Vocabulary(tokens)
+
+
+def _learned_env(gen_config, vocab, scope_vocab, emotion_vocab):
+    return Environment(
+        gen_config,
+        channel="learned",
+        scope_model=ScopeModel(scope_vocab),
+        emotion_model=EmotionModel(emotion_vocab),
+        vocab=vocab,
+    )
+
+
+def test_scope_model_vocabulary_must_match(gen_config, vocab):
+    # an equal table in another object is accepted
+    _learned_env(gen_config, vocab, Vocabulary(vocab.id_to_token), vocab)
+    for other in (_reordered(vocab), Vocabulary(vocab.id_to_token[:-1])):
+        with pytest.raises(ValueError, match="scope model's vocabulary"):
+            _learned_env(gen_config, vocab, other, vocab)
+
+
+def test_emotion_model_vocabulary_must_match(gen_config, vocab):
+    for other in (_reordered(vocab), Vocabulary(vocab.id_to_token[:-1])):
+        with pytest.raises(ValueError, match="emotion model's vocabulary"):
+            _learned_env(gen_config, vocab, vocab, other)
 
 
 def test_oracle_full_rewards_track_correctness(gen_config):

@@ -1,17 +1,24 @@
-"""Golden bytes: SHA-256 of the curve and checkpoint files of two short runs.
+"""Golden bytes: SHA-256 of the curve and checkpoint files of short runs, and
+of the offline stages that feed the learned emotion channel.
 
 The hashes pin the exact RNG draw order and float32 arithmetic of a run, so
-a refactor of the networks, the policies or the loop that is meant to keep
-behaviour must leave them unchanged. A change that alters results on
-purpose records new hashes here and says why.
+a refactor of the networks, the policies, the scope filter, the emotion
+model or the loop that is meant to keep behaviour must leave them
+unchanged. A change that alters results on purpose records new hashes here
+and says why.
 """
 
 import hashlib
+import warnings
 
+import numpy as np
 import pytest
 
-from emorl.envsim import FeedbackRegime, default_config
+from emorl.emotion import EmotionModel, train_emotion
+from emorl.envsim import FeedbackRegime, build_offline_corpus, config_vocab, corpus_to_jsonl, default_config
 from emorl.harness import ExperimentConfig, run_online
+from emorl.scope import ScopeModel, train_scope
+from emorl.text import segment
 
 RUNS = {
     # criterion 6's generator and pretraining subset, full feedback so that
@@ -70,3 +77,58 @@ def file_hashes(root) -> dict[str, str]:
 def test_run_bytes_match_golden_hashes(name, tmp_path):
     run_online(RUNS[name], 3, curve_path=tmp_path / "curve.csv", checkpoint_dir=tmp_path / "agent")
     assert file_hashes(tmp_path) == GOLDEN[name]
+
+
+# the offline stages on a 400-message corpus, the emotion model learning from
+# what the trained filter keeps, then a short learned-channel run on both
+GOLDEN_LEARNED = {
+    "corpus.jsonl": "37ba41a87a886845dc58cc9455a2d9aecca900064f632310780cf782b04cb0fa",
+    "emotion.ckpt": "efff4dfc3c6afd6b7624990fa991953bb58d4a9ae7c3642275cdd42951449153",
+    "run/agent/agent.json": "06a876dc38e4bf38532f1d6fc0b69207718e03b69a6672e9f395ab9577f35ef8",
+    "run/agent/head0.ckpt": "79ef882ac64a7f8793cc9a1a7f025e4ae01df7262feee1b2e58ad3b566cc915e",
+    "run/curve.csv": "6f2d8c59ec485aae3590579133abb61addc43a17a068c50954fb4b16d9061efa",
+    "scope.ckpt": "c5d51a39366036ab6707870588edf8b36a1e5b0025579ad6058ce84994420b1c",
+}
+
+
+def test_learned_channel_bytes_match_golden_hashes(tmp_path):
+    gen = default_config()
+    vocab = config_vocab(gen)
+    corpus = build_offline_corpus(gen, np.random.default_rng(7), 400)
+    corpus_to_jsonl(corpus, tmp_path / "corpus.jsonl")
+    scope_model = ScopeModel(vocab, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        train_scope(scope_model, corpus, epochs=3, lr=0.5, seed=0)
+    scope_model.save(tmp_path / "scope.ckpt")
+    emotion_model = EmotionModel(vocab, seed=0)
+    train_emotion(
+        emotion_model,
+        corpus,
+        epochs=4,
+        lr=0.5,
+        seed=0,
+        scoper=lambda m: scope_model.scope(segment(m.text, vocab)).kept_texts,
+    )
+    emotion_model.save(tmp_path / "emotion.ckpt")
+    config = ExperimentConfig(
+        task="multiclass",
+        init="pretrained",
+        regime=FeedbackRegime.full(),
+        channel="learned",
+        interactions=300,
+        eval_every=100,
+        window=100,
+        eval_size=60,
+    )
+    (tmp_path / "run").mkdir()
+    run_online(
+        config,
+        3,
+        curve_path=tmp_path / "run" / "curve.csv",
+        checkpoint_dir=tmp_path / "run" / "agent",
+        scope_model=scope_model,
+        emotion_model=emotion_model,
+        vocab=vocab,
+    )
+    assert file_hashes(tmp_path) == GOLDEN_LEARNED

@@ -10,11 +10,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emorl.nn import (
     SGD,
     CheckpointFormatError,
     Network,
+    ParamTensor,
     TrainingFault,
     apply_update,
     gradient_check,
@@ -308,6 +311,30 @@ def test_stacked_forward_and_gradients_equal_each_head_alone():
             assert a.grad.tobytes() == b.grad.tobytes()
 
 
+def test_param_tensor_holds_float32_values_in_float64():
+    raw = np.array([[0.1, 1.0 / 3.0], [2.0**-30, 1e30]])
+    t = ParamTensor("t", raw)
+    assert t.values.dtype == np.float64 and t.values.flags.c_contiguous
+    assert t.values.tolist() == raw.astype(np.float32).astype(np.float64).tolist()
+    assert t.grad.dtype == np.float32 and not t.grad.any()
+    assert ParamTensor("f", raw.astype(np.float32)).values.tobytes() == t.values.tobytes()
+    transposed = ParamTensor("T", t.values.T)
+    assert transposed.values.flags.c_contiguous and np.array_equal(transposed.values, t.values.T)
+    # an array that already holds float32 values is kept, not copied
+    assert ParamTensor("k", t.values).values is t.values
+
+
+def test_unstack_views_the_stacked_arrays():
+    heads = [Network.build([5, 3, 2], head="sigmoid", rng=np.random.default_rng(s)) for s in (33, 34, 35)]
+    stacked = Network.stack(heads)
+    for k, head in enumerate(stacked.unstack()):
+        for a, b in zip(head.params(), stacked.params()):
+            assert np.shares_memory(a.values, b.values) and np.shares_memory(a.grad, b.grad)
+            assert a.values.tobytes() == b.values[k].tobytes()
+    stacked.unstack()[1].layers[0].w.values[0, 0] = 0.5
+    assert stacked.layers[0].w.values[1, 0, 0] == 0.5
+
+
 def test_stack_rejects_mismatched_networks():
     rng = np.random.default_rng(23)
     base = Network.build([5, 4, 1], head="sigmoid", rng=rng)
@@ -384,6 +411,95 @@ def test_non_finite_update_raises_training_fault():
         stacked.layers[1].w.grad[1, 0, 2] = bad
         with pytest.raises(TrainingFault, match=r"'L01\.identity\.W'"):
             apply_update(stacked.params(), SGD(learning_rate=1.0))
+
+
+def _sparse_case_net(heads: int, rng) -> Network:
+    "A plain softmax net (heads=0) or a stack of sigmoid heads, with three dead relu units."
+    if heads == 0:
+        net = Network.build([11, 7, 3], head="softmax", rng=rng)
+    else:
+        net = Network.stack([Network.build([11, 7, 2], head="sigmoid", rng=rng) for _ in range(heads)])
+    net.layers[0].b.values[..., :3] = -50.0
+    return net
+
+
+def _bag(*cols: int) -> np.ndarray:
+    "A bag-of-words input over 11 columns: a column named twice counts twice, unnamed ones are zero."
+    x = np.zeros(11)
+    np.add.at(x, list(cols), 0.25)
+    return x
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+@pytest.mark.parametrize("heads", [0, 2, 6])
+def test_update_on_touched_columns_equals_whole_tensor_update(heads, momentum):
+    rng = np.random.default_rng(40 + heads)
+    hinted = _sparse_case_net(heads, rng)
+    dense = hinted.copy()
+    opts = SGD(learning_rate=0.3, momentum=momentum), SGD(learning_rate=0.3, momentum=momentum)
+    # one pass; two passes accumulated before one update, sharing column 4;
+    # an all-zero input; then columns the earlier steps did not touch, which
+    # under momentum must still move the columns touched before
+    steps = [[_bag(1, 4, 4, 8)], [_bag(4, 6, 9, 9), _bag(0, 4)], [_bag()], [_bag(2, 10)]]
+    for inputs in steps:
+        for x in inputs:
+            if hinted.head == "softmax":
+                target = int(rng.integers(3))
+            else:
+                target = rng.integers(0, 2, (heads, 2))
+            reward = float(rng.choice([-1.0, 1.0]))
+            for net in (hinted, dense):
+                net.reinforce_backward(x, target, reward)
+                net.supervised_backward(x, target)
+        assert hinted.layers[0].w.cols.tolist() == np.flatnonzero(sum(inputs)).tolist()
+        for p in dense.params():
+            p.cols = None
+        apply_update(hinted.params(), opts[0])
+        apply_update(dense.params(), opts[1])
+        for a, b in zip(hinted.params(), dense.params()):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.grad.tobytes() == b.grad.tobytes()
+            assert a.cols is None
+    assert opts[0].velocity.keys() == opts[1].velocity.keys()
+    for name, vel in opts[0].velocity.items():
+        assert vel.tobytes() == opts[1].velocity[name].tobytes()
+
+
+def test_copy_between_backward_passes_keeps_touched_columns():
+    rng = np.random.default_rng(53)
+    net = _sparse_case_net(2, rng)
+    target = rng.integers(0, 2, (2, 2))
+    net.supervised_backward(_bag(1, 2), target)
+    twin = net.copy()
+    twin.supervised_backward(_bag(7), target)
+    assert twin.layers[0].w.cols.tolist() == [1, 2, 7]
+    dense = twin.copy()
+    for p in dense.params():
+        p.cols = None
+    apply_update(twin.params(), SGD(learning_rate=0.3))
+    apply_update(dense.params(), SGD(learning_rate=0.3))
+    for a, b in zip(twin.params(), dense.params()):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize("heads", [0, 2])
+def test_non_finite_step_in_touched_column_raises_training_fault(heads):
+    for bad in (np.nan, np.inf, -np.inf):
+        net = _sparse_case_net(heads, np.random.default_rng(50))
+        target = 1 if heads == 0 else np.ones((heads, 2))
+        net.supervised_backward(_bag(3, 5), target)
+        w = net.layers[0].w
+        assert w.cols.tolist() == [3, 5]
+        before = w.values.copy()
+        w.grad[..., 4, 5] = bad
+        with pytest.raises(TrainingFault, match=r"'L00\.relu\.W'"):
+            apply_update(net.params(), SGD(learning_rate=1.0))
+        assert w.values.tobytes() == before.tobytes()
+    # entries outside the touched columns are not read
+    net = _sparse_case_net(heads, np.random.default_rng(51))
+    net.supervised_backward(_bag(3, 5), target)
+    net.layers[0].w.grad[..., 0, 7] = np.inf
+    apply_update(net.params(), SGD(learning_rate=1.0))
 
 
 def test_optimizer_validation():
@@ -473,6 +589,38 @@ def test_handcrafted_little_endian_file_loads(tmp_path):
     assert np.array_equal(net.layers[0].w.values, w)
     p = net.forward(np.array([1.0, 1.0]))
     assert p.shape == (3,)
+
+
+def test_read_tensors_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "t.ckpt"
+    for bad in (np.nan, np.inf, -np.inf):
+        write_tensors(path, {"a": np.array([1.0, bad], dtype=np.float32)})
+        with pytest.raises(CheckpointFormatError, match="non-finite"):
+            read_tensors(path)
+
+
+def _corruptions(raw: bytes):
+    "Every proper prefix of `raw`, and `raw` with any one bit flipped."
+    def flip(bit: int) -> bytes:
+        out = bytearray(raw)
+        out[bit // 8] ^= 1 << (bit % 8)
+        return bytes(out)
+
+    return st.one_of(st.integers(0, len(raw) - 1).map(lambda n: raw[:n]), st.integers(0, 8 * len(raw) - 1).map(flip))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(data=st.data())
+def test_damaged_checkpoint_raises_format_error_or_loads_finite(tmp_path_factory, data):
+    net = Network.build([4, 3, 2], head="sigmoid", activations=["tanh", "identity"], rng=np.random.default_rng(52))
+    path = tmp_path_factory.mktemp("ckpt") / "net.ckpt"
+    save_checkpoint(net, path)
+    path.write_bytes(data.draw(_corruptions(path.read_bytes())))
+    try:
+        loaded = load_checkpoint(path)
+    except CheckpointFormatError:
+        return
+    assert all(np.isfinite(p.values).all() for p in loaded.params())
 
 
 def test_read_tensors_rejects_trailing_bytes(tmp_path):

@@ -4,7 +4,7 @@
 # bag-of-words features.
 # How to run: python demos/02_text_pipeline.py
 
-from emorl.text import build_vocab, featurize, insertion_positions, segment
+from emorl.text import build_vocab, featurize_texts, insertion_positions, segment
 
 email = (
     "Can we move the meeting to Thursday afternoon? By the way, "
@@ -36,7 +36,7 @@ print("visualized:", marked)
 # ------------------------------------------------------------------
 vocab = build_vocab([email], max_size=64)
 print(f"\nvocabulary size {vocab.size} (unknown id 0)")
-vec = featurize(segment(email, vocab), vocab)
+vec = featurize_texts([s.text for s in segments], vocab)
 top = sorted(range(vocab.size), key=lambda i: -vec[i])[:5]
 print("largest feature weights:")
 for i in top:

@@ -28,7 +28,7 @@ from .harness import ExperimentConfig, LearningCurve, run_grid, run_online
 from .nn import Network, SGD, apply_update, load_checkpoint, save_checkpoint
 from .policy import DEFAULT_VALID_COMBOS, MulticlassPolicy, MultilabelPolicy
 from .scope import ScopeModel, ScopedMessage, train_scope
-from .text import Vocabulary, build_vocab, featurize, insertion_positions, segment
+from .text import Vocabulary, build_vocab, insertion_positions, segment
 
 __all__ = [
     "EmotionLabel",
@@ -63,7 +63,6 @@ __all__ = [
     "train_scope",
     "Vocabulary",
     "build_vocab",
-    "featurize",
     "insertion_positions",
     "segment",
     "__version__",

@@ -24,13 +24,13 @@ from .envsim import (
     config_vocab,
     corpus_from_jsonl,
     corpus_to_jsonl,
-    draw_pretrain_set,
 )
 from .harness import (
     ExperimentConfig,
     build_agent,
     load_config_file,
     make_eval_set,
+    pretrain_agent,
     read_report,
     rederive_report,
     report_rows_equal,
@@ -199,9 +199,7 @@ def cmd_pretrain_intent(args) -> int:
     vocab = config_vocab(config.generator)
     env = Environment(config.generator, seed=[seed, 2], channel="oracle", vocab=vocab)
     agent = build_agent(config, vocab.size, seed)
-    subset = draw_pretrain_set(config.generator, np.random.default_rng([seed, 4]), config.pretrain_size)
-    examples = [(env.featurize_email(e), e.gold_intent) for e in subset]
-    agent.pretrain(examples, config.pretrain_epochs, rng=np.random.default_rng([seed, 5]))
+    pretrain_agent(config, agent, env, seed)
     baseline = agent.evaluate(make_eval_set(config, env, seed))
     save_agent(agent, args.out)
     print(f"pretrained {config.task} agent: baseline accuracy {baseline:.4f}")

@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .nn import Network, SGD, apply_update, load_checkpoint, save_checkpoint
+from .scope import gold_scope_texts
 from .text import Vocabulary, featurize_texts
 
 
@@ -94,10 +95,6 @@ def classify_emotion(model: EmotionModel, scoped) -> tuple[EmotionLabel, np.ndar
     return model.classify_texts(scoped.kept_texts)
 
 
-def _gold_scope_texts(message) -> list[str]:
-    return [s.text for s in message.sentences if s.task_relevant or s.directed != "none"]
-
-
 def all_texts(message) -> list[str]:
     return [s.text for s in message.sentences]
 
@@ -140,7 +137,7 @@ def train_emotion(
     """
     if not corpus:
         raise ValueError("cannot train the emotion model on an empty corpus")
-    scoper = scoper or _gold_scope_texts
+    scoper = scoper or gold_scope_texts
     labels = [LABEL_INDEX[m.gold_emotion] for m in corpus]
     present = set(labels)
     if present != set(range(len(LABEL_ORDER))):
@@ -179,7 +176,7 @@ def train_emotion(
 
 def evaluate_emotion(model: EmotionModel, corpus: Sequence, scoper: Callable | None = None) -> dict:
     "Accuracy and macro-F1 of the trained model on a labeled corpus."
-    scoper = scoper or _gold_scope_texts
+    scoper = scoper or gold_scope_texts
     golds = [LABEL_INDEX[m.gold_emotion] for m in corpus]
     preds = [LABEL_INDEX[model.classify_texts(scoper(m))[0]] for m in corpus]
     return {

@@ -26,7 +26,7 @@ import numpy as np
 
 from .emotion import EmotionLabel, EmotionModel, classify_emotion, reward_of
 from .policy import DEFAULT_VALID_COMBOS, MULTICLASS_ACTIONS
-from .scope import ScopeModel
+from .scope import ScopeModel, gold_scope_texts
 from .text import SPLIT_PUNCT, Vocabulary, build_vocab, featurize_texts, segment
 
 
@@ -218,37 +218,54 @@ def _instantiate(template: str, task_relevant: bool, directed: str = "none", gen
     ]
 
 
-def _boundary_offsets(sentences: list[LabeledSentence]) -> list[int]:
-    "Offset just after each segment's final punctuation in the joined text."
-    offsets, pos = [], 0
-    for i, s in enumerate(sentences):
-        pos += len(s.text)
-        offsets.append(pos)
-        pos += 1  # the joining space
-    return offsets
+def _with_distractors(config: GeneratorConfig, rng: np.random.Generator, groups: list) -> list[LabeledSentence]:
+    "`groups` plus a binomial number of distractor templates, flattened in a random group order."
+    n_distract = int(rng.binomial(config.max_distractors, config.distractor_rate))
+    for template in _draw_templates(config.distractor_templates, rng, n_distract):
+        groups.append(_instantiate(template, task_relevant=False))
+    return [s for gi in rng.permutation(len(groups)) for s in groups[int(gi)]]
 
 
-def _inject_phrases(
-    base: list[LabeledSentence],
-    picks: list[tuple[int, str, str, str]],
-) -> tuple[list[LabeledSentence], list[Injection]]:
-    """Splice emotion phrases in after the chosen segment indices.
+_POLARITY_LABEL = {"pos": EmotionLabel.POSITIVE, "neg": EmotionLabel.NEGATIVE, "none": EmotionLabel.NEUTRAL}
 
-    Offsets are recorded against the pre-injection text, so audits can check
-    them against that text's insertion positions.
+
+def _with_emotion(
+    config: GeneratorConfig, rng: np.random.Generator, base: list[LabeledSentence], gold_intent, directed: str
+) -> EmailMessage:
+    """The message `base` with emotion phrases spliced in.
+
+    A `directed` ("pos" or "neg") phrase lands right after a task sentence
+    and sets the gold emotion; "none" leaves it Neutral. Then, with
+    probability general_rate, a general-register phrase of either polarity
+    lands after any sentence. Offsets are recorded against the
+    pre-injection text, so audits can check them against that text's
+    insertion positions.
     """
-    offsets = _boundary_offsets(base)
-    injections = [Injection(phrase, offsets[idx], reg, pol) for idx, phrase, reg, pol in picks]
-    out = list(base)
-    for idx, phrase, reg, pol in sorted(picks, key=lambda p: p[0], reverse=True):
-        pieces = _instantiate(
-            phrase,
-            task_relevant=False,
-            directed=pol if reg == "directed" else "none",
-            general=pol if reg == "general" else "none",
-        )
-        out[idx + 1 : idx + 1] = pieces
-    return out, injections
+    picks: list[tuple[int, str, str, str]] = []
+    if directed != "none":
+        pool = config.directed_pos if directed == "pos" else config.directed_neg
+        phrase = pool[int(rng.integers(len(pool)))]
+        task_slots = [i for i, s in enumerate(base) if s.task_relevant]
+        picks.append((task_slots[int(rng.integers(len(task_slots)))], phrase, "directed", directed))
+    if rng.random() < config.general_rate:
+        pol = "pos" if rng.random() < 0.5 else "neg"
+        pool = config.general_pos if pol == "pos" else config.general_neg
+        phrase = pool[int(rng.integers(len(pool)))]
+        picks.append((int(rng.integers(len(base))), phrase, "general", pol))
+
+    sentences, injections = list(base), []
+    for idx, phrase, register, polarity in picks:
+        # the offset just after sentence idx's final punctuation in the joined text
+        injections.append(Injection(phrase, len(" ".join(s.text for s in base[: idx + 1])), register, polarity))
+    for idx, phrase, register, polarity in sorted(picks, key=lambda p: p[0], reverse=True):
+        sentences[idx + 1 : idx + 1] = _instantiate(phrase, task_relevant=False, **{register: polarity})
+    return EmailMessage(
+        sentences=sentences,
+        gold_intent=gold_intent,
+        gold_emotion=_POLARITY_LABEL[directed],
+        base_text=" ".join(s.text for s in base),
+        injections=injections,
+    )
 
 
 def _draw_templates(pool: list, rng: np.random.Generator, k: int) -> list[str]:
@@ -302,10 +319,7 @@ def generate_email(config: GeneratorConfig, rng: np.random.Generator, intent) ->
             if on:
                 template = _draw_templates(config.bit_templates[bit], rng, 1)[0]
                 groups.append(_instantiate(template, task_relevant=True))
-    n_distract = int(rng.binomial(config.max_distractors, config.distractor_rate))
-    for template in _draw_templates(config.distractor_templates, rng, n_distract):
-        groups.append(_instantiate(template, task_relevant=False))
-    sentences = [s for gi in rng.permutation(len(groups)) for s in groups[int(gi)]]
+    sentences = _with_distractors(config, rng, groups)
     msg = EmailMessage(sentences=sentences, gold_intent=intent, gold_emotion=EmotionLabel.NEUTRAL)
     msg.base_text = msg.text
     return msg
@@ -321,42 +335,13 @@ def respond(config: GeneratorConfig, rng: np.random.Generator, gold, taken) -> E
     sentence. The gold emotion label reflects only the directed injection.
     """
     gold = normalize_intent(config, gold)
-    groups: list[list[LabeledSentence]] = []
     followup = _draw_templates(config.followup_templates, rng, 1)[0]
-    groups.append(_instantiate(followup, task_relevant=True))
-    n_distract = int(rng.binomial(config.max_distractors, config.distractor_rate))
-    for template in _draw_templates(config.distractor_templates, rng, n_distract):
-        groups.append(_instantiate(template, task_relevant=False))
-    base = [s for gi in rng.permutation(len(groups)) for s in groups[int(gi)]]
-
-    picks: list[tuple[int, str, str, str]] = []
-    correct = taken == gold
-    directed_pol = "none"
-    if correct and rng.random() < config.q_pos:
-        directed_pol = "pos"
-    elif not correct and rng.random() < config.q_neg:
-        directed_pol = "neg"
-    if directed_pol != "none":
-        pool = config.directed_pos if directed_pol == "pos" else config.directed_neg
-        phrase = pool[int(rng.integers(len(pool)))]
-        task_slots = [i for i, s in enumerate(base) if s.task_relevant]
-        picks.append((task_slots[int(rng.integers(len(task_slots)))], phrase, "directed", directed_pol))
-    if rng.random() < config.general_rate:
-        pol = "pos" if rng.random() < 0.5 else "neg"
-        pool = config.general_pos if pol == "pos" else config.general_neg
-        phrase = pool[int(rng.integers(len(pool)))]
-        picks.append((int(rng.integers(len(base))), phrase, "general", pol))
-
-    base_text = " ".join(s.text for s in base)
-    sentences, injections = _inject_phrases(base, picks)
-    label = {"pos": EmotionLabel.POSITIVE, "neg": EmotionLabel.NEGATIVE, "none": EmotionLabel.NEUTRAL}
-    return EmailMessage(
-        sentences=sentences,
-        gold_intent=gold,
-        gold_emotion=label[directed_pol],
-        base_text=base_text,
-        injections=injections,
-    )
+    base = _with_distractors(config, rng, [_instantiate(followup, task_relevant=True)])
+    if taken == gold:
+        directed = "pos" if rng.random() < config.q_pos else "none"
+    else:
+        directed = "neg" if rng.random() < config.q_neg else "none"
+    return _with_emotion(config, rng, base, gold, directed)
 
 
 def apply_regime(
@@ -404,13 +389,12 @@ def build_offline_corpus(config: GeneratorConfig, rng: np.random.Generator, n: i
     """
     if n <= 0:
         raise ValueError("corpus size must be positive")
-    classes = np.array(
-        [EmotionLabel.POSITIVE, EmotionLabel.NEGATIVE, EmotionLabel.NEUTRAL], dtype=object
-    )[np.arange(n) % 3]
-    rng.shuffle(classes)
+    # the directed polarity of each sample's emotion class
+    polarities = np.array(["pos", "neg", "none"], dtype=object)[np.arange(n) % 3]
+    rng.shuffle(polarities)
     task_pool = _task_intents(config)
     out: list[EmailMessage] = []
-    for cls in classes:
+    for directed in polarities:
         intent = task_pool[int(rng.integers(len(task_pool)))]
         email = generate_email(config, rng, intent)
         base = list(email.sentences)
@@ -422,31 +406,7 @@ def build_offline_corpus(config: GeneratorConfig, rng: np.random.Generator, n: i
             template = _draw_templates(config.intent_templates["other"], rng, 1)[0]
             pos = int(rng.integers(len(base) + 1))
             base[pos:pos] = _instantiate(template, task_relevant=False)
-
-        picks: list[tuple[int, str, str, str]] = []
-        if cls is not EmotionLabel.NEUTRAL:
-            pol = "pos" if cls is EmotionLabel.POSITIVE else "neg"
-            pool = config.directed_pos if pol == "pos" else config.directed_neg
-            phrase = pool[int(rng.integers(len(pool)))]
-            task_slots = [i for i, s in enumerate(base) if s.task_relevant]
-            picks.append((task_slots[int(rng.integers(len(task_slots)))], phrase, "directed", pol))
-        if rng.random() < config.general_rate:
-            pol = "pos" if rng.random() < 0.5 else "neg"
-            pool = config.general_pos if pol == "pos" else config.general_neg
-            phrase = pool[int(rng.integers(len(pool)))]
-            picks.append((int(rng.integers(len(base))), phrase, "general", pol))
-
-        base_text = " ".join(s.text for s in base)
-        sentences, injections = _inject_phrases(base, picks)
-        out.append(
-            EmailMessage(
-                sentences=sentences,
-                gold_intent=email.gold_intent,
-                gold_emotion=cls,
-                base_text=base_text,
-                injections=injections,
-            )
-        )
+        out.append(_with_emotion(config, rng, base, email.gold_intent, directed))
     return out
 
 
@@ -518,18 +478,6 @@ def corpus_from_jsonl(path) -> list[EmailMessage]:
             msg.base_text = msg.text
             out.append(msg)
     return out
-
-
-# -- gold scoping helpers -----------------------------------------------------
-
-
-def gold_scope_texts(message: EmailMessage) -> list[str]:
-    "Sentences a perfect scope filter would keep."
-    return [s.text for s in message.sentences if s.task_relevant or s.directed != "none"]
-
-
-def all_texts(message: EmailMessage) -> list[str]:
-    return [s.text for s in message.sentences]
 
 
 # -- the environment ----------------------------------------------------------

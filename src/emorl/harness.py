@@ -185,6 +185,14 @@ def make_eval_set(config: ExperimentConfig, env: Environment, seed: int):
     return out
 
 
+def pretrain_agent(config: ExperimentConfig, agent, env: Environment, seed: int) -> None:
+    """Supervised pretraining on the skewed subset, featurized as `env` scopes
+    it: stream [seed, 4] draws the subset and [seed, 5] orders the epochs."""
+    subset = draw_pretrain_set(config.generator, np.random.default_rng([seed, 4]), config.pretrain_size)
+    examples = [(env.featurize_email(e), e.gold_intent) for e in subset]
+    agent.pretrain(examples, config.pretrain_epochs, rng=np.random.default_rng([seed, 5]))
+
+
 def run_online(
     config: ExperimentConfig,
     seed: int,
@@ -217,9 +225,7 @@ def run_online(
 
     info: dict = {"seed": seed}
     if config.init == "pretrained":
-        subset = draw_pretrain_set(gen, np.random.default_rng([seed, 4]), config.pretrain_size)
-        examples = [(env.featurize_email(e), e.gold_intent) for e in subset]
-        agent.pretrain(examples, config.pretrain_epochs, rng=np.random.default_rng([seed, 5]))
+        pretrain_agent(config, agent, env, seed)
         info["baseline_accuracy"] = agent.evaluate(eval_set)
 
     curve = LearningCurve()
@@ -255,10 +261,6 @@ def run_online(
 # -- grid ---------------------------------------------------------------------
 
 
-def regime_label(regime: FeedbackRegime) -> str:
-    return regime.kind
-
-
 def default_regimes() -> tuple[FeedbackRegime, ...]:
     return (
         FeedbackRegime.full(),
@@ -291,7 +293,7 @@ def run_grid(
         for init in inits:
             for regime in regimes:
                 cfg = replace(base, task=task, init=init, regime=regime)
-                key = (task, init, regime_label(regime))
+                key = (task, init, regime.kind)
                 cell = "_".join(key)
                 for seed in cfg.seeds:
                     curve, _, _ = run_online(
@@ -337,15 +339,16 @@ def summarize_grid(results: dict, evals: dict) -> list[dict]:
 REPORT_COLUMNS = ("task", "init", "regime", "seeds", "final_success_mean", "final_eval_mean", "panel_order_ok")
 
 
+def _report_cells(row: dict) -> tuple[str, ...]:
+    "A report row's cells as report.csv holds them."
+    return tuple(f"{v:.6f}" if isinstance(v, float) else str(v) for v in (row[col] for col in REPORT_COLUMNS))
+
+
 def write_report(path, rows: list[dict]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(REPORT_COLUMNS) + "\n")
         for row in rows:
-            cells = []
-            for col in REPORT_COLUMNS:
-                v = row[col]
-                cells.append(f"{v:.6f}" if isinstance(v, float) else str(v))
-            f.write(",".join(cells) + "\n")
+            f.write(",".join(_report_cells(row)) + "\n")
 
 
 def read_report(path) -> list[dict]:
@@ -380,18 +383,7 @@ def rederive_report(run_dir) -> list[dict]:
 
 def report_rows_equal(a: list[dict], b: list[dict]) -> bool:
     "Compare report rows after normalizing through the CSV text format."
-
-    def norm(rows: list[dict]) -> list[tuple]:
-        out = []
-        for row in rows:
-            cells = []
-            for col in REPORT_COLUMNS:
-                v = row[col]
-                cells.append(f"{v:.6f}" if isinstance(v, float) else str(v))
-            out.append(tuple(cells))
-        return sorted(out)
-
-    return norm(a) == norm(b)
+    return sorted(map(_report_cells, a)) == sorted(map(_report_cells, b))
 
 
 # -- manifests and config files -------------------------------------------------

@@ -7,11 +7,10 @@ the analytic gradients stable and the checkpoints float32. An update of the
 first layer touches only the input columns its backward passes wrote.
 Supported pieces: dense layers with relu/tanh/identity activations, a
 softmax or per-unit sigmoid output head, cross-entropy and policy-gradient
-(score-function) losses, plain SGD with optional momentum, and a binary
-checkpoint format with a bit-exact round-trip guarantee. Tensors may carry
-a leading stack axis of heads that share no entry and run in one pass, each
-computing bit for bit what it computes alone; the forward pass also takes a
-batch of inputs.
+(score-function) losses, plain SGD, and a binary checkpoint format with a
+bit-exact round-trip guarantee. Tensors may carry a leading stack axis of
+heads that share no entry and run in one pass, each computing bit for bit
+what it computes alone; the forward pass also takes a batch of inputs.
 """
 
 from __future__ import annotations
@@ -343,44 +342,29 @@ def log_prob(probs: np.ndarray, action, head: str) -> float:
 
 @dataclass
 class SGD:
-    """SGD state: learning rate plus optional per-tensor momentum buffers."""
+    """Plain SGD: the learning rate."""
 
     learning_rate: float = 0.05
-    momentum: float = 0.0
-    velocity: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0.0:
             raise ValueError("learning rate must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
 
 
 def apply_update(params: Sequence[ParamTensor], opt: SGD) -> None:
-    """Apply `values -= lr * grad` (with optional momentum), then zero grads.
+    """Apply `values -= lr * grad`, then zero grads.
 
-    Without momentum, a tensor whose `cols` is set is updated on those
-    columns only; every other entry has zero gradient and would not move.
-    Momentum decays every entry's velocity, so it updates whole tensors.
+    A tensor whose `cols` is set is updated on those columns only; every
+    other entry has zero gradient and would not move.
 
     Raises TrainingFault, naming the tensor and leaving it unchanged, if any
     updated value is non-finite; the run must abort rather than continue
     from poisoned parameters.
     """
     for p in params:
-        at = (..., p.cols) if p.cols is not None and opt.momentum == 0.0 else ...
-        step = p.grad[at]
-        if opt.momentum > 0.0:
-            vel = opt.velocity.get(p.name)
-            if vel is None:
-                vel = np.zeros(p.values.shape, dtype=np.float32)
-            elif vel.shape != p.values.shape:
-                raise ValueError(f"momentum buffer shape {vel.shape} != tensor {p.values.shape}")
-            vel = (opt.momentum * vel + p.grad).astype(np.float32)
-            opt.velocity[p.name] = vel
-            step = vel
+        at = ... if p.cols is None else (..., p.cols)
         # a float32 subtraction, as the values are float32 numbers
-        new = np.subtract(p.values[at], opt.learning_rate * step, dtype=np.float32)
+        new = np.subtract(p.values[at], opt.learning_rate * p.grad[at], dtype=np.float32)
         if not np.isfinite(new).all():
             raise TrainingFault(f"non-finite values in tensor {p.name!r} after update")
         p.values[at] = new

@@ -86,7 +86,6 @@ class MulticlassPolicy(_Policy):
         n_actions: int = 3,
         hidden: tuple[int, ...] = (64,),
         lr: float = 0.05,
-        momentum: float = 0.0,
         seed: int = 0,
         init_scale: float = 0.5,
         zero_init: bool = False,
@@ -95,7 +94,7 @@ class MulticlassPolicy(_Policy):
         self.net = Network.build(
             [input_dim, *hidden, n_actions], head="softmax", rng=init_rng, init_scale=init_scale
         )
-        self.opt = SGD(learning_rate=lr, momentum=momentum)
+        self.opt = SGD(learning_rate=lr)
         self.rng = np.random.default_rng([seed, 1])
 
     @property
@@ -134,7 +133,6 @@ class MultilabelPolicy(_Policy):
         n_bits: int = 6,
         hidden: tuple[int, ...] = (32,),
         lr: float = 0.05,
-        momentum: float = 0.0,
         seed: int = 0,
         init_scale: float = 0.5,
         zero_init: bool = False,
@@ -143,7 +141,7 @@ class MultilabelPolicy(_Policy):
         rngs = [None if zero_init else np.random.default_rng([seed, 10 + k]) for k in range(n_bits)]
         heads = [Network.build([input_dim, *hidden, 1], head="sigmoid", rng=r, init_scale=init_scale) for r in rngs]
         self.net = Network.stack(heads)
-        self.opt = SGD(learning_rate=lr, momentum=momentum)
+        self.opt = SGD(learning_rate=lr)
         self.rng = np.random.default_rng([seed, 1])
         self.valid_combos = tuple(tuple(int(b) for b in combo) for combo in valid_combos)
 
@@ -201,12 +199,12 @@ def save_agent(agent: PolicyAgent, out_dir) -> None:
     (out / "agent.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def load_agent(in_dir, lr: float = 0.05, momentum: float = 0.0, seed: int = 0) -> PolicyAgent:
+def load_agent(in_dir, lr: float = 0.05, seed: int = 0) -> PolicyAgent:
     in_dir = Path(in_dir)
     manifest = json.loads((in_dir / "agent.json").read_text(encoding="utf-8"))
     nets = [load_checkpoint(in_dir / name) for name in manifest["heads"]]
     if manifest["task"] == "multiclass":
-        agent = MulticlassPolicy(manifest["input_dim"], n_actions=nets[0].output_dim, lr=lr, momentum=momentum, seed=seed)
+        agent = MulticlassPolicy(manifest["input_dim"], n_actions=nets[0].output_dim, lr=lr, seed=seed)
         agent.net = nets[0]
         return agent
     combos = tuple(tuple(c) for c in manifest["valid_combos"])
@@ -214,8 +212,6 @@ def load_agent(in_dir, lr: float = 0.05, momentum: float = 0.0, seed: int = 0) -
         net = Network.stack(nets)
     except ValueError as exc:
         raise CheckpointFormatError(f"{in_dir}: {exc}") from exc
-    agent = MultilabelPolicy(
-        manifest["input_dim"], n_bits=len(nets), lr=lr, momentum=momentum, seed=seed, valid_combos=combos
-    )
+    agent = MultilabelPolicy(manifest["input_dim"], n_bits=len(nets), lr=lr, seed=seed, valid_combos=combos)
     agent.net = net
     return agent

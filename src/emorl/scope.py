@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .nn import SGD, ParamTensor, apply_update, read_tensors, sigmoid, write_tensors
-from .text import Sentence, Vocabulary
+from .nn import SGD, CheckpointFormatError, ParamTensor, apply_update, read_tensors, sigmoid, write_tensors
+from .text import Sentence, Vocabulary, tokenize
 
 
 @dataclass
@@ -113,8 +113,18 @@ class ScopeModel:
 
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "ScopeModel":
+        """Inverse of save; raises CheckpointFormatError on a malformed file
+        and ValueError on one made for another vocabulary size."""
         tensors = read_tensors(path)
+        if sorted(tensors) != ["bias", "embed", "mix"]:
+            raise CheckpointFormatError(f"scope checkpoint must hold embed, mix and bias, not {sorted(tensors)}")
         embed, mix, bias = tensors["embed"], tensors["mix"], tensors["bias"]
+        # one embedding row per token, 2 * window + 1 mixer rows as wide, one bias
+        odd_mix = mix.ndim == 2 and mix.shape[0] % 2 == 1
+        if embed.ndim != 2 or not odd_mix or mix.shape[1] != embed.shape[1] or bias.shape != (1,):
+            raise CheckpointFormatError(
+                f"scope tensor shapes are inconsistent: embed {embed.shape}, mix {mix.shape}, bias {bias.shape}"
+            )
         if embed.shape[0] != vocab.size:
             raise ValueError(f"checkpoint vocab size {embed.shape[0]} != vocabulary {vocab.size}")
         model = cls(vocab, dim=embed.shape[1], window=(mix.shape[0] - 1) // 2)
@@ -124,9 +134,19 @@ class ScopeModel:
         return model
 
 
+def in_gold_scope(sentence) -> bool:
+    "Whether a perfect filter keeps a labeled sentence: task content or emotion directed at the task."
+    return sentence.task_relevant or sentence.directed != "none"
+
+
 def keep_labels(message) -> list[int]:
-    "Gold keep label per sentence: task content or task-directed emotion."
-    return [int(s.task_relevant or s.directed != "none") for s in message.sentences]
+    "Gold keep label per sentence."
+    return [int(in_gold_scope(s)) for s in message.sentences]
+
+
+def gold_scope_texts(message) -> list[str]:
+    "Sentences a perfect scope filter would keep."
+    return [s.text for s in message.sentences if in_gold_scope(s)]
 
 
 def train_scope(
@@ -147,7 +167,7 @@ def train_scope(
         raise ValueError("cannot train the scope filter on an empty corpus")
     data = []
     for message in corpus:
-        ids = [model.vocab.ids(s.text.lower().split()) for s in message.sentences]
+        ids = [model.vocab.ids(tokenize(s.text)) for s in message.sentences]
         data.append((ids, np.array(keep_labels(message), dtype=np.float64)))
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(data))

@@ -120,25 +120,12 @@ def build_vocab(corpus: Iterable[str], max_size: int = 2048) -> Vocabulary:
     return Vocabulary([UNK_TOKEN] + kept)
 
 
-def featurize(sentences: Iterable[Sentence], vocab: Vocabulary) -> np.ndarray:
-    """L1-normalized bag-of-words counts of in-vocabulary tokens.
+def featurize_texts(texts: Iterable[str], vocab: Vocabulary) -> np.ndarray:
+    """L1-normalized bag-of-words counts of the in-vocabulary tokens of `texts`.
 
-    Order-invariant over sentences and tokens; an empty or fully
+    Order-invariant over texts and tokens; an empty or fully
     out-of-vocabulary input yields the zero vector.
     """
-    vec = np.zeros(vocab.size, dtype=np.float64)
-    for s in sentences:
-        for tid in s.token_ids:
-            if tid != UNK_ID:
-                vec[tid] += 1.0
-    total = vec.sum()
-    if total > 0.0:
-        vec /= total
-    return vec
-
-
-def featurize_texts(texts: Iterable[str], vocab: Vocabulary) -> np.ndarray:
-    "featurize() over raw sentence strings, tokenizing against `vocab`."
     vec = np.zeros(vocab.size, dtype=np.float64)
     for text in texts:
         for tok in tokenize(text):

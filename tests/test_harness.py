@@ -319,6 +319,15 @@ def test_cli_offline_pipeline_and_run(config_file, tmp_path, capsys):
     assert "matches the stored report" in capsys.readouterr().out
 
 
+def test_cli_pretrain_intent_writes_the_agent_run_online_pretrains(config_file, tmp_path):
+    agent_dir = tmp_path / "agent"
+    assert main(["pretrain-intent", "--config", str(config_file), "--out", str(agent_dir), "--seed", "2"]) == 0
+    config = replace(load_config_file(config_file)["experiment"], init="pretrained", interactions=0)
+    run_online(config, 2, checkpoint_dir=tmp_path / "run")
+    for name in ("agent.json", "head0.ckpt"):
+        assert (agent_dir / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+
 def test_cli_run_online_interactions_override_is_fast(config_file, tmp_path):
     run_dir = tmp_path / "fast"
     start = time.time()

@@ -157,47 +157,46 @@ def test_multilabel_heads_have_no_shared_parameters():
         assert changed[k] and not np.delete(changed, k).any()
 
 
-def reference_heads(seed, momentum):
-    "Six plain networks and optimizers, initialised as MultilabelPolicy initialises its heads."
-    heads = [
+def reference_heads(seed):
+    "Six plain networks, initialised as MultilabelPolicy initialises its heads."
+    return [
         Network.build([DIM, 32, 1], head="sigmoid", rng=np.random.default_rng([seed, 10 + k]), init_scale=0.5)
         for k in range(6)
     ]
-    return heads, [SGD(learning_rate=0.05, momentum=momentum) for _ in heads]
 
 
 def test_multilabel_update_decomposes_per_head():
     # the stacked agent's pretraining and REINFORCE steps must equal driving
-    # each head alone, one network and one optimizer per head, byte for byte
+    # each head alone, one network per head, byte for byte
     rng = np.random.default_rng(2)
     examples = [(sparse_state(rng), DEFAULT_VALID_COMBOS[i % 6]) for i in range(12)]
     records = [
         record(sparse_state(rng), tuple(int(b) for b in rng.integers(0, 2, 6)), reward, present)
         for reward, present in [(1.0, True), (-1.0, True), (0.0, True), (1.0, False)] * 5
     ]
-    for momentum in (0.0, 0.9):
-        agent = MultilabelPolicy(DIM, seed=8, lr=0.05, momentum=momentum)
-        heads, opts = reference_heads(8, momentum)
+    agent = MultilabelPolicy(DIM, seed=8, lr=0.05)
+    heads = reference_heads(8)
+    opt = SGD(learning_rate=0.05)
 
-        agent.pretrain(examples, 3, rng=np.random.default_rng(0))
-        order = np.random.default_rng(0)
-        for _ in range(3):
-            for i in order.permutation(len(examples)):
-                state, combo = examples[i]
-                for k, (head, opt) in enumerate(zip(heads, opts)):
-                    head.supervised_backward(state, (combo[k],))
-                    apply_update(head.params(), opt)
-        assert agent_bytes(agent) == [p.values.tobytes() for head in heads for p in head.params()]
+    agent.pretrain(examples, 3, rng=np.random.default_rng(0))
+    order = np.random.default_rng(0)
+    for _ in range(3):
+        for i in order.permutation(len(examples)):
+            state, combo = examples[i]
+            for k, head in enumerate(heads):
+                head.supervised_backward(state, (combo[k],))
+                apply_update(head.params(), opt)
+    assert agent_bytes(agent) == [p.values.tobytes() for head in heads for p in head.params()]
 
-        for rec in records:
-            agent.learn(rec)
-            if rec.feedback_present and rec.reward != 0.0:
-                for k, (head, opt) in enumerate(zip(heads, opts)):
-                    head.reinforce_backward(rec.state, (rec.action[k],), rec.reward)
-                    apply_update(head.params(), opt)
-        assert agent_bytes(agent) == [p.values.tobytes() for head in heads for p in head.params()]
-        state = records[0].state
-        assert agent.bit_probs(state).tobytes() == np.array([head.forward(state)[0] for head in heads]).tobytes()
+    for rec in records:
+        agent.learn(rec)
+        if rec.feedback_present and rec.reward != 0.0:
+            for k, head in enumerate(heads):
+                head.reinforce_backward(rec.state, (rec.action[k],), rec.reward)
+                apply_update(head.params(), opt)
+    assert agent_bytes(agent) == [p.values.tobytes() for head in heads for p in head.params()]
+    state = records[0].state
+    assert agent.bit_probs(state).tobytes() == np.array([head.forward(state)[0] for head in heads]).tobytes()
 
 
 def test_expected_gradient_enumeration_matches_monte_carlo():

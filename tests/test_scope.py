@@ -5,6 +5,7 @@ import pytest
 
 from emorl.envsim import EmailMessage, LabeledSentence, generate_email
 from emorl.emotion import EmotionLabel
+from emorl.nn import CheckpointFormatError, write_tensors
 from emorl.scope import ScopeModel, ScopedMessage, keep_labels, train_scope
 from emorl.text import build_vocab, segment
 
@@ -167,3 +168,22 @@ def test_scope_model_load_vocab_mismatch(tmp_path, trained_scope):
     tiny = build_vocab(["a b"], 4)
     with pytest.raises(ValueError, match="vocab"):
         ScopeModel.load(path, tiny)
+
+
+@pytest.mark.parametrize(
+    "tensors",
+    [
+        {"embed": np.ones((3, 4)), "bias": np.zeros(1)},
+        {"embed": np.ones((3, 4)), "mix": np.ones((3, 5)), "bias": np.zeros(1)},
+        {"embed": np.ones((3, 4)), "mix": np.ones((4, 4)), "bias": np.zeros(1)},
+        {"embed": np.ones((3, 4)), "mix": np.ones((3, 4)), "bias": np.zeros(2)},
+        {"embed": np.ones(12), "mix": np.ones((3, 4)), "bias": np.zeros(1)},
+        {"embed": np.ones((3, 4)), "mix": np.ones((3, 4)), "bias": np.zeros(1), "extra": np.ones(1)},
+    ],
+    ids=["no_mix", "mix_width", "even_mix_rows", "bias_shape", "flat_embed", "extra_tensor"],
+)
+def test_malformed_scope_checkpoint_is_format_error(tmp_path, tensors):
+    path = tmp_path / "scope.ckpt"
+    write_tensors(path, tensors)
+    with pytest.raises(CheckpointFormatError):
+        ScopeModel.load(path, build_vocab(["a b"], 3))

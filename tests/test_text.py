@@ -5,7 +5,6 @@ from emorl.text import (
     SPLIT_PUNCT,
     Vocabulary,
     build_vocab,
-    featurize,
     featurize_texts,
     insertion_positions,
     segment,
@@ -153,7 +152,7 @@ def test_tokenize_lowercases_and_splits_on_whitespace():
 
 def test_featurize_empty_is_zero_vector():
     vocab = build_vocab(["a b"], max_size=4)
-    vec = featurize([], vocab)
+    vec = featurize_texts([], vocab)
     assert vec.shape == (vocab.size,)
     assert np.all(vec == 0.0)
 
@@ -168,15 +167,15 @@ def test_featurize_counts_and_normalizes():
 
 def test_featurize_sentence_order_invariant():
     vocab = build_vocab(["alpha beta gamma delta"], max_size=8)
-    segs = segment("alpha beta. gamma delta.", vocab)
-    assert np.array_equal(featurize(segs, vocab), featurize(list(reversed(segs)), vocab))
+    texts = [s.text for s in segment("alpha beta. gamma delta.", vocab)]
+    assert np.array_equal(featurize_texts(texts, vocab), featurize_texts(list(reversed(texts)), vocab))
 
 
 def test_featurize_scale_invariant_in_multiset():
     # duplicating the whole multiset leaves the normalized vector unchanged
     vocab = build_vocab(["a b c"], max_size=8)
-    segs = segment("a b. c a.", vocab)
-    assert np.allclose(featurize(segs, vocab), featurize(segs + segs, vocab))
+    texts = [s.text for s in segment("a b. c a.", vocab)]
+    assert np.allclose(featurize_texts(texts, vocab), featurize_texts(texts + texts, vocab))
 
 
 def test_featurize_skips_out_of_vocab_tokens():

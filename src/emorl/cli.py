@@ -18,31 +18,27 @@ from pathlib import Path
 import numpy as np
 
 from .emotion import EmotionModel, all_texts, train_emotion
-from .envsim import (
-    Environment,
-    build_offline_corpus,
-    config_vocab,
-    corpus_from_jsonl,
-    corpus_to_jsonl,
-)
+from .envsim import build_offline_corpus, config_vocab, corpus_from_jsonl, corpus_to_jsonl
 from .harness import (
     ExperimentConfig,
-    build_agent,
+    cell_key,
     load_config_file,
-    make_eval_set,
-    pretrain_agent,
     read_report,
     rederive_report,
     report_rows_equal,
+    run_cell,
     run_grid,
     run_online,
     summarize_grid,
     write_manifest,
     write_report,
 )
-from .policy import save_agent
 from .scope import ScopeModel, train_scope
 from .text import segment
+
+
+class UsageError(Exception):
+    "A bad command-line value; main exits 2 on it, as argparse does."
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,15 +104,40 @@ def _load(args) -> tuple[ExperimentConfig, dict, str]:
     return config, loaded["stages"], text
 
 
-def _learned_models(args, config):
+def _runner_config(args) -> tuple[ExperimentConfig, str]:
+    """The config of run-online or run-grid, refused before anything is
+    written when no run of it could finish."""
+    config, _, text = _load(args)
+    override = getattr(args, "interactions", None)
+    try:
+        if override is not None:
+            # replace() re-runs the config's validation
+            cap = max(1, override)
+            config = replace(config, interactions=override, eval_every=min(config.eval_every, cap), window=min(config.window, cap))
+        if config.interactions < 1:
+            raise ValueError(f"{args.command} needs at least one interaction, got interactions = {config.interactions}")
+    except ValueError as exc:
+        if override is None:
+            raise
+        raise UsageError(str(exc)) from exc
+    return config, text
+
+
+def _learned_models(args, config) -> dict:
+    "run_online's scope and emotion models for a learned-channel config."
     if config.channel != "learned":
-        return None, None
+        return {}
     vocab = config_vocab(config.generator)
     if not args.scope:
         raise RuntimeError("channel=learned requires --scope (run the train-scope stage first)")
     if not args.emotion:
         raise RuntimeError("channel=learned requires --emotion (run the train-emotion stage first)")
-    return ScopeModel.load(args.scope, vocab), EmotionModel.load(args.emotion, vocab)
+    return {"scope_model": ScopeModel.load(args.scope, vocab), "emotion_model": EmotionModel.load(args.emotion, vocab)}
+
+
+def _print_rows(rows: list[dict]) -> None:
+    for row in rows:
+        print(f"{row['task']:<10} {row['init']:<10} {row['regime']:<14} final success {row['final_success_mean']:.4f}")
 
 
 def cmd_gen_data(args) -> int:
@@ -195,60 +216,38 @@ def cmd_train_emotion(args) -> int:
 
 def cmd_pretrain_intent(args) -> int:
     config, _, _ = _load(args)
-    seed = config.seeds[0]
-    vocab = config_vocab(config.generator)
-    env = Environment(config.generator, seed=[seed, 2], channel="oracle", vocab=vocab)
-    agent = build_agent(config, vocab.size, seed)
-    pretrain_agent(config, agent, env, seed)
-    baseline = agent.evaluate(make_eval_set(config, env, seed))
-    save_agent(agent, args.out)
-    print(f"pretrained {config.task} agent: baseline accuracy {baseline:.4f}")
+    # the agent run_online pretrains, saved before its first interaction
+    pretrain = replace(config, init="pretrained", channel="oracle", interactions=0)
+    _, _, info = run_online(pretrain, config.seeds[0], checkpoint_dir=args.out)
+    print(f"pretrained {config.task} agent: baseline accuracy {info['baseline_accuracy']:.4f}")
     print(f"saved agent under {args.out}")
     return 0
 
 
 def cmd_run_online(args) -> int:
-    config, _, text = _load(args)
-    if args.interactions is not None:
-        # replace() re-runs the config's validation before anything is written
-        n, cap = args.interactions, max(1, args.interactions)
-        config = replace(config, interactions=n, eval_every=min(config.eval_every, cap), window=min(config.window, cap))
-    scope_model, emotion_model = _learned_models(args, config)
+    config, text = _runner_config(args)
+    models = _learned_models(args, config)
     run_dir = Path(args.run_dir)
-    (run_dir / "curves").mkdir(parents=True, exist_ok=True)
-    (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
     write_manifest(run_dir, text, config.seeds)
-    cell = f"{config.task}_{config.init}_{config.regime.kind}"
-    results, evals = {}, {}
-    for seed in config.seeds:
-        curve, _, info = run_online(
-            config,
-            seed,
-            curve_path=run_dir / "curves" / f"{cell}_s{seed}.csv",
-            checkpoint_dir=run_dir / "checkpoints" / f"{cell}_s{seed}",
-            scope_model=scope_model,
-            emotion_model=emotion_model,
-        )
-        key = (config.task, config.init, config.regime.kind)
-        results.setdefault(key, []).append(curve.final_success)
-        evals.setdefault(key, []).append(curve.final_eval)
+    curves = []
+    for curve, info in run_cell(config, run_dir, **models):
+        curves.append(curve)
         extra = f" (baseline {info['baseline_accuracy']:.4f})" if "baseline_accuracy" in info else ""
-        print(f"seed {seed}: final rolling success {curve.final_success:.4f}{extra}")
-    write_report(run_dir / "report.csv", summarize_grid(results, evals))
+        print(f"seed {info['seed']}: final rolling success {curve.final_success:.4f}{extra}")
+    write_report(run_dir / "report.csv", summarize_grid({cell_key(config): curves}))
     print(f"run artifacts under {run_dir}")
     return 0
 
 
 def cmd_run_grid(args) -> int:
-    config, _, text = _load(args)
+    config, text = _runner_config(args)
+    if config.channel != "oracle":
+        # one pair of offline models is trained on one task's corpus, so it cannot serve both tasks
+        raise ValueError("run-grid runs the oracle channel only; run a learned-channel cell with run-online")
     run_dir = Path(args.run_dir)
     write_manifest(run_dir, text, config.seeds)
     rows = run_grid(config, run_dir)
-    for row in rows:
-        print(
-            f"{row['task']:<10} {row['init']:<10} {row['regime']:<14} "
-            f"final success {row['final_success_mean']:.4f}"
-        )
+    _print_rows(rows)
     print(f"report written to {run_dir / 'report.csv'}")
     return 0
 
@@ -257,11 +256,7 @@ def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     rows = rederive_report(run_dir)
     stored_path = run_dir / "report.csv"
-    for row in rows:
-        print(
-            f"{row['task']:<10} {row['init']:<10} {row['regime']:<14} "
-            f"final success {row['final_success_mean']:.4f}"
-        )
+    _print_rows(rows)
     if stored_path.exists():
         stored = read_report(stored_path)
         if report_rows_equal(rows, stored):
@@ -286,9 +281,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except Exception as exc:  # runtime faults exit 1; argparse already exits 2
+    except Exception as exc:  # runtime faults exit 1; usage errors exit 2, as argparse's do
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -108,6 +108,19 @@ class InteractionRecord:
     correct: bool
 
 
+# the GeneratorConfig fields that are probabilities in [0, 1]
+RATE_FIELDS = (
+    "distractor_rate",
+    "extra_task_rate",
+    "general_rate",
+    "corpus_followup_rate",
+    "corpus_other_rate",
+    "q_pos",
+    "q_neg",
+    "pretrain_template_frac",
+)
+
+
 @dataclass
 class GeneratorConfig:
     """Everything the synthetic generator needs: templates, lexicons, rates."""
@@ -139,16 +152,7 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if self.task not in ("multiclass", "multilabel"):
             raise ValueError(f"unknown task {self.task!r}")
-        for name in (
-            "distractor_rate",
-            "extra_task_rate",
-            "general_rate",
-            "corpus_followup_rate",
-            "corpus_other_rate",
-            "q_pos",
-            "q_neg",
-            "pretrain_template_frac",
-        ):
+        for name in RATE_FIELDS:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
@@ -522,10 +526,6 @@ class Environment:
         self.rng = np.random.default_rng(seed)
         self._pending: tuple[EmailMessage, np.ndarray] | None = None
         self._step = 0
-
-    @property
-    def state_dim(self) -> int:
-        return self.vocab.size
 
     def scoped_texts(self, message: EmailMessage) -> list[str]:
         if self.channel == "oracle":

@@ -14,6 +14,7 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import product
 from pathlib import Path
 from typing import Sequence
 
@@ -22,6 +23,7 @@ import numpy as np
 from . import __version__
 from .emotion import EmotionModel
 from .envsim import (
+    RATE_FIELDS,
     Environment,
     FeedbackRegime,
     GeneratorConfig,
@@ -185,14 +187,6 @@ def make_eval_set(config: ExperimentConfig, env: Environment, seed: int):
     return out
 
 
-def pretrain_agent(config: ExperimentConfig, agent, env: Environment, seed: int) -> None:
-    """Supervised pretraining on the skewed subset, featurized as `env` scopes
-    it: stream [seed, 4] draws the subset and [seed, 5] orders the epochs."""
-    subset = draw_pretrain_set(config.generator, np.random.default_rng([seed, 4]), config.pretrain_size)
-    examples = [(env.featurize_email(e), e.gold_intent) for e in subset]
-    agent.pretrain(examples, config.pretrain_epochs, rng=np.random.default_rng([seed, 5]))
-
-
 def run_online(
     config: ExperimentConfig,
     seed: int,
@@ -225,7 +219,12 @@ def run_online(
 
     info: dict = {"seed": seed}
     if config.init == "pretrained":
-        pretrain_agent(config, agent, env, seed)
+        # supervised pretraining on the skewed subset, featurized as `env` scopes
+        # it: stream [seed, 4] draws the subset and [seed, 5] orders the epochs
+        subset = draw_pretrain_set(gen, np.random.default_rng([seed, 4]), config.pretrain_size)
+        examples = [(env.featurize_email(e), e.gold_intent) for e in subset]
+        agent.pretrain(examples, config.pretrain_epochs, rng=np.random.default_rng([seed, 5]))
+        del subset, examples  # or they stay alive through the loop, raising its peak memory
         info["baseline_accuracy"] = agent.evaluate(eval_set)
 
     curve = LearningCurve()
@@ -261,67 +260,62 @@ def run_online(
 # -- grid ---------------------------------------------------------------------
 
 
-def default_regimes() -> tuple[FeedbackRegime, ...]:
-    return (
-        FeedbackRegime.full(),
-        FeedbackRegime.partial(),
-        FeedbackRegime.partial_noisy(),
-    )
+def cell_key(config: ExperimentConfig) -> tuple[str, str, str]:
+    "The (task, init, regime) of a report row; joined by '_', its cell's file prefix."
+    return (config.task, config.init, config.regime.kind)
 
 
-def run_grid(
-    base: ExperimentConfig,
-    run_dir,
-    tasks: tuple[str, ...] = ("multiclass", "multilabel"),
-    inits: tuple[str, ...] = ("scratch", "pretrained"),
-    regimes: tuple[FeedbackRegime, ...] | None = None,
-) -> list[dict]:
-    """Run every (task, init, regime) cell at every seed and summarize.
+def run_cell(config: ExperimentConfig, run_dir, **models):
+    """Run every seed of `config`'s (task, init, regime) cell, yielding each
+    seed's (curve, info) as it finishes.
 
-    Curve files land under run_dir/curves/, checkpoints under
-    run_dir/checkpoints/; completed cells survive a later cell's failure.
-    Returns the report rows (one per cell) that are also written to
-    report.csv.
+    Seed s writes run_dir/curves/<cell>_s<s>.csv and its checkpoint under
+    run_dir/checkpoints/<cell>_s<s>/; `models` are run_online's learned-channel
+    models.
     """
-    regimes = regimes if regimes is not None else default_regimes()
     run_dir = Path(run_dir)
     (run_dir / "curves").mkdir(parents=True, exist_ok=True)
     (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
-    results: dict[tuple[str, str, str], list[float]] = {}
-    evals: dict[tuple[str, str, str], list[float]] = {}
-    for task in tasks:
-        for init in inits:
-            for regime in regimes:
-                cfg = replace(base, task=task, init=init, regime=regime)
-                key = (task, init, regime.kind)
-                cell = "_".join(key)
-                for seed in cfg.seeds:
-                    curve, _, _ = run_online(
-                        cfg,
-                        seed,
-                        curve_path=run_dir / "curves" / f"{cell}_s{seed}.csv",
-                        checkpoint_dir=run_dir / "checkpoints" / f"{cell}_s{seed}",
-                    )
-                    results.setdefault(key, []).append(curve.final_success)
-                    evals.setdefault(key, []).append(curve.final_eval)
-    rows = summarize_grid(results, evals)
-    write_report(run_dir / "report.csv", rows)
+    cell = "_".join(cell_key(config))
+    for seed in config.seeds:
+        curve, _, info = run_online(
+            config,
+            seed,
+            curve_path=run_dir / "curves" / f"{cell}_s{seed}.csv",
+            checkpoint_dir=run_dir / "checkpoints" / f"{cell}_s{seed}",
+            **models,
+        )
+        yield curve, info
+
+
+def run_grid(base: ExperimentConfig, run_dir) -> list[dict]:
+    """Run every (task, init, regime) cell at every seed and summarize.
+
+    Completed cells survive a later cell's failure. Returns the report rows
+    (one per cell) that are also written to run_dir/report.csv.
+    """
+    curves: dict[tuple[str, str, str], list[LearningCurve]] = {}
+    for task, init, regime in product(("multiclass", "multilabel"), ("scratch", "pretrained"), REGIME_NAMES):
+        cfg = replace(base, task=task, init=init, regime=getattr(FeedbackRegime, regime)())
+        curves[cell_key(cfg)] = [curve for curve, _ in run_cell(cfg, run_dir)]
+    rows = summarize_grid(curves)
+    write_report(Path(run_dir) / "report.csv", rows)
     return rows
 
 
-def summarize_grid(results: dict, evals: dict) -> list[dict]:
-    rows = []
-    for (task, init, regime), vals in results.items():
-        rows.append(
-            {
-                "task": task,
-                "init": init,
-                "regime": regime,
-                "seeds": len(vals),
-                "final_success_mean": float(np.mean(vals)),
-                "final_eval_mean": float(np.mean(evals[(task, init, regime)])),
-            }
-        )
+def summarize_grid(curves: dict[tuple[str, str, str], list[LearningCurve]]) -> list[dict]:
+    "One report row per cell key, from the final values of the cell's curves."
+    rows = [
+        {
+            "task": task,
+            "init": init,
+            "regime": regime,
+            "seeds": len(cell),
+            "final_success_mean": float(np.mean([c.final_success for c in cell])),
+            "final_eval_mean": float(np.mean([c.final_eval for c in cell])),
+        }
+        for (task, init, regime), cell in curves.items()
+    ]
     # ordering check per (task, init) panel: full >= partial >= partial_noisy
     by_panel: dict[tuple[str, str], dict[str, float]] = {}
     for row in rows:
@@ -367,18 +361,11 @@ def read_report(path) -> list[dict]:
 
 def rederive_report(run_dir) -> list[dict]:
     "Recompute the report rows from the curve files alone."
-    run_dir = Path(run_dir)
-    results: dict[tuple[str, str, str], list[float]] = {}
-    evals: dict[tuple[str, str, str], list[float]] = {}
-    for path in sorted((run_dir / "curves").glob("*.csv")):
-        stem = path.stem
-        cell, _, seed_part = stem.rpartition("_s")
-        task, init, regime = cell.split("_", 2)
-        curve = LearningCurve.from_csv(path)
-        key = (task, init, regime)
-        results.setdefault(key, []).append(curve.final_success)
-        evals.setdefault(key, []).append(curve.final_eval)
-    return summarize_grid(results, evals)
+    curves: dict[tuple[str, str, str], list[LearningCurve]] = {}
+    for path in sorted((Path(run_dir) / "curves").glob("*.csv")):
+        cell = path.stem.rpartition("_s")[0]
+        curves.setdefault(tuple(cell.split("_", 2)), []).append(LearningCurve.from_csv(path))
+    return summarize_grid(curves)
 
 
 def report_rows_equal(a: list[dict], b: list[dict]) -> bool:
@@ -426,21 +413,9 @@ def parse_regime(section: dict) -> FeedbackRegime:
     raise ValueError(f"unknown regime {kind!r}")
 
 
-_GENERATOR_FLOATS = (
-    "distractor_rate",
-    "extra_task_rate",
-    "general_rate",
-    "corpus_followup_rate",
-    "corpus_other_rate",
-    "q_pos",
-    "q_neg",
-    "pretrain_template_frac",
-)
-
-
 def build_generator_config(section: dict, task: str) -> GeneratorConfig:
     overrides: dict = {}
-    for name in _GENERATOR_FLOATS:
+    for name in RATE_FIELDS:
         if name in section:
             overrides[name] = _parse_fraction(section[name])
     if "max_distractors" in section:

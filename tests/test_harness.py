@@ -353,6 +353,33 @@ def test_cli_run_online_interactions_override_is_fast(config_file, tmp_path):
 def test_cli_run_online_rejects_negative_interactions_before_writing(config_file, tmp_path, capsys):
     run_dir = tmp_path / "bad"
     rc = main(["run-online", "--config", str(config_file), "--run-dir", str(run_dir), "--interactions", "-5"])
-    assert rc != 0
+    assert rc == 2  # a usage error
     assert "interactions must be non-negative" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+def _bad_config(tmp_path, old, new):
+    path = tmp_path / "bad.ini"
+    assert old in TEST_CONFIG
+    path.write_text(TEST_CONFIG.replace(old, new), encoding="utf-8")
+    return path
+
+
+def test_cli_run_grid_refuses_the_learned_channel_before_writing(tmp_path, capsys):
+    path = _bad_config(tmp_path, "channel = oracle", "channel = learned")
+    run_dir = tmp_path / "grid"
+    assert main(["run-grid", "--config", str(path), "--run-dir", str(run_dir)]) == 1
+    assert "oracle channel only" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize(
+    ("command", "configured", "override", "code"),
+    [("run-online", "0", [], 1), ("run-grid", "0", [], 1), ("run-online", "200", ["--interactions", "0"], 2)],
+)
+def test_cli_runners_refuse_zero_interactions_before_writing(command, configured, override, code, tmp_path, capsys):
+    path = _bad_config(tmp_path, "interactions = 200", f"interactions = {configured}")
+    run_dir = tmp_path / "run"
+    assert main([command, "--config", str(path), "--run-dir", str(run_dir), *override]) == code
+    assert "needs at least one interaction" in capsys.readouterr().err
     assert not run_dir.exists()

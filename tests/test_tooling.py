@@ -45,3 +45,14 @@ def test_every_traced_lookup_site_resolves():
     assert sites
     missing = [f"{owner.__name__}.{attr}" for pairs in sites.values() for owner, attr in pairs if not hasattr(owner, attr)]
     assert not missing
+
+
+def test_readme_names_exactly_the_cli_subcommands():
+    import argparse
+    import re
+
+    from emorl.cli import _build_parser
+
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    named = set(re.findall(r"(?:^|`)emorl ([a-z][a-z-]*)", (ROOT / "README.md").read_text(encoding="utf-8"), re.M))
+    assert named == set(sub.choices)

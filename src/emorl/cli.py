@@ -127,11 +127,11 @@ def _learned_models(args, config) -> dict:
     "run_online's scope and emotion models for a learned-channel config."
     if config.channel != "learned":
         return {}
-    vocab = config_vocab(config.generator)
     if not args.scope:
-        raise RuntimeError("channel=learned requires --scope (run the train-scope stage first)")
+        raise UsageError("channel=learned requires --scope (run the train-scope stage first)")
     if not args.emotion:
-        raise RuntimeError("channel=learned requires --emotion (run the train-emotion stage first)")
+        raise UsageError("channel=learned requires --emotion (run the train-emotion stage first)")
+    vocab = config_vocab(config.generator)
     return {"scope_model": ScopeModel.load(args.scope, vocab), "emotion_model": EmotionModel.load(args.emotion, vocab)}
 
 
@@ -255,6 +255,8 @@ def cmd_run_grid(args) -> int:
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     rows = rederive_report(run_dir)
+    if not rows:
+        raise UsageError(f"no curve files under {run_dir / 'curves'}; is {run_dir} a run directory?")
     stored_path = run_dir / "report.csv"
     _print_rows(rows)
     if stored_path.exists():

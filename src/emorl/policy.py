@@ -33,7 +33,7 @@ MULTICLASS_ACTIONS = ("modify", "cancel", "other")
 
 
 def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    c = np.cumsum(probs)
+    c = probs.cumsum()
     return min(int(np.searchsorted(c, rng.random(), side="right")), len(probs) - 1)
 
 

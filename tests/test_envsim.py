@@ -1,9 +1,13 @@
+import functools
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from emorl import envsim
 from emorl.emotion import EmotionLabel, EmotionModel
 from emorl.envsim import (
     Environment,
@@ -20,6 +24,7 @@ from emorl.envsim import (
     generate_email,
     respond,
 )
+from emorl.harness import ExperimentConfig, run_online
 from emorl.policy import MulticlassPolicy
 from emorl.scope import ScopeModel
 from emorl.text import Vocabulary, insertion_positions, segment
@@ -118,11 +123,77 @@ def test_intent_distribution_matches_prior(gen_config):
         assert abs(counts[intent] / 10000 - p) < 0.02
 
 
-def test_labeled_segments_match_resegmentation(gen_config, vocab):
-    rng = np.random.default_rng(6)
-    corpus = build_offline_corpus(gen_config, rng, 50)
-    for m in corpus:
-        assert [s.text for s in segment(m.text, vocab)] == [s.text for s in m.sentences]
+@functools.cache
+def _task_env(task):
+    "One environment per task, so its token-id table is shared across examples."
+    return Environment(default_config(task), seed=0)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), task=st.sampled_from(["multiclass", "multilabel"]))
+def test_labeled_segments_match_resegmentation(seed, task):
+    # the learned channel scopes these sentences in place of segment(m.text, vocab)
+    env = _task_env(task)
+    rng = np.random.default_rng(seed)
+    email = generate_email(env.config, rng, draw_intent(env.config, rng))
+    taken = draw_intent(env.config, rng)
+    messages = [email, respond(env.config, rng, email.gold_intent, taken)]
+    messages += build_offline_corpus(env.config, rng, 3)
+    for m in messages:
+        assert [s.text for s in segment(m.text, env.vocab)] == [s.text for s in m.sentences]
+        assert env._segments(m) == segment(m.text, env.vocab)
+
+
+_LEADING_DRAWS = st.lists(st.sampled_from(["random", "integers"]), max_size=4)
+
+
+def _advance(rng, draws):
+    # 32-bit draws leave half a 64-bit word buffered, which the next bounded draw may use
+    for kind in draws:
+        rng.random() if kind == "random" else rng.integers(2**31)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 64), draws=_LEADING_DRAWS)
+def test_single_draws_equal_rng_choice(gen_config, seed, n, draws):
+    pool = [f"template {i}." for i in range(n)]
+    fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    _advance(fast, draws)
+    _advance(ref, draws)
+    assert envsim._draw_templates(pool, fast, 1) == [pool[int(ref.choice(n, size=1, replace=False)[0])]]
+    assert fast.bit_generator.state == ref.bit_generator.state
+    config = replace(gen_config, multiclass_intents=tuple(f"intent{i}" for i in range(n)), intent_prior=None)
+    assert draw_intent(config, fast) == int(ref.choice(n))
+    assert fast.bit_generator.state == ref.bit_generator.state
+
+
+def test_templates_are_segmented_once_per_process(gen_config, vocab, trained_scope, trained_emotion, monkeypatch):
+    config = ExperimentConfig(interactions=200, eval_every=100, window=100, eval_size=20, seeds=(1,))
+    scoped = dict(channel="learned", scope_model=trained_scope, emotion_model=trained_emotion, vocab=vocab)
+
+    def loop():
+        env = Environment(gen_config, seed=5, **scoped)
+        for _ in range(100):
+            env.serve()
+            env.step(0)
+
+    run_online(config, 1)
+    loop()
+    calls = []
+    monkeypatch.setattr(envsim, "segment", lambda *a, **k: calls.append(a) or segment(*a, **k))
+    run_online(config, 1)
+    loop()
+    assert calls == []
+
+    assert envsim._instantiate("Hello there, friend.", True) is envsim._instantiate("Hello there, friend.", True)
+    # one group and no distractors: the message is most nearly the cached tuple itself
+    lone = replace(gen_config, distractor_rate=0.0, extra_task_rate=0.0)
+    for make in (lambda rng: generate_email(lone, rng, 0), lambda rng: respond(lone, rng, 0, 0)):
+        first = make(np.random.default_rng(3))
+        kept = list(first.sentences)
+        first.sentences.reverse()
+        first.sentences.append(first.sentences[0])
+        assert make(np.random.default_rng(3)).sentences == kept
 
 
 # -- replies ------------------------------------------------------------------

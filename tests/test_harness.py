@@ -373,6 +373,26 @@ def test_cli_run_grid_refuses_the_learned_channel_before_writing(tmp_path, capsy
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize("given", [[], ["--scope", "scope.ckpt"], ["--emotion", "emotion.ckpt"]])
+def test_cli_run_online_learned_channel_without_models_is_a_usage_error(given, tmp_path, capsys):
+    path = _bad_config(tmp_path, "channel = oracle", "channel = learned")
+    run_dir = tmp_path / "run"
+    assert main(["run-online", "--config", str(path), "--run-dir", str(run_dir), *given]) == 2
+    assert "channel=learned requires" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("layout", ["missing", "empty", "no curves"])
+def test_cli_report_without_curves_is_a_usage_error(layout, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    if layout != "missing":
+        (run_dir / "curves").mkdir(parents=True)
+    if layout == "no curves":
+        (run_dir / "report.csv").write_text("task,init,regime\n", encoding="utf-8")
+    assert main(["report", "--run-dir", str(run_dir)]) == 2
+    assert "no curve files" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     ("command", "configured", "override", "code"),
     [("run-online", "0", [], 1), ("run-grid", "0", [], 1), ("run-online", "200", ["--interactions", "0"], 2)],

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emorl.text import (
     SPLIT_PUNCT,
@@ -36,8 +40,17 @@ def test_segment_handles_colon_and_exclamation():
     assert texts == ["Agenda:", "budget!", "then lunch."]
 
 
-def test_segment_spans_reconstruct_source():
-    src = "Hello, can we meet? Thanks.  See you!"
+# short strings over letters, splitting marks and whitespace, where every segmentation case lives
+_TEXTS = st.text(alphabet="ab ,.:?!\t\n", max_size=40)
+_TEMPLATES = st.builds(
+    lambda body, mark: body + mark, st.text(alphabet="ab ,.:?!\t", max_size=20), st.sampled_from(sorted(SPLIT_PUNCT))
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(src=_TEXTS)
+@example(src="Hello, can we meet? Thanks.  See you!")
+def test_segment_spans_reconstruct_source(src):
     segs = segment(src)
     for s in segs:
         assert src[s.span[0] : s.span[1]] == s.text
@@ -48,6 +61,19 @@ def test_segment_spans_reconstruct_source():
         assert src[cursor : s.span[0]].strip() == ""
         cursor = s.span[1]
     assert src[cursor:].strip() == ""
+    assert all(s.text and s.text == s.text.strip() for s in segs)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(templates=st.lists(_TEMPLATES, max_size=6))
+def test_segmenting_a_join_of_templates_concatenates_their_segments(templates):
+    # the environment segments each template alone and joins the pieces with spaces
+    vocab = build_vocab(["a b ab ba, a. b!"], max_size=8)
+    expected, offset = [], 0
+    for t in templates:
+        expected += [replace(s, span=(s.span[0] + offset, s.span[1] + offset)) for s in segment(t, vocab)]
+        offset += len(t) + 1
+    assert segment(" ".join(templates), vocab) == expected
 
 
 def test_segment_tokenizes_against_vocab():

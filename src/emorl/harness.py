@@ -2,7 +2,8 @@
 learning-curve files, run manifests, and the INI config format.
 
 Curve files are CSV with the header `step,rolling_success,eval_accuracy`,
-appended row by row so an interrupted run leaves a valid prefix. Runs are a
+appended row by row so an interrupted run leaves a valid prefix; the report,
+the manifest and its config copy are replaced whole, never torn. Runs are a
 pure function of (config, seed): repeating one reproduces curve files and
 checkpoints byte for byte.
 """
@@ -33,6 +34,7 @@ from .envsim import (
     draw_pretrain_set,
     generate_email,
 )
+from .nn import replacing
 from .policy import MulticlassPolicy, MultilabelPolicy, save_agent
 from .scope import ScopeModel
 from .text import Vocabulary
@@ -237,7 +239,7 @@ def run_online(
             sink.flush()
         for t in range(1, config.interactions + 1):
             _, state = env.serve()
-            action, _ = agent.act(state)
+            action = agent.act(state)
             record = env.step(action)
             agent.learn(record)
             recent.append(record.correct)
@@ -339,7 +341,7 @@ def _report_cells(row: dict) -> tuple[str, ...]:
 
 
 def write_report(path, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with replacing(path, encoding="utf-8", newline="\n") as f:
         f.write(",".join(REPORT_COLUMNS) + "\n")
         for row in rows:
             f.write(",".join(_report_cells(row)) + "\n")
@@ -379,13 +381,15 @@ def report_rows_equal(a: list[dict], b: list[dict]) -> bool:
 def write_manifest(run_dir, config_text: str, seeds: Sequence[int]) -> None:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.ini").write_text(config_text, encoding="utf-8")
+    with replacing(run_dir / "config.ini", encoding="utf-8", newline="\n") as f:
+        f.write(config_text)
     manifest = {
         "config_sha256": hashlib.sha256(config_text.encode("utf-8")).hexdigest(),
         "version": __version__,
         "seeds": list(seeds),
     }
-    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    with replacing(run_dir / "manifest.json", encoding="utf-8", newline="\n") as f:
+        f.write(json.dumps(manifest, indent=2) + "\n")
 
 
 def _parse_fraction(raw: str) -> float:
@@ -467,11 +471,3 @@ def load_config_file(path) -> dict:
         kwargs["hidden"] = _parse_tuple(online["hidden"], int)
     experiment = ExperimentConfig(**kwargs)
     return {"experiment": experiment, "stages": sections}
-
-
-def rolling_success(correct_flags: Sequence[bool], window: int) -> float:
-    "Mean of the trailing `window` correctness flags."
-    if not correct_flags:
-        raise ValueError("no interactions recorded")
-    tail = list(correct_flags)[-window:]
-    return float(np.mean(tail))

@@ -3,22 +3,28 @@
 Parameters hold float32 values in float64 arrays, so the forward and
 backward passes multiply float64 operands with no cast, and every update
 rounds its result back to float32; this keeps finite-difference checks of
-the analytic gradients stable and the checkpoints float32. An update of the
-first layer touches only the input columns its backward passes wrote.
+the analytic gradients stable and the checkpoints float32. A backward pass
+writes the first layer's gradient on the input's nonzero columns only, and
+the update that follows touches only those columns.
 Supported pieces: dense layers with relu/tanh/identity activations, a
 softmax or per-unit sigmoid output head, cross-entropy and policy-gradient
 (score-function) losses, plain SGD, and a binary checkpoint format with a
-bit-exact round-trip guarantee. Tensors may carry a leading stack axis of
-heads that share no entry and run in one pass, each computing bit for bit
-what it computes alone; the forward pass also takes a batch of inputs.
+bit-exact round-trip guarantee, written through `replacing` so that an
+interrupted write leaves the old file whole. Tensors may carry a leading
+stack axis of heads that share no entry and run in one pass, each computing
+bit for bit what it computes alone; the forward pass also takes a batch of
+inputs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,46 +46,87 @@ class TrainingFault(RuntimeError):
     """Raised when a parameter update produces non-finite values."""
 
 
-@dataclass
 class ParamTensor:
-    """Named parameter array with a same-shape float32 gradient buffer.
+    """Named parameter array and its float32 gradient.
 
     `values` is a C-contiguous float64 array whose entries are all float32
     numbers: other input is rounded through float32, and a float64 array
     that already qualifies is kept as it is, so views stay views.
 
-    `cols`, when set, names the last-axis columns outside which `grad` is
-    zero, so that an update can skip the rest. Only `_backprop` sets it, on
-    the first layer, whose gradient it writes on the input's nonzero columns
-    alone; `copy()` and `unstack()` carry it, and an update and `zero_grad`
-    clear it. Code that writes `grad` directly leaves it unset and gets the
-    whole-tensor update.
+    `grad` is the same-shape float32 gradient. `cols`, when set, names the
+    last-axis columns outside which it is zero, so that an update can skip
+    the rest; only `add_grad` sets it, `copy()` and `unstack()` carry it,
+    and an update and `zero_grad` clear it.
+
+    A tensor whose gradient is known to be all zero (fresh, zeroed, or just
+    updated: an update zeroes the entries it reads, and `cols` vouches for
+    the rest) keeps the next backward pass's float32 result as a pending
+    block on the entries it covers instead of writing it into `grad`: an
+    update then reads the block alone and never touches `grad`. Reading
+    `grad` first writes a pending block into it, so every reader sees the
+    whole gradient, and marks the gradient as possibly written, so that a
+    later pass adds to it instead. A reference to `grad` kept across an
+    update must not be written after it.
     """
 
-    name: str
-    values: np.ndarray
-    grad: np.ndarray = field(default=None)  # type: ignore[assignment]
-    cols: np.ndarray | None = field(default=None, repr=False)
+    __slots__ = ("name", "values", "cols", "_grad", "_block", "_zero")
 
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values)
+    def __init__(self, name: str, values, grad=None, cols: np.ndarray | None = None):
+        values = np.asarray(values)
         exact = np.ascontiguousarray(values, dtype=np.float32).astype(np.float64)
         keep = values.dtype == np.float64 and values.flags.c_contiguous and np.array_equal(values, exact)
+        self.name = name
         self.values = values if keep else exact
-        if self.grad is None:
-            self.grad = np.zeros(self.values.shape, dtype=np.float32)
+        self.cols = cols
+        self._block = None
+        if grad is None:
+            self._grad = np.zeros(self.values.shape, dtype=np.float32)
+            self._zero = True
         else:
-            self.grad = np.ascontiguousarray(self.grad, dtype=np.float32)
-        if self.grad.shape != self.values.shape:
-            raise ValueError(f"grad shape {self.grad.shape} != values shape {self.values.shape}")
+            self.grad = grad
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
+    @property
+    def grad(self) -> np.ndarray:
+        if self._block is not None:
+            self._grad[self._at()] = self._block
+            self._block = None
+        self._zero = False
+        return self._grad
+
+    @grad.setter
+    def grad(self, grad) -> None:
+        grad = np.ascontiguousarray(grad, dtype=np.float32)
+        if grad.shape != self.values.shape:
+            raise ValueError(f"grad shape {grad.shape} != values shape {self.values.shape}")
+        self._grad, self._block, self._zero = grad, None, False
+
+    def _at(self):
+        "The entries the gradient may be nonzero on, as an index into `values`."
+        return ... if self.cols is None else (..., self.cols)
+
+    def add_grad(self, g: np.ndarray, cols: np.ndarray | None = None) -> None:
+        """Add the float64 gradient `g` of one backward pass, given on the
+        last-axis columns `cols` or on the whole tensor, rounding to float32."""
+        if self._zero and self._block is None:
+            self.cols = cols
+            # 0.0 + g, rounded: what adding g to a zero float32 gradient gives, -0.0 included
+            self._block = np.add(g, 0.0, out=np.empty(g.shape, dtype=np.float32), casting="same_kind")
+            return
+        grad = self.grad
+        if cols is None:
+            grad += g
+            self.cols = None
+        else:
+            grad[..., cols] += g
+            self.cols = cols if self.cols is None else np.union1d(self.cols, cols)
+
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-        self.cols = None
+        self._grad[...] = 0.0
+        self.cols, self._block, self._zero = None, None, True
 
 
 @dataclass
@@ -105,12 +152,13 @@ def _activate(z: np.ndarray, tag: str) -> np.ndarray:
     return z
 
 
-def _activate_prime(z: np.ndarray, tag: str) -> np.ndarray:
+def _activate_grad(g: np.ndarray, z: np.ndarray, tag: str) -> np.ndarray:
+    "`g` times the activation's derivative at `z`: the products g * 1.0 and g * 0.0, in one call for relu."
     if tag == "relu":
-        return (z > 0.0).astype(np.float64)
+        return np.multiply(g, z > 0.0)
     if tag == "tanh":
-        return 1.0 - np.tanh(z) ** 2
-    return np.ones_like(z)
+        return g * (1.0 - np.tanh(z) ** 2)
+    return g
 
 
 def softmax(u: np.ndarray) -> np.ndarray:
@@ -121,13 +169,12 @@ def softmax(u: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(u: np.ndarray) -> np.ndarray:
-    "Elementwise logistic, clipped into the open interval (0, 1)."
-    out = np.empty_like(u, dtype=np.float64)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return np.clip(out, 1e-12, 1.0 - 1e-12)
+    """Elementwise logistic of a float64 array, clipped into the open
+    interval (0, 1): 1 / (1 + exp(-u)) where u >= 0, else exp(u) / (1 + exp(u)),
+    so that no exp overflows."""
+    e = np.exp(np.minimum(u, -u))
+    d = 1.0 + e
+    return np.clip(np.where(u >= 0, 1.0 / d, e / d), 1e-12, 1.0 - 1e-12)
 
 
 class Network:
@@ -243,7 +290,9 @@ class Network:
 
     # -- forward ---------------------------------------------------------
 
-    def _trace(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    def trace(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        """The forward pass with what a backward pass needs: the head's
+        probabilities, each layer's pre-activation and each layer's input."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 0 or x.shape[-1] != self.input_dim:
             raise ValueError(f"input of shape {x.shape} does not match network input dim {self.input_dim}")
@@ -260,7 +309,7 @@ class Network:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Map an input vector, or a batch along leading axes, to the head's probabilities."""
-        probs, _, _ = self._trace(x)
+        probs, _, _ = self.trace(x)
         return probs
 
     # -- backward --------------------------------------------------------
@@ -270,18 +319,16 @@ class Network:
         g = g_head
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
-            gz = g * _activate_prime(zs[i], layer.activation)
-            layer.b.grad += gz
+            gz = _activate_grad(g, zs[i], layer.activation)
+            layer.b.add_grad(gz)
             if i > 0:
-                layer.w.grad += gz[..., :, None] * hs[i][..., None, :]
+                layer.w.add_grad(gz[..., :, None] * hs[i][..., None, :])
                 g = np.matmul(np.swapaxes(layer.w.values, -1, -2), gz[..., None])[..., 0]
             else:
                 # the input is sparse and its zero columns get an exactly zero
-                # gradient, so only its nonzero columns are written, and the
-                # update is told which they are
+                # gradient, so only its nonzero columns are written
                 cols = np.flatnonzero(hs[0])
-                layer.w.grad[..., cols] += gz[..., :, None] * hs[0][cols]
-                layer.w.cols = cols if layer.w.cols is None else np.union1d(layer.w.cols, cols)
+                layer.w.add_grad(gz[..., :, None] * hs[0][cols], cols)
 
     def _target(self, probs: np.ndarray, target) -> np.ndarray:
         "A one-hot vector for a softmax index, or the 0/1 bits shaped as `probs`."
@@ -299,16 +346,19 @@ class Network:
             raise ValueError("sigmoid-head target must be a 0/1 vector")
         return bits.reshape(probs.shape)
 
-    def reinforce_backward(self, x: np.ndarray, action, reward: float) -> None:
+    def reinforce_backward(self, x: np.ndarray, action, reward: float, trace=None) -> None:
         """Accumulate the gradient of -reward * ln pi(action | x).
 
         For the softmax head `action` is a class index; for the sigmoid head
         it is a 0/1 vector and ln pi sums the per-unit Bernoulli log-probs.
         A zero reward contributes nothing and leaves gradients untouched.
+        `trace`, if given, must be `self.trace(np.ravel(x))` on the current
+        parameters, as the caller computed it to sample `action`; without
+        it the forward pass runs here.
         """
         if reward == 0.0:
             return
-        probs, zs, hs = self._trace(np.ravel(x))
+        probs, zs, hs = trace if trace is not None else self.trace(np.ravel(x))
         # d(-R ln pi)/d(head input) = R * (p - target), identical in form for
         # the softmax-categorical and the factored-Bernoulli log-likelihood.
         self._backprop(reward * (probs - self._target(probs, action)), zs, hs)
@@ -320,7 +370,7 @@ class Network:
         Softmax head: categorical cross-entropy with an index label.
         Sigmoid head: summed per-unit binary cross-entropy with a bit vector.
         """
-        probs, zs, hs = self._trace(np.ravel(x))
+        probs, zs, hs = self.trace(np.ravel(x))
         self._backprop(probs - self._target(probs, label), zs, hs)
         return probs
 
@@ -356,21 +406,28 @@ def apply_update(params: Sequence[ParamTensor], opt: SGD) -> None:
     """Apply `values -= lr * grad`, then zero grads.
 
     A tensor whose `cols` is set is updated on those columns only; every
-    other entry has zero gradient and would not move.
+    other entry has zero gradient and would not move. A pending block is
+    the gradient itself, and `grad`, being zero, is left as it is.
 
-    Raises TrainingFault, naming the tensor and leaving it unchanged, if any
-    updated value is non-finite; the run must abort rather than continue
-    from poisoned parameters.
+    Raises TrainingFault, naming the first tensor with a non-finite updated
+    value and changing no tensor, if any updated value is non-finite; the
+    run must abort rather than continue from poisoned parameters.
     """
+    steps = []
     for p in params:
-        at = ... if p.cols is None else (..., p.cols)
+        at = p._at()
+        g = p._grad[at] if p._block is None else p._block
         # a float32 subtraction, as the values are float32 numbers
-        new = np.subtract(p.values[at], opt.learning_rate * p.grad[at], dtype=np.float32)
-        if not np.isfinite(new).all():
-            raise TrainingFault(f"non-finite values in tensor {p.name!r} after update")
+        steps.append((p, at, np.subtract(p.values[at], opt.learning_rate * g, dtype=np.float32)))
+    # one check over every step; the tensor to name is looked for only on failure
+    if steps and not np.isfinite(np.concatenate([new.ravel() for _, _, new in steps])).all():
+        bad = next(p for p, _, new in steps if not np.isfinite(new).all())
+        raise TrainingFault(f"non-finite values in tensor {bad.name!r} after update")
+    for p, at, new in steps:
         p.values[at] = new
-        p.grad[at] = 0.0
-        p.cols = None
+        if p._block is None:
+            p._grad[at] = 0.0
+        p.cols, p._block, p._zero = None, None, True
 
 
 # -- checkpoint format ---------------------------------------------------
@@ -388,9 +445,25 @@ def _read_exact(f, n: int) -> bytes:
     return buf
 
 
+@contextlib.contextmanager
+def replacing(path, mode: str = "w", **kwargs):
+    """Open a temporary file beside `path` for writing, and move it onto
+    `path` when the block ends: `path` holds either its old bytes or all of
+    the new ones. If the block raises, the temporary file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
-    "Write named float32 arrays in the checkpoint container format."
-    with open(path, "wb") as f:
+    "Write named float32 arrays in the checkpoint container format, replacing `path` whole."
+    with replacing(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
         for name, arr in tensors.items():

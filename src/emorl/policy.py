@@ -5,6 +5,8 @@ intents and one stacked network of six independent sigmoid heads for
 multi-label intents (one Bernoulli head per action bit, no shared entries).
 Acting samples from the current policy; evaluation uses argmax /
 0.5-thresholded bits. A reward of zero, or absent feedback, changes nothing.
+Updates are on-policy, one per interaction, so `learn` takes the gradient
+on the forward pass that `act` sampled with instead of running it again.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .nn import SGD, CheckpointFormatError, Network, apply_update, load_checkpoint, log_prob, save_checkpoint
+from .nn import SGD, CheckpointFormatError, Network, apply_update, load_checkpoint, replacing, save_checkpoint
 
 # an action is a class index (multiclass) or a 6-bit tuple (multilabel)
 IntentAction = int | tuple[int, ...]
@@ -40,15 +42,33 @@ def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
 class _Policy:
     "Learning shared by both agents: one backward pass and one update of `net` per step."
 
+    # (net, state, trace) of the last `act`, until the next `learn` or
+    # `pretrain` takes it: an update makes the trace stale
+    _acted: tuple | None = None
+
+    def _act_probs(self, state: np.ndarray) -> np.ndarray:
+        "The head's probabilities for `state`, keeping their forward pass for `learn`."
+        trace = self.net.trace(np.ravel(state))
+        self._acted = (self.net, state, trace)
+        return trace[0]
+
     def learn(self, record) -> None:
         """One REINFORCE step from an interaction record.
 
         Absent feedback and zero reward are both exact no-ops: no gradient
-        noise may leak into the parameters from uninformative turns.
+        noise may leak into the parameters from uninformative turns. The
+        forward pass of the last `act` is reused when `record.state` is the
+        very state object it acted on and `net` the same network; either way
+        it is then dropped. Code that changes `net`'s parameters itself
+        between `act` and `learn` must hand `learn` a copy of the state.
         """
+        acted, self._acted = self._acted, None
         if not record.feedback_present or record.reward == 0.0:
             return
-        self.net.reinforce_backward(record.state, record.action, record.reward)
+        trace = None
+        if acted is not None and acted[0] is self.net and acted[1] is record.state:
+            trace = acted[2]
+        self.net.reinforce_backward(record.state, record.action, record.reward, trace)
         apply_update(self.net.params(), self.opt)
 
     def pretrain(
@@ -61,6 +81,7 @@ class _Policy:
         if not examples:
             raise ValueError("pretraining needs a non-empty labeled subset")
         rng = rng if rng is not None else self.rng
+        self._acted = None
         for _ in range(epochs):
             for i in rng.permutation(len(examples)):
                 state, label = examples[i]
@@ -104,12 +125,10 @@ class MulticlassPolicy(_Policy):
     def action_probs(self, state: np.ndarray) -> np.ndarray:
         return self.net.forward(state)
 
-    def act(self, state: np.ndarray, rng: np.random.Generator | None = None) -> tuple[int, float]:
-        "Sample an action on-policy; returns (action, ln pi(action|state))."
+    def act(self, state: np.ndarray, rng: np.random.Generator | None = None) -> int:
+        "Sample an action on-policy."
         rng = rng if rng is not None else self.rng
-        probs = self.net.forward(state)
-        action = _sample_index(probs, rng)
-        return action, log_prob(probs, action, "softmax")
+        return _sample_index(self._act_probs(state), rng)
 
     def evaluate(self, examples: Sequence[tuple[np.ndarray, int]]) -> float:
         "Argmax accuracy on labeled (state, intent) pairs."
@@ -153,16 +172,13 @@ class MultilabelPolicy(_Policy):
         "Each head's probability of bit 1, for a state or a batch of them."
         return self.net.forward(state)[..., 0]
 
-    def act(
-        self, state: np.ndarray, rng: np.random.Generator | None = None
-    ) -> tuple[tuple[int, ...], float]:
+    def act(self, state: np.ndarray, rng: np.random.Generator | None = None) -> tuple[int, ...]:
         """Sample each bit from its own head; invalid combinations are not
         masked, the environment simply judges them incorrect."""
         rng = rng if rng is not None else self.rng
-        probs = self.bit_probs(state)
+        probs = self._act_probs(state)[..., 0]
         draws = rng.random(self.n_bits)
-        bits = tuple(int(d < p) for d, p in zip(draws, probs))
-        return bits, log_prob(probs, bits, "sigmoid")
+        return tuple((draws < probs).astype(int).tolist())
 
     def predict(self, state: np.ndarray) -> tuple[int, ...]:
         return tuple(int(p >= 0.5) for p in self.bit_probs(state))
@@ -196,7 +212,8 @@ def save_agent(agent: PolicyAgent, out_dir) -> None:
         "input_dim": agent.networks()[0].input_dim,
         "valid_combos": [list(c) for c in getattr(agent, "valid_combos", ())],
     }
-    (out / "agent.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    with replacing(out / "agent.json", encoding="utf-8", newline="\n") as f:
+        f.write(json.dumps(manifest, indent=2) + "\n")
 
 
 def load_agent(in_dir, lr: float = 0.05, seed: int = 0) -> PolicyAgent:

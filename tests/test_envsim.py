@@ -468,7 +468,7 @@ def test_learned_channel_agreement_tracks_emotion_accuracy(
     n = 1500
     for _ in range(n):
         _, state = env.serve()
-        action, _ = agent.act(state)
+        action = agent.act(state)
         rec = env.step(action)
         agree += int(rec.reward == (1.0 if rec.correct else -1.0))
     assert agree / n >= metrics["accuracy"] - 0.05

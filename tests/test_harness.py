@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from emorl.cli import main
-from emorl.envsim import FeedbackRegime
+from emorl.envsim import Environment, FeedbackRegime
 from emorl.harness import (
     CurveRow,
     ExperimentConfig,
@@ -16,10 +16,13 @@ from emorl.harness import (
     read_report,
     rederive_report,
     report_rows_equal,
-    rolling_success,
     run_grid,
     run_online,
+    write_manifest,
+    write_report,
 )
+from emorl.nn import Network, write_tensors
+from emorl.policy import MultilabelPolicy, save_agent
 
 SMALL = dict(interactions=300, eval_every=100, window=100, eval_size=30, seeds=(1,))
 
@@ -126,13 +129,6 @@ def test_curve_csv_round_trip(tmp_path):
     ]
 
 
-def test_rolling_success_matches_direct_mean():
-    rng = np.random.default_rng(0)
-    flags = [bool(b) for b in rng.integers(0, 2, 1000)]
-    for w in (1, 10, 500, 1000):
-        assert rolling_success(flags, w) == pytest.approx(float(np.mean(flags[-w:])))
-
-
 # -- run_online -----------------------------------------------------------------
 
 
@@ -154,8 +150,33 @@ def test_curve_rows_match_rolling_recomputation():
     flags = info["correct_flags"]
     assert len(curve) == cfg.interactions // cfg.eval_every
     for row in curve.rows:
-        expected = rolling_success(flags[: row.step], cfg.window)
+        expected = float(np.mean(flags[max(0, row.step - cfg.window) : row.step]))
         assert row.rolling_success == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("task", ["multiclass", "multilabel"])
+def test_one_reinforce_backward_per_informative_record(task, monkeypatch):
+    # the benchmark counts policy updates as `Network.reinforce_backward`
+    # calls inside `learn`, patched at the class: there must be exactly one
+    # per record with feedback present and a nonzero reward
+    calls, records = [], []
+    backward, step = Network.reinforce_backward, Environment.step
+
+    def counted_backward(self, *args, **kwargs):
+        calls.append(1)
+        return backward(self, *args, **kwargs)
+
+    def recorded_step(self, action):
+        records.append(step(self, action))
+        return records[-1]
+
+    monkeypatch.setattr(Network, "reinforce_backward", counted_backward)
+    monkeypatch.setattr(Environment, "step", recorded_step)
+    run_online(ExperimentConfig(task=task, regime=FeedbackRegime.full(), **SMALL), seed=2)
+    informative = sum(r.feedback_present and r.reward != 0.0 for r in records)
+    assert len(records) == SMALL["interactions"]
+    assert 0 < informative < len(records)  # neutral replies give some zero rewards
+    assert len(calls) == informative
 
 
 def test_run_online_deterministic_files(tmp_path):
@@ -403,3 +424,62 @@ def test_cli_runners_refuse_zero_interactions_before_writing(command, configured
     assert main([command, "--config", str(path), "--run-dir", str(run_dir), *override]) == code
     assert "needs at least one interaction" in capsys.readouterr().err
     assert not run_dir.exists()
+
+
+# -- crash-safe artefacts ---------------------------------------------------------
+
+
+class _Unwritable:
+    "An array-like whose conversion fails, as a write may fail partway."
+
+    def __array__(self, dtype=None, copy=None):
+        raise OSError("disk gone")
+
+
+def _fail_agent_json(out):
+    agent = MultilabelPolicy(6, hidden=(4,), seed=1)
+    agent.valid_combos = (object(),)  # json cannot encode it, after every head is written
+    save_agent(agent, out)
+
+
+WRITERS = {
+    # name: (path under the directory, write that succeeds, write that fails partway)
+    "checkpoint": (
+        "t.ckpt",
+        lambda d: write_tensors(d / "t.ckpt", {"a": np.ones(3, dtype=np.float32)}),
+        lambda d: write_tensors(d / "t.ckpt", {"a": np.zeros(2, dtype=np.float32), "b": _Unwritable()}),
+    ),
+    "agent.json": (
+        "agent/agent.json",
+        lambda d: save_agent(MultilabelPolicy(6, hidden=(4,), seed=1), d / "agent"),
+        lambda d: _fail_agent_json(d / "agent"),
+    ),
+    "config.ini": (
+        "run/config.ini",
+        lambda d: write_manifest(d / "run", "[online]\nseeds = 1\n", (1,)),
+        lambda d: write_manifest(d / "run", "[online]\n\udc80", (1,)),  # a lone surrogate cannot be encoded
+    ),
+    "manifest.json": (
+        "run/manifest.json",
+        lambda d: write_manifest(d / "run", "[online]\nseeds = 1\n", (1,)),
+        lambda d: write_manifest(d / "run", "[online]\nseeds = 2\n", (object(),)),
+    ),
+    "report.csv": (
+        "report.csv",
+        lambda d: write_report(d / "report.csv", []),
+        lambda d: write_report(d / "report.csv", [{"task": "multiclass"}]),  # a row without its other cells
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(name, tmp_path):
+    rel, write, fail = WRITERS[name]
+    write(tmp_path)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert tmp_path / rel in before
+    with pytest.raises((OSError, TypeError, KeyError, UnicodeError)):
+        fail(tmp_path)
+    after = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert after[tmp_path / rel] == before[tmp_path / rel]
+    assert not [p.name for p in after if p.name.endswith(".tmp")]

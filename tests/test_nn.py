@@ -25,6 +25,7 @@ from emorl.nn import (
     log_prob,
     read_tensors,
     save_checkpoint,
+    sigmoid,
     write_tensors,
 )
 from emorl.scope import ScopeModel
@@ -171,6 +172,25 @@ def test_sigmoid_outputs_in_open_interval():
     net = Network.build([6, 5], head="sigmoid", rng=rng, init_scale=100.0)
     p = net.forward(rng.normal(0, 1, 6))
     assert np.all(p > 0.0) and np.all(p < 1.0)
+
+
+def _two_branch_sigmoid(u: np.ndarray) -> np.ndarray:
+    "The logistic computed on each sign's entries apart, by boolean masks."
+    out = np.empty_like(u, dtype=np.float64)
+    pos = u >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+    eu = np.exp(u[~pos])
+    out[~pos] = eu / (1.0 + eu)
+    return np.clip(out, 1e-12, 1.0 - 1e-12)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+def test_sigmoid_equals_the_two_branch_form_bit_for_bit(values):
+    u = np.array(values + [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, np.nan, -np.nan])
+    assert sigmoid(u).tobytes() == _two_branch_sigmoid(u).tobytes()
+    wide = np.random.default_rng(len(values)).normal(0.0, 30.0, (50, 6))
+    assert sigmoid(wide).tobytes() == _two_branch_sigmoid(wide).tobytes()
 
 
 def test_forward_dimension_mismatch_raises():
@@ -488,6 +508,68 @@ def test_non_finite_step_in_touched_column_raises_training_fault(heads):
     net.supervised_backward(_bag(3, 5), target)
     net.layers[0].w.grad[..., 0, 7] = np.inf
     apply_update(net.params(), SGD(learning_rate=1.0))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    heads=st.sampled_from([0, 2, 6]),
+    seed=st.integers(0, 2**16),
+    steps=st.lists(
+        st.lists(st.tuples(st.lists(st.integers(0, 10), max_size=5), st.booleans()), min_size=1, max_size=3),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_pending_block_updates_equal_dense_gradient_updates(heads, seed, steps):
+    # a backward pass onto a zero gradient keeps its float32 result as a
+    # pending block, which the update consumes without touching `grad`;
+    # reading `grad` writes the block in, and later passes add to it. A net
+    # left alone and one whose gradients are read after some passes must
+    # agree on every byte with one whose gradients are read before every
+    # pass, so that each pass adds into `grad`, and that is updated whole;
+    # -0.0 included: the dead units' gradients are +-0.0 and some of their
+    # weights are -0.0
+    rng = np.random.default_rng(seed)
+    net = _sparse_case_net(heads, rng)
+    net.layers[0].w.values[..., :3, ::2] = -0.0
+    peeked, dense = net.copy(), net.copy()
+    net.zero_grads()
+    peeked.zero_grads()
+    for inputs in steps:
+        for cols, peek in inputs:
+            x = _bag(*cols)
+            target = int(rng.integers(3)) if heads == 0 else rng.integers(0, 2, (heads, 2))
+            supervised, reward = bool(rng.integers(2)), float(rng.choice([-1.0, 0.5, 1.0]))
+            [p.grad for p in dense.params()]
+            for n in (net, peeked, dense):
+                if supervised:
+                    n.supervised_backward(x, target)
+                else:
+                    n.reinforce_backward(x, target, reward)
+            if peek:
+                [p.grad for p in peeked.params()]
+        assert net.layers[0].w.cols.tolist() == peeked.layers[0].w.cols.tolist()
+        for p in dense.params():
+            p.cols = None
+        for n in (net, peeked, dense):
+            apply_update(n.params(), SGD(learning_rate=0.3))
+        assert [p.values.tobytes() for p in net.params()] == [p.values.tobytes() for p in dense.params()]
+        assert [p.values.tobytes() for p in peeked.params()] == [p.values.tobytes() for p in dense.params()]
+    assert not any(p.grad.any() for n in (net, peeked, dense) for p in n.params())
+
+
+def test_reading_grad_shows_a_pending_block():
+    # `net` keeps its pass as a pending block; `twin`'s gradient was read
+    # first, so its pass adds into `grad` directly: reading both must agree
+    net = _sparse_case_net(2, np.random.default_rng(54))
+    twin = net.copy()
+    net.zero_grads()
+    [p.grad for p in twin.params()]
+    for n in (net, twin):
+        n.reinforce_backward(_bag(3, 5, 5), np.ones((2, 2)), -1.0)
+    for a, b in zip(net.params(), twin.params()):
+        assert a.grad.tobytes() == b.grad.tobytes()
+    assert net.layers[0].w.grad[..., [3, 5]].any() and not net.layers[0].w.grad[..., 4].any()
 
 
 def test_optimizer_validation():

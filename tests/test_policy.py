@@ -1,11 +1,14 @@
+import contextlib
 import math
 from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emorl.nn import SGD, CheckpointFormatError, Network, apply_update, save_checkpoint
+from emorl.nn import SGD, CheckpointFormatError, Network, apply_update, log_prob, save_checkpoint
 from emorl.policy import (
     DEFAULT_VALID_COMBOS,
     MulticlassPolicy,
@@ -44,7 +47,7 @@ def test_zero_weight_multiclass_samples_uniformly():
     agent = MulticlassPolicy(DIM, zero_init=True, seed=0)
     rng = np.random.default_rng(42)
     state = rand_state(rng)
-    counts = Counter(agent.act(state, rng)[0] for _ in range(10000))
+    counts = Counter(agent.act(state, rng) for _ in range(10000))
     for a in range(3):
         assert abs(counts[a] / 10000 - 1 / 3) < 0.02
 
@@ -54,7 +57,7 @@ def test_zero_weight_multilabel_hits_all_64_combos_uniformly():
     state = np.zeros(DIM)
     assert np.allclose(agent.bit_probs(state), 0.5)
     rng = np.random.default_rng(7)
-    counts = Counter(agent.act(state, rng)[0] for _ in range(64000))
+    counts = Counter(agent.act(state, rng) for _ in range(64000))
     assert len(counts) == 64
     expected = 64000 / 64
     chi2 = sum((n - expected) ** 2 / expected for n in counts.values())
@@ -65,12 +68,14 @@ def test_log_prob_matches_direct_computation():
     rng = np.random.default_rng(3)
     mc = MulticlassPolicy(DIM, seed=1)
     state = rand_state(rng)
-    action, lp = mc.act(state, rng)
+    action = mc.act(state, rng)
+    lp = log_prob(mc.action_probs(state), action, "softmax")
     assert lp == pytest.approx(math.log(mc.action_probs(state)[action]), abs=1e-12)
 
     ml = MultilabelPolicy(DIM, seed=1)
-    bits, lp = ml.act(state, rng)
+    bits = ml.act(state, rng)
     probs = ml.bit_probs(state)
+    lp = log_prob(probs, bits, "sigmoid")
     direct = sum(math.log(p if b else 1.0 - p) for p, b in zip(probs, bits))
     assert lp == pytest.approx(direct, abs=1e-12)
 
@@ -81,7 +86,7 @@ def test_sampling_converges_to_forward_probabilities():
     state = rand_state(rng)
     probs = agent.action_probs(state)
     n = 30000
-    counts = Counter(agent.act(state, rng)[0] for _ in range(n))
+    counts = Counter(agent.act(state, rng) for _ in range(n))
     chi2 = sum((counts[a] - n * probs[a]) ** 2 / (n * probs[a]) for a in range(3))
     assert chi2 < 15.0  # df=2
 
@@ -199,6 +204,88 @@ def test_multilabel_update_decomposes_per_head():
     assert agent.bit_probs(state).tobytes() == np.array([head.forward(state)[0] for head in heads]).tobytes()
 
 
+# -- one forward pass per interaction ---------------------------------------------
+
+AGENTS = {"multiclass": MulticlassPolicy, "multilabel": MultilabelPolicy}
+
+
+def param_bytes(agent):
+    "The parameter bytes, read without touching the gradients."
+    return [p.values.tobytes() for p in agent.net.params()]
+
+
+@contextlib.contextmanager
+def traces_handed():
+    "Per `Network.reinforce_backward` call, whether it was handed a trace; patched at the class."
+    handed = []
+    backward = Network.reinforce_backward
+
+    def spy(self, x, action, reward, trace=None):
+        handed.append(trace is not None)
+        return backward(self, x, action, reward, trace)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Network, "reinforce_backward", spy)
+        yield handed
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    task=st.sampled_from(sorted(AGENTS)),
+    seed=st.integers(0, 2**16),
+    steps=st.lists(st.tuples(st.integers(1, DIM), st.sampled_from([-1.0, 1.0])), min_size=1, max_size=8),
+)
+def test_learning_on_the_acted_trace_equals_a_fresh_forward_pass(task, seed, steps):
+    # `learn` on a record of the very state `act` saw takes the gradient on
+    # act's forward pass; the twin's records hold copies of the states, so it
+    # runs the forward pass again, and every parameter byte must agree
+    rng = np.random.default_rng(seed)
+    reused, fresh = AGENTS[task](DIM, seed=seed), AGENTS[task](DIM, seed=seed)
+    with traces_handed() as handed:
+        for nonzero, reward in steps:
+            state = sparse_state(rng, nonzero=nonzero)
+            action = reused.act(state)
+            assert fresh.act(state) == action
+            reused.learn(record(state, action, reward))
+            fresh.learn(record(state.copy(), action, reward))
+            assert param_bytes(reused) == param_bytes(fresh)
+    assert handed == [True, False] * len(steps)
+
+
+def _drive(agent, scenario, a, b, examples, copies):
+    """Act on `a`, do what `scenario` names, then learn from a's record; with
+    `copies`, the records hold a copy of `a`, so no trace can be reused."""
+    action = agent.act(a)
+    rec = record(a.copy() if copies else a, action, 1.0)
+    if scenario == "act on another state":
+        agent.act(b)
+    elif scenario == "pretrain":
+        agent.pretrain(examples, 1, rng=np.random.default_rng(0))
+    elif scenario == "no-op learn":
+        agent.learn(record(rec.state, action, 0.0))
+    elif scenario == "learn twice":
+        agent.learn(rec)
+    elif scenario == "replaced net":
+        agent.net = agent.net.copy()
+    agent.learn(rec)
+
+
+@pytest.mark.parametrize("task", sorted(AGENTS))
+@pytest.mark.parametrize("scenario", ["act on another state", "pretrain", "no-op learn", "learn twice", "replaced net"])
+def test_a_stale_trace_never_reaches_an_update(task, scenario):
+    rng = np.random.default_rng(31)
+    a, b = sparse_state(rng), sparse_state(rng)
+    labels = range(3) if task == "multiclass" else DEFAULT_VALID_COMBOS
+    examples = [(sparse_state(rng), label) for label in labels]
+    agent, twin = AGENTS[task](DIM, seed=5), AGENTS[task](DIM, seed=5)
+    with traces_handed() as handed:
+        _drive(agent, scenario, a, b, examples, copies=False)
+    _drive(twin, scenario, a, b, examples, copies=True)
+    # only the first learn of "learn twice" follows its act with no update between
+    assert handed == ([True, False] if scenario == "learn twice" else [False])
+    assert param_bytes(agent) == param_bytes(twin)
+
+
 def test_expected_gradient_enumeration_matches_monte_carlo():
     # E_{a~pi}[grad(-R(a) ln pi(a|s))] against the exhaustive 3-action sum
     rng = np.random.default_rng(11)
@@ -218,7 +305,7 @@ def test_expected_gradient_enumeration_matches_monte_carlo():
     m = 30000
     total = np.zeros_like(enumerated)
     for _ in range(m):
-        a, _ = agent.act(state, rng)
+        a = agent.act(state, rng)
         total += grads_for(a)
     assert np.allclose(total / m, enumerated, atol=0.01)
 

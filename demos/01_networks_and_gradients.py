@@ -34,8 +34,7 @@ for mode, target, reward in (("reinforce", 1, +1.0), ("reinforce", 2, -1.0), ("s
 opt = SGD(learning_rate=0.5)
 print("p(action=1) before:", round(float(net.forward(x)[1]), 3))
 for _ in range(20):
-    net.reinforce_backward(x, 1, +1.0)
-    apply_update(net.params(), opt)
+    apply_update(net.reinforce_backward(x, 1, +1.0), opt)
 print("p(action=1) after 20 positive rewards:", round(float(net.forward(x)[1]), 3))
 
 # ------------------------------------------------------------------

@@ -158,9 +158,9 @@ def train_emotion(
     for _ in range(epochs):
         total = 0.0
         for i in rng.permutation(train_idx):
-            probs = model.net.supervised_backward(X[i], y[i])
+            grads, probs = model.net.supervised_backward(X[i], y[i])
             total += -float(np.log(max(probs[y[i]], 1e-300)))
-            apply_update(model.net.params(), opt)
+            apply_update(grads, opt)
         train_ce.append(total / len(train_idx))
 
     preds = [int(np.argmax(model.net.forward(X[i]))) for i in hold_idx]

@@ -3,9 +3,9 @@ learning-curve files, run manifests, and the INI config format.
 
 Curve files are CSV with the header `step,rolling_success,eval_accuracy`,
 appended row by row so an interrupted run leaves a valid prefix; the report,
-the manifest and its config copy are replaced whole, never torn. Runs are a
-pure function of (config, seed): repeating one reproduces curve files and
-checkpoints byte for byte.
+the manifest and its config copy are replaced whole, never torn, and as a
+pair. Runs are a pure function of (config, seed): repeating one reproduces
+curve files and checkpoints byte for byte.
 """
 
 from __future__ import annotations
@@ -131,12 +131,6 @@ class LearningCurve:
             if row.rolling_success >= threshold:
                 return row.step
         return None
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(CURVE_HEADER + "\n")
-            for r in self.rows:
-                f.write(_format_row(r))
 
     @classmethod
     def from_csv(cls, path) -> "LearningCurve":
@@ -379,17 +373,17 @@ def report_rows_equal(a: list[dict], b: list[dict]) -> bool:
 
 
 def write_manifest(run_dir, config_text: str, seeds: Sequence[int]) -> None:
+    """Write `config.ini` and the `manifest.json` that hashes it as a pair:
+    both payloads are built first, and a failure before the two files are
+    moved into place replaces neither."""
+    config = config_text.encode("utf-8")
+    manifest = {"config_sha256": hashlib.sha256(config).hexdigest(), "version": __version__, "seeds": list(seeds)}
+    manifest_text = json.dumps(manifest, indent=2) + "\n"
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    with replacing(run_dir / "config.ini", encoding="utf-8", newline="\n") as f:
-        f.write(config_text)
-    manifest = {
-        "config_sha256": hashlib.sha256(config_text.encode("utf-8")).hexdigest(),
-        "version": __version__,
-        "seeds": list(seeds),
-    }
-    with replacing(run_dir / "manifest.json", encoding="utf-8", newline="\n") as f:
-        f.write(json.dumps(manifest, indent=2) + "\n")
+    with replacing(run_dir / "config.ini", "wb") as f, replacing(run_dir / "manifest.json", "wb") as g:
+        f.write(config)
+        g.write(manifest_text.encode("utf-8"))
 
 
 def _parse_fraction(raw: str) -> float:

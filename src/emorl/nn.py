@@ -3,9 +3,10 @@
 Parameters hold float32 values in float64 arrays, so the forward and
 backward passes multiply float64 operands with no cast, and every update
 rounds its result back to float32; this keeps finite-difference checks of
-the analytic gradients stable and the checkpoints float32. A backward pass
-writes the first layer's gradient on the input's nonzero columns only, and
-the update that follows touches only those columns.
+the analytic gradients stable and the checkpoints float32. Gradients are
+values, not tensor state: a backward pass returns its gradient as a list of
+(tensor, index, float32 block) entries, the first layer's on the input's
+nonzero columns only, and `apply_update` steps exactly those entries.
 Supported pieces: dense layers with relu/tanh/identity activations, a
 softmax or per-unit sigmoid output head, cross-entropy and policy-gradient
 (score-function) losses, plain SGD, and a binary checkpoint format with a
@@ -47,86 +48,38 @@ class TrainingFault(RuntimeError):
 
 
 class ParamTensor:
-    """Named parameter array and its float32 gradient.
+    """Named parameter array.
 
     `values` is a C-contiguous float64 array whose entries are all float32
     numbers: other input is rounded through float32, and a float64 array
-    that already qualifies is kept as it is, so views stay views.
-
-    `grad` is the same-shape float32 gradient. `cols`, when set, names the
-    last-axis columns outside which it is zero, so that an update can skip
-    the rest; only `add_grad` sets it, `copy()` and `unstack()` carry it,
-    and an update and `zero_grad` clear it.
-
-    A tensor whose gradient is known to be all zero (fresh, zeroed, or just
-    updated: an update zeroes the entries it reads, and `cols` vouches for
-    the rest) keeps the next backward pass's float32 result as a pending
-    block on the entries it covers instead of writing it into `grad`: an
-    update then reads the block alone and never touches `grad`. Reading
-    `grad` first writes a pending block into it, so every reader sees the
-    whole gradient, and marks the gradient as possibly written, so that a
-    later pass adds to it instead. A reference to `grad` kept across an
-    update must not be written after it.
+    that already qualifies is kept as it is, so views stay views. Gradients
+    are not kept here: a backward pass returns them as entries for
+    `apply_update`.
     """
 
-    __slots__ = ("name", "values", "cols", "_grad", "_block", "_zero")
+    __slots__ = ("name", "values")
 
-    def __init__(self, name: str, values, grad=None, cols: np.ndarray | None = None):
+    def __init__(self, name: str, values):
         values = np.asarray(values)
         exact = np.ascontiguousarray(values, dtype=np.float32).astype(np.float64)
         keep = values.dtype == np.float64 and values.flags.c_contiguous and np.array_equal(values, exact)
         self.name = name
         self.values = values if keep else exact
-        self.cols = cols
-        self._block = None
-        if grad is None:
-            self._grad = np.zeros(self.values.shape, dtype=np.float32)
-            self._zero = True
-        else:
-            self.grad = grad
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
-    @property
-    def grad(self) -> np.ndarray:
-        if self._block is not None:
-            self._grad[self._at()] = self._block
-            self._block = None
-        self._zero = False
-        return self._grad
 
-    @grad.setter
-    def grad(self, grad) -> None:
-        grad = np.ascontiguousarray(grad, dtype=np.float32)
-        if grad.shape != self.values.shape:
-            raise ValueError(f"grad shape {grad.shape} != values shape {self.values.shape}")
-        self._grad, self._block, self._zero = grad, None, False
+# One entry of a backward pass's gradient: a tensor, the index into its
+# `values` that the gradient covers (`...` for all of it), and the float32
+# gradient on those entries. The gradient is zero everywhere else.
+GradEntry = tuple[ParamTensor, object, np.ndarray]
 
-    def _at(self):
-        "The entries the gradient may be nonzero on, as an index into `values`."
-        return ... if self.cols is None else (..., self.cols)
 
-    def add_grad(self, g: np.ndarray, cols: np.ndarray | None = None) -> None:
-        """Add the float64 gradient `g` of one backward pass, given on the
-        last-axis columns `cols` or on the whole tensor, rounding to float32."""
-        if self._zero and self._block is None:
-            self.cols = cols
-            # 0.0 + g, rounded: what adding g to a zero float32 gradient gives, -0.0 included
-            self._block = np.add(g, 0.0, out=np.empty(g.shape, dtype=np.float32), casting="same_kind")
-            return
-        grad = self.grad
-        if cols is None:
-            grad += g
-            self.cols = None
-        else:
-            grad[..., cols] += g
-            self.cols = cols if self.cols is None else np.union1d(self.cols, cols)
-
-    def zero_grad(self) -> None:
-        self._grad[...] = 0.0
-        self.cols, self._block, self._zero = None, None, True
+def _float32(g: np.ndarray) -> np.ndarray:
+    "The float64 gradient `g` in float32, as adding it to a zero float32 array gives it, -0.0 included."
+    return np.add(g, 0.0, out=np.empty(g.shape, dtype=np.float32), casting="same_kind")
 
 
 @dataclass
@@ -244,24 +197,20 @@ class Network:
         layout = [(l.activation, l.w.shape) for l in nets[0].layers]
         if any(n.head != nets[0].head or [(l.activation, l.w.shape) for l in n.layers] != layout for n in nets):
             raise ValueError("stacked networks must share head, activations and shapes")
-        return nets[0]._relaid(
-            (np.stack([p.values for p in ps]), None, None) for ps in zip(*(n.params() for n in nets))
-        )
+        return nets[0]._relaid(np.stack([p.values for p in ps]) for ps in zip(*(n.params() for n in nets)))
 
     def unstack(self) -> list["Network"]:
         "The heads along the leading stack axis, as networks that view this one's arrays."
-        return [
-            self._relaid((p.values[k], p.grad[k], p.cols) for p in self.params()) for k in range(self.stack_shape[0])
-        ]
+        return [self._relaid(p.values[k] for p in self.params()) for k in range(self.stack_shape[0])]
 
     def copy(self) -> "Network":
-        return self._relaid((p.values.copy(), p.grad.copy(), p.cols) for p in self.params())
+        return self._relaid(p.values.copy() for p in self.params())
 
-    def _relaid(self, tensors: Iterable[tuple[np.ndarray, np.ndarray | None, np.ndarray | None]]) -> "Network":
-        "This network's layout around new (values, grad, cols) triples, one per tensor in `params()` order."
-        triples = iter(tensors)
+    def _relaid(self, arrays: Iterable[np.ndarray]) -> "Network":
+        "This network's layout around new value arrays, one per tensor in `params()` order."
+        arrays = iter(arrays)
         layers = [
-            Layer(ParamTensor(l.w.name, *next(triples)), ParamTensor(l.b.name, *next(triples)), l.activation)
+            Layer(ParamTensor(l.w.name, next(arrays)), ParamTensor(l.b.name, next(arrays)), l.activation)
             for l in self.layers
         ]
         return Network(layers, self.head)
@@ -314,21 +263,25 @@ class Network:
 
     # -- backward --------------------------------------------------------
 
-    def _backprop(self, g_head: np.ndarray, zs: list[np.ndarray], hs: list[np.ndarray]) -> None:
-        """Accumulate parameter gradients of one input given dLoss/d(pre-head output)."""
+    def _backprop(self, g_head: np.ndarray, zs: list[np.ndarray], hs: list[np.ndarray]) -> list[GradEntry]:
+        """The parameter gradient of one input given dLoss/d(pre-head output),
+        one entry per tensor in `params()` order."""
+        grads = []
         g = g_head
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             gz = _activate_grad(g, zs[i], layer.activation)
-            layer.b.add_grad(gz)
+            grads.append((layer.b, ..., _float32(gz)))
             if i > 0:
-                layer.w.add_grad(gz[..., :, None] * hs[i][..., None, :])
+                grads.append((layer.w, ..., _float32(gz[..., :, None] * hs[i][..., None, :])))
                 g = np.matmul(np.swapaxes(layer.w.values, -1, -2), gz[..., None])[..., 0]
             else:
                 # the input is sparse and its zero columns get an exactly zero
-                # gradient, so only its nonzero columns are written
+                # gradient, so the entry covers its nonzero columns only
                 cols = np.flatnonzero(hs[0])
-                layer.w.add_grad(gz[..., :, None] * hs[0][cols], cols)
+                grads.append((layer.w, (..., cols), _float32(gz[..., :, None] * hs[0][cols])))
+        grads.reverse()
+        return grads
 
     def _target(self, probs: np.ndarray, target) -> np.ndarray:
         "A one-hot vector for a softmax index, or the 0/1 bits shaped as `probs`."
@@ -346,37 +299,32 @@ class Network:
             raise ValueError("sigmoid-head target must be a 0/1 vector")
         return bits.reshape(probs.shape)
 
-    def reinforce_backward(self, x: np.ndarray, action, reward: float, trace=None) -> None:
-        """Accumulate the gradient of -reward * ln pi(action | x).
+    def reinforce_backward(self, x: np.ndarray, action, reward: float, trace=None) -> list[GradEntry]:
+        """The gradient of -reward * ln pi(action | x), as entries for `apply_update`.
 
         For the softmax head `action` is a class index; for the sigmoid head
         it is a 0/1 vector and ln pi sums the per-unit Bernoulli log-probs.
-        A zero reward contributes nothing and leaves gradients untouched.
+        A zero reward has no gradient: it returns no entries.
         `trace`, if given, must be `self.trace(np.ravel(x))` on the current
         parameters, as the caller computed it to sample `action`; without
         it the forward pass runs here.
         """
         if reward == 0.0:
-            return
+            return []
         probs, zs, hs = trace if trace is not None else self.trace(np.ravel(x))
         # d(-R ln pi)/d(head input) = R * (p - target), identical in form for
         # the softmax-categorical and the factored-Bernoulli log-likelihood.
-        self._backprop(reward * (probs - self._target(probs, action)), zs, hs)
+        return self._backprop(reward * (probs - self._target(probs, action)), zs, hs)
 
-    def supervised_backward(self, x: np.ndarray, label) -> np.ndarray:
-        """Accumulate the cross-entropy gradient against a gold label, and
-        return the head's probabilities for `x` that the gradient used.
+    def supervised_backward(self, x: np.ndarray, label) -> tuple[list[GradEntry], np.ndarray]:
+        """The cross-entropy gradient against a gold label, as entries for
+        `apply_update`, and the head's probabilities for `x` that it used.
 
         Softmax head: categorical cross-entropy with an index label.
         Sigmoid head: summed per-unit binary cross-entropy with a bit vector.
         """
         probs, zs, hs = self.trace(np.ravel(x))
-        self._backprop(probs - self._target(probs, label), zs, hs)
-        return probs
-
-    def zero_grads(self) -> None:
-        for p in self.params():
-            p.zero_grad()
+        return self._backprop(probs - self._target(probs, label), zs, hs), probs
 
 
 def log_prob(probs: np.ndarray, action, head: str) -> float:
@@ -402,32 +350,31 @@ class SGD:
             raise ValueError("learning rate must be positive")
 
 
-def apply_update(params: Sequence[ParamTensor], opt: SGD) -> None:
-    """Apply `values -= lr * grad`, then zero grads.
-
-    A tensor whose `cols` is set is updated on those columns only; every
-    other entry has zero gradient and would not move. A pending block is
-    the gradient itself, and `grad`, being zero, is left as it is.
+def apply_update(grads: Iterable[GradEntry], opt: SGD) -> None:
+    """Apply `values[index] -= lr * block` for each (tensor, index, block)
+    entry of a backward pass; entries outside the index have zero gradient
+    and do not move.
 
     Raises TrainingFault, naming the first tensor with a non-finite updated
     value and changing no tensor, if any updated value is non-finite; the
     run must abort rather than continue from poisoned parameters.
     """
-    steps = []
-    for p in params:
-        at = p._at()
-        g = p._grad[at] if p._block is None else p._block
-        # a float32 subtraction, as the values are float32 numbers
-        steps.append((p, at, np.subtract(p.values[at], opt.learning_rate * g, dtype=np.float32)))
+    # a float32 subtraction, as the values are float32 numbers
+    steps = [(p, at, np.subtract(p.values[at], opt.learning_rate * g, dtype=np.float32)) for p, at, g in grads]
     # one check over every step; the tensor to name is looked for only on failure
     if steps and not np.isfinite(np.concatenate([new.ravel() for _, _, new in steps])).all():
         bad = next(p for p, _, new in steps if not np.isfinite(new).all())
         raise TrainingFault(f"non-finite values in tensor {bad.name!r} after update")
     for p, at, new in steps:
         p.values[at] = new
-        if p._block is None:
-            p._grad[at] = 0.0
-        p.cols, p._block, p._zero = None, None, True
+
+
+def dense_grads(params: Sequence[ParamTensor], grads: Iterable[GradEntry]) -> list[np.ndarray]:
+    "The whole float32 gradient of each of `params`: the sum of `grads`' entries on a zero array."
+    dense = {p: np.zeros(p.shape, dtype=np.float32) for p in params}
+    for p, at, g in grads:
+        dense[p][at] += g
+    return list(dense.values())
 
 
 # -- checkpoint format ---------------------------------------------------
@@ -585,15 +532,14 @@ def gradient_check(
     if mode not in ("reinforce", "supervised"):
         raise ValueError(f"unknown mode {mode!r}")
     work = net.copy()
-    work.zero_grads()
     if mode == "reinforce":
-        work.reinforce_backward(x, target, reward)
+        grads = work.reinforce_backward(x, target, reward)
     else:
-        work.supervised_backward(x, target)
+        grads, _ = work.supervised_backward(x, target)
     worst = 0.0
-    for p in work.params():
+    for p, g in zip(work.params(), dense_grads(work.params(), grads)):
         flat_v = p.values.ravel()
-        flat_g = p.grad.ravel()
+        flat_g = g.ravel()
         for i in range(flat_v.shape[0]):
             orig = flat_v[i]
             flat_v[i] = np.float32(orig + h)

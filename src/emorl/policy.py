@@ -68,8 +68,7 @@ class _Policy:
         trace = None
         if acted is not None and acted[0] is self.net and acted[1] is record.state:
             trace = acted[2]
-        self.net.reinforce_backward(record.state, record.action, record.reward, trace)
-        apply_update(self.net.params(), self.opt)
+        apply_update(self.net.reinforce_backward(record.state, record.action, record.reward, trace), self.opt)
 
     def pretrain(
         self,
@@ -85,8 +84,8 @@ class _Policy:
         for _ in range(epochs):
             for i in rng.permutation(len(examples)):
                 state, label = examples[i]
-                self.net.supervised_backward(state, label)
-                apply_update(self.net.params(), self.opt)
+                grads, _ = self.net.supervised_backward(state, label)
+                apply_update(grads, self.opt)
 
 
 def _batch(examples: Sequence[tuple[np.ndarray, IntentAction]]) -> tuple[np.ndarray, np.ndarray]:
@@ -109,12 +108,9 @@ class MulticlassPolicy(_Policy):
         lr: float = 0.05,
         seed: int = 0,
         init_scale: float = 0.5,
-        zero_init: bool = False,
     ):
-        init_rng = None if zero_init else np.random.default_rng([seed, 0])
-        self.net = Network.build(
-            [input_dim, *hidden, n_actions], head="softmax", rng=init_rng, init_scale=init_scale
-        )
+        init_rng = np.random.default_rng([seed, 0])
+        self.net = Network.build([input_dim, *hidden, n_actions], head="softmax", rng=init_rng, init_scale=init_scale)
         self.opt = SGD(learning_rate=lr)
         self.rng = np.random.default_rng([seed, 1])
 
@@ -154,10 +150,9 @@ class MultilabelPolicy(_Policy):
         lr: float = 0.05,
         seed: int = 0,
         init_scale: float = 0.5,
-        zero_init: bool = False,
         valid_combos: tuple[tuple[int, ...], ...] = DEFAULT_VALID_COMBOS,
     ):
-        rngs = [None if zero_init else np.random.default_rng([seed, 10 + k]) for k in range(n_bits)]
+        rngs = [np.random.default_rng([seed, 10 + k]) for k in range(n_bits)]
         heads = [Network.build([input_dim, *hidden, 1], head="sigmoid", rng=r, init_scale=init_scale) for r in rngs]
         self.net = Network.stack(heads)
         self.opt = SGD(learning_rate=lr)
@@ -179,9 +174,6 @@ class MultilabelPolicy(_Policy):
         probs = self._act_probs(state)[..., 0]
         draws = rng.random(self.n_bits)
         return tuple((draws < probs).astype(int).tolist())
-
-    def predict(self, state: np.ndarray) -> tuple[int, ...]:
-        return tuple(int(p >= 0.5) for p in self.bit_probs(state))
 
     def evaluate(self, examples: Sequence[tuple[np.ndarray, tuple[int, ...]]]) -> float:
         "Exact-match accuracy of the thresholded bit vector."

@@ -211,10 +211,9 @@ def train_scope(
             for i_s, sent_ids in enumerate(ids):
                 if sent_ids:
                     np.add.at(emb_grad, list(sent_ids), d_vecs[i_s] / len(sent_ids))
-            model.embed.grad += emb_grad.astype(np.float32)
-            model.mix.grad += mix_grad.astype(np.float32)
-            model.bias.grad += np.float32(g.sum())
-            apply_update(model.params(), opt)
+            # float32 blocks plus 0.0, so that a gradient rounded to -0.0 steps as 0.0
+            grads = [(model.embed, ..., emb_grad), (model.mix, ..., mix_grad), (model.bias, ..., np.array([g.sum()]))]
+            apply_update([(p, at, d.astype(np.float32) + 0.0) for p, at, d in grads], opt)
         epoch_bce.append(total / max(count, 1))
     first = epoch_bce[: min(3, len(epoch_bce))]
     if any(b >= a for a, b in zip(first, first[1:])):
@@ -227,7 +226,6 @@ def train_scope(
 
 def _holdout_metrics(model: ScopeModel, data, hold_idx) -> dict:
     tp = fp = fn = hits = total = 0
-    positives = 0
     for i in hold_idx:
         ids, y = data[i]
         if len(ids) == 0:
@@ -238,9 +236,7 @@ def _holdout_metrics(model: ScopeModel, data, hold_idx) -> dict:
         fp += int(np.sum(pred & ~gold))
         fn += int(np.sum(~pred & gold))
         hits += int(np.sum(pred == gold))
-        positives += int(np.sum(gold))
         total += len(ids)
     f1 = 2.0 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
     accuracy = hits / total if total else 0.0
-    majority = max(positives, total - positives) / total if total else 0.0
-    return {"holdout_f1": f1, "holdout_accuracy": accuracy, "holdout_majority": majority}
+    return {"holdout_f1": f1, "holdout_accuracy": accuracy}

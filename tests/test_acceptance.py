@@ -89,12 +89,11 @@ def test_criterion_1_gradient_correctness():
     worst = 0.0
     for _ in range(100):
         net, x, mode, target, reward = random_case(rng)
-        net.zero_grads()
         if mode == "reinforce":
-            net.reinforce_backward(x, target, reward)
+            grads = net.reinforce_backward(x, target, reward)
         else:
-            net.supervised_backward(x, target)
-        worst = max(worst, max_rel_error(net, fd_oracle_grads(net, x, mode, target, reward)))
+            grads, _ = net.supervised_backward(x, target)
+        worst = max(worst, max_rel_error(net, grads, fd_oracle_grads(net, x, mode, target, reward)))
     elapsed = time.time() - start
     check(
         1,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import time
@@ -117,16 +118,16 @@ def test_curve_requires_increasing_steps():
 
 
 def test_curve_csv_round_trip(tmp_path):
-    curve = LearningCurve([CurveRow(100, 0.25, 0.5), CurveRow(200, 0.75, 0.8)])
+    # the curve file `run_online` writes reads back as the curve it returned, to six decimals
     path = tmp_path / "curve.csv"
-    curve.to_csv(path)
+    curve, _, _ = run_online(ExperimentConfig(**SMALL), seed=1, curve_path=path)
     text = path.read_text(encoding="utf-8")
     assert text.splitlines()[0] == "step,rolling_success,eval_accuracy"
     loaded = LearningCurve.from_csv(path)
     assert [(r.step, r.rolling_success, r.eval_accuracy) for r in loaded.rows] == [
-        (100, 0.25, 0.5),
-        (200, 0.75, 0.8),
+        (r.step, round(r.rolling_success, 6), round(r.eval_accuracy, 6)) for r in curve.rows
     ]
+    assert len(loaded) == 3
 
 
 # -- run_online -----------------------------------------------------------------
@@ -483,3 +484,33 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(name, tmp_path)
     after = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     assert after[tmp_path / rel] == before[tmp_path / rel]
     assert not [p.name for p in after if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("failure", ["config text", "seeds", "manifest move"])
+def test_failed_manifest_write_keeps_config_and_manifest_as_a_pair(failure, tmp_path, monkeypatch):
+    # config.ini and the manifest.json that hashes it are replaced together or
+    # not at all: after any failing write the pair still matches
+    run = tmp_path / "run"
+    write_manifest(run, "[online]\nseeds = 1\n", (1,))
+    names = ("config.ini", "manifest.json")
+    before = {name: (run / name).read_bytes() for name in names}
+    text, seeds = "[online]\nseeds = 2\n", (2,)
+    if failure == "config text":
+        text = "[online]\n\udc80"  # a lone surrogate cannot be encoded
+    elif failure == "seeds":
+        seeds = (object(),)  # json cannot encode it
+    else:
+        move = os.replace
+
+        def refuse_manifest(src, dst):
+            if os.path.basename(dst) == "manifest.json":
+                raise OSError("no space left on device")
+            move(src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse_manifest)
+    with pytest.raises((OSError, TypeError, UnicodeError)):
+        write_manifest(run, text, seeds)
+    assert sorted(p.name for p in run.iterdir()) == sorted(names)
+    assert {name: (run / name).read_bytes() for name in names} == before
+    manifest = json.loads(before["manifest.json"])
+    assert hashlib.sha256(before["config.ini"]).hexdigest() == manifest["config_sha256"]

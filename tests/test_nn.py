@@ -20,6 +20,7 @@ from emorl.nn import (
     ParamTensor,
     TrainingFault,
     apply_update,
+    dense_grads,
     gradient_check,
     load_checkpoint,
     log_prob,
@@ -105,14 +106,15 @@ def fd_oracle_grads(net, x, mode, target, reward, h=1e-4):
     return grads
 
 
-def max_rel_error(net, oracle_grads):
+def max_rel_error(net, grads, oracle_grads):
+    "Largest relative error of a backward pass's entries `grads` against the oracle's (W, b) gradients."
     worst = 0.0
-    for layer, (gw, gb) in zip(net.layers, oracle_grads):
-        for analytic, ref in ((layer.w.grad, gw), (layer.b.grad, gb)):
-            err = np.abs(analytic - ref) / np.maximum(
-                np.maximum(np.abs(analytic), np.abs(ref)), 1e-6
-            )
-            worst = max(worst, float(err.max()))
+    refs = [ref for pair in oracle_grads for ref in pair]
+    for analytic, ref in zip(dense_grads(net.params(), grads), refs):
+        err = np.abs(analytic - ref) / np.maximum(
+            np.maximum(np.abs(analytic), np.abs(ref)), 1e-6
+        )
+        worst = max(worst, float(err.max()))
     return worst
 
 
@@ -205,10 +207,9 @@ def test_forward_dimension_mismatch_raises():
 def test_zero_reward_leaves_gradients_untouched():
     rng = np.random.default_rng(5)
     net = Network.build([6, 4, 3], head="softmax", rng=rng)
-    before = [p.grad.copy() for p in net.params()]
-    net.reinforce_backward(rng.normal(0, 1, 6), 1, 0.0)
-    for prev, p in zip(before, net.params()):
-        assert np.array_equal(prev, p.grad)
+    before = [p.values.tobytes() for p in net.params()]
+    assert net.reinforce_backward(rng.normal(0, 1, 6), 1, 0.0) == []
+    assert [p.values.tobytes() for p in net.params()] == before
 
 
 def test_softmax_reinforce_gradient_identity():
@@ -218,51 +219,46 @@ def test_softmax_reinforce_gradient_identity():
     x = rng.normal(0, 1, 5)
     probs = net.forward(x)
     action = 2
-    net.reinforce_backward(x, action, 1.0)
+    w_grad, b_grad = dense_grads(net.params(), net.reinforce_backward(x, action, 1.0))
     expected_logit_grad = probs.copy()
     expected_logit_grad[action] -= 1.0
-    assert np.allclose(net.layers[0].b.grad, expected_logit_grad, atol=1e-6)
-    assert np.allclose(net.layers[0].w.grad, np.outer(expected_logit_grad, x), atol=1e-6)
+    assert np.allclose(b_grad, expected_logit_grad, atol=1e-6)
+    assert np.allclose(w_grad, np.outer(expected_logit_grad, x), atol=1e-6)
 
 
 def test_reinforce_matches_finite_differences():
     rng = np.random.default_rng(7)
     for _ in range(8):
         net, x, _, target, reward = random_case(rng, mode="reinforce")
-        net.zero_grads()
-        net.reinforce_backward(x, target, reward)
+        grads = net.reinforce_backward(x, target, reward)
         ref = fd_oracle_grads(net, x, "reinforce", target, reward)
-        assert max_rel_error(net, ref) < 1e-4
+        assert max_rel_error(net, grads, ref) < 1e-4
 
 
 def test_supervised_matches_finite_differences():
     rng = np.random.default_rng(8)
     for _ in range(8):
         net, x, _, target, _ = random_case(rng, mode="supervised")
-        net.zero_grads()
-        net.supervised_backward(x, target)
+        grads, _ = net.supervised_backward(x, target)
         ref = fd_oracle_grads(net, x, "supervised", target, 1.0)
-        assert max_rel_error(net, ref) < 1e-4
+        assert max_rel_error(net, grads, ref) < 1e-4
 
 
 def test_perfect_prediction_has_vanishing_gradient():
     net = Network.build([3, 3], head="softmax")
     net.layers[0].b.values[:] = np.array([40.0, 0.0, 0.0], dtype=np.float32)
-    net.supervised_backward(np.zeros(3), 0)
-    norm = sum(float(np.abs(p.grad).sum()) for p in net.params())
+    grads, _ = net.supervised_backward(np.zeros(3), 0)
+    norm = sum(float(np.abs(g).sum()) for _, _, g in grads)
     assert norm < 1e-6
 
 
 def test_negated_reward_negates_gradients_exactly():
     rng = np.random.default_rng(9)
     net, x, _, target, _ = random_case(rng, mode="reinforce")
-    net.zero_grads()
-    net.reinforce_backward(x, target, 1.0)
-    plus = [p.grad.copy() for p in net.params()]
-    net.zero_grads()
-    net.reinforce_backward(x, target, -1.0)
-    for g_plus, p in zip(plus, net.params()):
-        assert np.array_equal(g_plus, -p.grad)
+    plus = dense_grads(net.params(), net.reinforce_backward(x, target, 1.0))
+    minus = dense_grads(net.params(), net.reinforce_backward(x, target, -1.0))
+    for g_plus, g_minus in zip(plus, minus):
+        assert np.array_equal(g_plus, -g_minus)
 
 
 def test_logit_scaling_preserves_argmax():
@@ -325,12 +321,10 @@ def test_stacked_forward_and_gradients_equal_each_head_alone():
     assert stacked.forward(x).tobytes() == np.stack([n.forward(x) for n in nets]).tobytes()
     assert stacked.forward(batch).tobytes() == np.stack([[n.forward(r) for n in nets] for r in batch]).tobytes()
     target = rng.integers(0, 2, (3, 3))
-    stacked.supervised_backward(x, target)
-    for net, t in zip(nets, target):
-        net.supervised_backward(x, t)
-    for k, view in enumerate(stacked.unstack()):
-        for a, b in zip(view.params(), nets[k].params()):
-            assert a.grad.tobytes() == b.grad.tobytes()
+    stacked_grads = dense_grads(stacked.params(), stacked.supervised_backward(x, target)[0])
+    for net, t, k in zip(nets, target, range(3)):
+        for a, b in zip(stacked_grads, dense_grads(net.params(), net.supervised_backward(x, t)[0])):
+            assert a[k].tobytes() == b.tobytes()
 
 
 def test_param_tensor_holds_float32_values_in_float64():
@@ -338,7 +332,7 @@ def test_param_tensor_holds_float32_values_in_float64():
     t = ParamTensor("t", raw)
     assert t.values.dtype == np.float64 and t.values.flags.c_contiguous
     assert t.values.tolist() == raw.astype(np.float32).astype(np.float64).tolist()
-    assert t.grad.dtype == np.float32 and not t.grad.any()
+    assert ParamTensor.__slots__ == ("name", "values")
     assert ParamTensor("f", raw.astype(np.float32)).values.tobytes() == t.values.tobytes()
     transposed = ParamTensor("T", t.values.T)
     assert transposed.values.flags.c_contiguous and np.array_equal(transposed.values, t.values.T)
@@ -351,7 +345,7 @@ def test_unstack_views_the_stacked_arrays():
     stacked = Network.stack(heads)
     for k, head in enumerate(stacked.unstack()):
         for a, b in zip(head.params(), stacked.params()):
-            assert np.shares_memory(a.values, b.values) and np.shares_memory(a.grad, b.grad)
+            assert np.shares_memory(a.values, b.values)
             assert a.values.tobytes() == b.values[k].tobytes()
     stacked.unstack()[1].layers[0].w.values[0, 0] = 0.5
     assert stacked.layers[0].w.values[1, 0, 0] == 0.5
@@ -372,30 +366,23 @@ def test_stack_rejects_mismatched_networks():
 # -- optimizer ----------------------------------------------------------------
 
 
+def values_bytes(net):
+    return [p.values.tobytes() for p in net.params()]
+
+
 def test_apply_update_zero_grads_is_identity():
     rng = np.random.default_rng(13)
     net = Network.build([5, 3], head="softmax", rng=rng)
-    before = [p.values.copy() for p in net.params()]
-    apply_update(net.params(), SGD(learning_rate=0.5))
-    for prev, p in zip(before, net.params()):
-        assert np.array_equal(prev, p.values)
+    before = values_bytes(net)
+    apply_update([(p, ..., np.zeros(p.shape, dtype=np.float32)) for p in net.params()], SGD(learning_rate=0.5))
+    assert values_bytes(net) == before
 
 
 def test_apply_update_lr_one_grad_equals_values():
     net = Network.build([3, 2], head="softmax", rng=np.random.default_rng(14))
-    for p in net.params():
-        p.grad[...] = p.values
-    apply_update(net.params(), SGD(learning_rate=1.0))
+    apply_update([(p, ..., p.values.astype(np.float32)) for p in net.params()], SGD(learning_rate=1.0))
     for p in net.params():
         assert np.all(p.values == 0.0)
-
-
-def test_update_resets_gradients():
-    net = Network.build([3, 2], head="softmax", rng=np.random.default_rng(15))
-    net.supervised_backward(np.ones(3), 0)
-    apply_update(net.params(), SGD(learning_rate=0.1))
-    for p in net.params():
-        assert np.all(p.grad == 0.0)
 
 
 def test_update_determinism_bit_identical():
@@ -405,25 +392,33 @@ def test_update_determinism_bit_identical():
         opt = SGD(learning_rate=0.05)
         for _ in range(50):
             x = rng.normal(0, 1, 6)
-            net.reinforce_backward(x, int(rng.integers(3)), float(rng.choice([-1.0, 1.0])))
-            apply_update(net.params(), opt)
-        return [p.values.tobytes() for p in net.params()]
+            apply_update(net.reinforce_backward(x, int(rng.integers(3)), float(rng.choice([-1.0, 1.0]))), opt)
+        return values_bytes(net)
 
     assert run() == run()
 
 
 def test_non_finite_update_raises_training_fault():
     net = Network.build([3, 2], head="softmax", rng=np.random.default_rng(18))
-    net.layers[0].w.grad[...] = np.inf
+    grads, _ = net.supervised_backward(np.ones(3), 0)
+    grads[0][2][...] = np.inf
+    before = values_bytes(net)
     with pytest.raises(TrainingFault):
-        apply_update(net.params(), SGD(learning_rate=1.0))
-    # one poisoned entry in one head of a stacked tensor names that tensor
+        apply_update(grads, SGD(learning_rate=1.0))
+    assert values_bytes(net) == before
+    # one poisoned entry in one head of a stacked tensor names that tensor,
+    # and no tensor changes
     for bad in (np.nan, np.inf, -np.inf):
         heads = [Network.build([3, 4, 2], head="sigmoid", rng=np.random.default_rng(s)) for s in (18, 19)]
         stacked = Network.stack(heads)
-        stacked.layers[1].w.grad[1, 0, 2] = bad
+        grads, _ = stacked.supervised_backward(np.ones(3), np.ones((2, 2)))
+        tensor, _, block = grads[2]
+        assert tensor is stacked.layers[1].w
+        block[1, 0, 2] = bad
+        before = values_bytes(stacked)
         with pytest.raises(TrainingFault, match=r"'L01\.identity\.W'"):
-            apply_update(stacked.params(), SGD(learning_rate=1.0))
+            apply_update(grads, SGD(learning_rate=1.0))
+        assert values_bytes(stacked) == before
 
 
 def _sparse_case_net(heads: int, rng) -> Network:
@@ -443,133 +438,85 @@ def _bag(*cols: int) -> np.ndarray:
     return x
 
 
+def _target(heads: int, rng):
+    return int(rng.integers(3)) if heads == 0 else rng.integers(0, 2, (heads, 2))
+
+
+def _dense_entries(net: Network, grads) -> list:
+    "The same gradient as whole-tensor entries."
+    return [(p, ..., g) for p, g in zip(net.params(), dense_grads(net.params(), grads))]
+
+
 @pytest.mark.parametrize("heads", [0, 2, 6])
 def test_update_on_touched_columns_equals_whole_tensor_update(heads):
+    # the first layer's entry covers the input's nonzero columns only;
+    # applying it must equal applying the whole-tensor gradient, which is
+    # zero off those columns: columns named twice, an all-zero input, then
+    # columns the earlier steps did not touch
     rng = np.random.default_rng(40 + heads)
-    hinted = _sparse_case_net(heads, rng)
-    dense = hinted.copy()
+    sparse = _sparse_case_net(heads, rng)
+    dense = sparse.copy()
     opt = SGD(learning_rate=0.3)
-    # one pass; two passes accumulated before one update, sharing column 4;
-    # an all-zero input; then columns the earlier steps did not touch
-    steps = [[_bag(1, 4, 4, 8)], [_bag(4, 6, 9, 9), _bag(0, 4)], [_bag()], [_bag(2, 10)]]
-    for inputs in steps:
-        for x in inputs:
-            if hinted.head == "softmax":
-                target = int(rng.integers(3))
-            else:
-                target = rng.integers(0, 2, (heads, 2))
-            reward = float(rng.choice([-1.0, 1.0]))
-            for net in (hinted, dense):
-                net.reinforce_backward(x, target, reward)
-                net.supervised_backward(x, target)
-        assert hinted.layers[0].w.cols.tolist() == np.flatnonzero(sum(inputs)).tolist()
-        for p in dense.params():
-            p.cols = None
-        apply_update(hinted.params(), opt)
-        apply_update(dense.params(), opt)
-        for a, b in zip(hinted.params(), dense.params()):
-            assert a.values.tobytes() == b.values.tobytes()
-            assert a.grad.tobytes() == b.grad.tobytes()
-            assert a.cols is None
-
-
-def test_copy_between_backward_passes_keeps_touched_columns():
-    rng = np.random.default_rng(53)
-    net = _sparse_case_net(2, rng)
-    target = rng.integers(0, 2, (2, 2))
-    net.supervised_backward(_bag(1, 2), target)
-    twin = net.copy()
-    twin.supervised_backward(_bag(7), target)
-    assert twin.layers[0].w.cols.tolist() == [1, 2, 7]
-    dense = twin.copy()
-    for p in dense.params():
-        p.cols = None
-    apply_update(twin.params(), SGD(learning_rate=0.3))
-    apply_update(dense.params(), SGD(learning_rate=0.3))
-    for a, b in zip(twin.params(), dense.params()):
-        assert a.values.tobytes() == b.values.tobytes()
+    for x in (_bag(1, 4, 4, 8), _bag(4, 6, 9, 9), _bag(0, 4), _bag(), _bag(2, 10)):
+        target, reward = _target(heads, rng), float(rng.choice([-1.0, 1.0]))
+        passes = (lambda n: n.reinforce_backward(x, target, reward), lambda n: n.supervised_backward(x, target)[0])
+        for backward in passes:
+            grads = backward(sparse)
+            assert grads[0][0] is sparse.layers[0].w
+            assert grads[0][1][1].tolist() == np.flatnonzero(x).tolist()
+            apply_update(grads, opt)
+            apply_update(_dense_entries(dense, backward(dense)), opt)
+            assert values_bytes(sparse) == values_bytes(dense)
 
 
 @pytest.mark.parametrize("heads", [0, 2])
 def test_non_finite_step_in_touched_column_raises_training_fault(heads):
+    target = 1 if heads == 0 else np.ones((heads, 2))
     for bad in (np.nan, np.inf, -np.inf):
         net = _sparse_case_net(heads, np.random.default_rng(50))
-        target = 1 if heads == 0 else np.ones((heads, 2))
-        net.supervised_backward(_bag(3, 5), target)
-        w = net.layers[0].w
-        assert w.cols.tolist() == [3, 5]
-        before = w.values.copy()
-        w.grad[..., 4, 5] = bad
+        grads, _ = net.supervised_backward(_bag(3, 5), target)
+        _, (_, cols), block = grads[0]
+        assert cols.tolist() == [3, 5]
+        block[..., 4, 1] = bad  # row 4 of column 5
+        before = values_bytes(net)
         with pytest.raises(TrainingFault, match=r"'L00\.relu\.W'"):
-            apply_update(net.params(), SGD(learning_rate=1.0))
-        assert w.values.tobytes() == before.tobytes()
-    # entries outside the touched columns are not read
-    net = _sparse_case_net(heads, np.random.default_rng(51))
-    net.supervised_backward(_bag(3, 5), target)
-    net.layers[0].w.grad[..., 0, 7] = np.inf
-    apply_update(net.params(), SGD(learning_rate=1.0))
+            apply_update(grads, SGD(learning_rate=1.0))
+        assert values_bytes(net) == before
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(
     heads=st.sampled_from([0, 2, 6]),
     seed=st.integers(0, 2**16),
-    steps=st.lists(
-        st.lists(st.tuples(st.lists(st.integers(0, 10), max_size=5), st.booleans()), min_size=1, max_size=3),
+    passes=st.lists(
+        st.tuples(st.lists(st.integers(0, 10), max_size=5), st.sampled_from([None, -1.0, 0.0, 0.5, 1.0])),
         min_size=1,
         max_size=5,
     ),
 )
-def test_pending_block_updates_equal_dense_gradient_updates(heads, seed, steps):
-    # a backward pass onto a zero gradient keeps its float32 result as a
-    # pending block, which the update consumes without touching `grad`;
-    # reading `grad` writes the block in, and later passes add to it. A net
-    # left alone and one whose gradients are read after some passes must
-    # agree on every byte with one whose gradients are read before every
-    # pass, so that each pass adds into `grad`, and that is updated whole;
-    # -0.0 included: the dead units' gradients are +-0.0 and some of their
-    # weights are -0.0
+def test_applied_entries_equal_a_dense_gradient_step(heads, seed, passes):
+    # a supervised pass (reward None) or a REINFORCE pass on a sparse input:
+    # applying its entries must give float32(values - lr * dense gradient) on
+    # every byte, -0.0 included: the dead units' gradients are +-0.0 and
+    # some of their weights are -0.0. A zero reward has no entries, and
+    # applying no entries changes nothing
     rng = np.random.default_rng(seed)
     net = _sparse_case_net(heads, rng)
     net.layers[0].w.values[..., :3, ::2] = -0.0
-    peeked, dense = net.copy(), net.copy()
-    net.zero_grads()
-    peeked.zero_grads()
-    for inputs in steps:
-        for cols, peek in inputs:
-            x = _bag(*cols)
-            target = int(rng.integers(3)) if heads == 0 else rng.integers(0, 2, (heads, 2))
-            supervised, reward = bool(rng.integers(2)), float(rng.choice([-1.0, 0.5, 1.0]))
-            [p.grad for p in dense.params()]
-            for n in (net, peeked, dense):
-                if supervised:
-                    n.supervised_backward(x, target)
-                else:
-                    n.reinforce_backward(x, target, reward)
-            if peek:
-                [p.grad for p in peeked.params()]
-        assert net.layers[0].w.cols.tolist() == peeked.layers[0].w.cols.tolist()
-        for p in dense.params():
-            p.cols = None
-        for n in (net, peeked, dense):
-            apply_update(n.params(), SGD(learning_rate=0.3))
-        assert [p.values.tobytes() for p in net.params()] == [p.values.tobytes() for p in dense.params()]
-        assert [p.values.tobytes() for p in peeked.params()] == [p.values.tobytes() for p in dense.params()]
-    assert not any(p.grad.any() for n in (net, peeked, dense) for p in n.params())
-
-
-def test_reading_grad_shows_a_pending_block():
-    # `net` keeps its pass as a pending block; `twin`'s gradient was read
-    # first, so its pass adds into `grad` directly: reading both must agree
-    net = _sparse_case_net(2, np.random.default_rng(54))
-    twin = net.copy()
-    net.zero_grads()
-    [p.grad for p in twin.params()]
-    for n in (net, twin):
-        n.reinforce_backward(_bag(3, 5, 5), np.ones((2, 2)), -1.0)
-    for a, b in zip(net.params(), twin.params()):
-        assert a.grad.tobytes() == b.grad.tobytes()
-    assert net.layers[0].w.grad[..., [3, 5]].any() and not net.layers[0].w.grad[..., 4].any()
+    opt = SGD(learning_rate=0.3)
+    for cols, reward in passes:
+        x, target = _bag(*cols), _target(heads, rng)
+        if reward is None:
+            grads, _ = net.supervised_backward(x, target)
+        else:
+            grads = net.reinforce_backward(x, target, reward)
+            assert (grads == []) == (reward == 0.0)
+        expected = [
+            (p.values - opt.learning_rate * g).astype(np.float32).tobytes()
+            for p, g in zip(net.params(), dense_grads(net.params(), grads))
+        ]
+        apply_update(grads, opt)
+        assert [p.values.astype(np.float32).tobytes() for p in net.params()] == expected
 
 
 def test_optimizer_validation():

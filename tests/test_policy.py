@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emorl.nn import SGD, CheckpointFormatError, Network, apply_update, log_prob, save_checkpoint
+from emorl.nn import SGD, CheckpointFormatError, Network, apply_update, dense_grads, log_prob, save_checkpoint
 from emorl.policy import (
     DEFAULT_VALID_COMBOS,
     MulticlassPolicy,
@@ -44,7 +44,8 @@ def sparse_state(rng, dim=DIM, nonzero=4):
 
 
 def test_zero_weight_multiclass_samples_uniformly():
-    agent = MulticlassPolicy(DIM, zero_init=True, seed=0)
+    agent = MulticlassPolicy(DIM, seed=0)
+    agent.net = Network.build([DIM, 64, 3], head="softmax", rng=None)
     rng = np.random.default_rng(42)
     state = rand_state(rng)
     counts = Counter(agent.act(state, rng) for _ in range(10000))
@@ -53,7 +54,8 @@ def test_zero_weight_multiclass_samples_uniformly():
 
 
 def test_zero_weight_multilabel_hits_all_64_combos_uniformly():
-    agent = MultilabelPolicy(DIM, zero_init=True, seed=0)
+    agent = MultilabelPolicy(DIM, seed=0)
+    agent.net = Network.stack([Network.build([DIM, 32, 1], head="sigmoid", rng=None) for _ in range(6)])
     state = np.zeros(DIM)
     assert np.allclose(agent.bit_probs(state), 0.5)
     rng = np.random.default_rng(7)
@@ -152,9 +154,7 @@ def test_multilabel_heads_have_no_shared_parameters():
         agent = MultilabelPolicy(DIM, seed=6)
         before = [[p.values.tobytes() for p in net.params()] for net in agent.networks()]
         probs = agent.bit_probs(state)
-        for p in agent.net.params():
-            p.grad[k] = 1.0
-        apply_update(agent.net.params(), agent.opt)
+        apply_update([(p, k, np.ones(p.shape[1:], dtype=np.float32)) for p in agent.net.params()], agent.opt)
         after = [[p.values.tobytes() for p in net.params()] for net in agent.networks()]
         for j in range(6):
             assert (after[j] == before[j]) == (j != k)
@@ -189,16 +189,15 @@ def test_multilabel_update_decomposes_per_head():
         for i in order.permutation(len(examples)):
             state, combo = examples[i]
             for k, head in enumerate(heads):
-                head.supervised_backward(state, (combo[k],))
-                apply_update(head.params(), opt)
+                grads, _ = head.supervised_backward(state, (combo[k],))
+                apply_update(grads, opt)
     assert agent_bytes(agent) == [p.values.tobytes() for head in heads for p in head.params()]
 
     for rec in records:
         agent.learn(rec)
         if rec.feedback_present and rec.reward != 0.0:
             for k, head in enumerate(heads):
-                head.reinforce_backward(rec.state, (rec.action[k],), rec.reward)
-                apply_update(head.params(), opt)
+                apply_update(head.reinforce_backward(rec.state, (rec.action[k],), rec.reward), opt)
     assert agent_bytes(agent) == [p.values.tobytes() for head in heads for p in head.params()]
     state = records[0].state
     assert agent.bit_probs(state).tobytes() == np.array([head.forward(state)[0] for head in heads]).tobytes()
@@ -210,7 +209,7 @@ AGENTS = {"multiclass": MulticlassPolicy, "multilabel": MultilabelPolicy}
 
 
 def param_bytes(agent):
-    "The parameter bytes, read without touching the gradients."
+    "The parameter bytes of the agent's network."
     return [p.values.tobytes() for p in agent.net.params()]
 
 
@@ -296,10 +295,8 @@ def test_expected_gradient_enumeration_matches_monte_carlo():
     probs = agent.action_probs(state)
 
     def grads_for(action):
-        net = agent.net.copy()
-        net.zero_grads()
-        net.reinforce_backward(state, action, reward(action))
-        return np.concatenate([p.grad.ravel().astype(np.float64) for p in net.params()])
+        grads = agent.net.reinforce_backward(state, action, reward(action))
+        return np.concatenate([g.ravel().astype(np.float64) for g in dense_grads(agent.net.params(), grads)])
 
     enumerated = sum(probs[a] * grads_for(a) for a in range(3))
     m = 30000
@@ -358,7 +355,7 @@ def test_evaluate_multilabel_one_bit_wrong_is_zero():
     examples = []
     for _ in range(40):
         s = rand_state(rng)
-        pred = list(agent.predict(s))
+        pred = (agent.bit_probs(s) >= 0.5).astype(int).tolist()
         pred[0] ^= 1  # gold differs from the thresholded prediction in bit 0
         examples.append((s, tuple(pred)))
     assert agent.evaluate(examples) == 0.0
@@ -379,8 +376,8 @@ def test_batched_evaluate_matches_per_state_loop(cls):
         hits = sum(int(np.argmax(agent.net.forward(s)) == y) for s, y in examples)
     else:
         examples = [(s, DEFAULT_VALID_COMBOS[int(rng.integers(6))]) for s in states]
-        examples[:100] = [(s, agent.predict(s)) for s, _ in examples[:100]]
-        hits = sum(int(agent.predict(s) == tuple(y)) for s, y in examples)
+        examples[:100] = [(s, tuple((agent.bit_probs(s) >= 0.5).astype(int).tolist())) for s, _ in examples[:100]]
+        hits = sum(int(np.array_equal(agent.bit_probs(s) >= 0.5, y)) for s, y in examples)
     assert 0 < hits < len(examples)
     assert agent.evaluate(examples) == hits / len(examples)
 

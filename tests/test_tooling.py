@@ -1,9 +1,13 @@
 """The demos and the benchmark reach into emorl by name; a deletion or a
-rename in the package must not leave them pointing at nothing."""
+rename in the package must not leave them pointing at nothing, and the
+quick demos must run to the end."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +39,20 @@ def test_every_name_a_script_imports_from_emorl_exists(path):
         found = importlib.import_module(module)
         if name is not None:
             assert hasattr(found, name) or importlib.util.find_spec(f"{module}.{name}"), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("name", ["01_networks_and_gradients", "02_text_pipeline", "04_online_reinforce"])
+def test_demo_runs_to_the_end(name, tmp_path):
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{name}.py")],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_every_traced_lookup_site_resolves():

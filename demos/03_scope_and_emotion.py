@@ -3,7 +3,7 @@
 # filter, train the emotion classifier on scoped inputs, and show why
 # scoping matters by comparing against a full-text classifier on a
 # distractor-heavy evaluation set.
-# How to run: python demos/03_scope_and_emotion.py  (~30 s)
+# How to run: python demos/03_scope_and_emotion.py  (~10 s)
 
 import warnings
 from dataclasses import replace
@@ -13,7 +13,6 @@ import numpy as np
 from emorl.emotion import EmotionModel, all_texts, evaluate_emotion, train_emotion
 from emorl.envsim import build_offline_corpus, config_vocab, default_config
 from emorl.scope import ScopeModel, train_scope
-from emorl.text import segment
 
 config = default_config()
 vocab = config_vocab(config)
@@ -45,13 +44,13 @@ with warnings.catch_warnings():
 print(f"\nscope filter: holdout F1 {metrics['holdout_f1']:.3f}, "
       f"accuracy {metrics['holdout_accuracy']:.3f}")
 
-scoped = scope.scope(segment(sample.text, vocab))
+scoped = scope.scope(scope.sentences(sample))
 print("kept sentences:", scoped.kept_texts)
 
 # ------------------------------------------------------------------
 # 3. Emotion classifier on scoped inputs vs full text
 # ------------------------------------------------------------------
-learned_scoper = lambda m: scope.scope(segment(m.text, vocab)).kept_texts
+learned_scoper = lambda m: scope.scope(scope.sentences(m)).kept_texts
 scoped_model = EmotionModel(vocab, seed=0)
 m1 = train_emotion(scoped_model, corpus, epochs=12, lr=0.5, seed=0, scoper=learned_scoper)
 full_model = EmotionModel(vocab, seed=0)

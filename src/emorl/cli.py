@@ -22,6 +22,7 @@ from .envsim import build_offline_corpus, config_vocab, corpus_from_jsonl, corpu
 from .harness import (
     ExperimentConfig,
     cell_key,
+    check_manifest,
     load_config_file,
     read_report,
     rederive_report,
@@ -34,7 +35,6 @@ from .harness import (
     write_report,
 )
 from .scope import ScopeModel, train_scope
-from .text import segment
 
 
 class UsageError(Exception):
@@ -135,12 +135,19 @@ def _learned_models(args, config) -> dict:
     return {"scope_model": ScopeModel.load(args.scope, vocab), "emotion_model": EmotionModel.load(args.emotion, vocab)}
 
 
+def _present(params: dict, **casts) -> dict:
+    "The keys of a stage section that the config sets, cast; the rest keep the signatures' defaults."
+    return {key: cast(params[key]) for key, cast in casts.items() if key in params}
+
+
 def _print_rows(rows: list[dict]) -> None:
     for row in rows:
         print(f"{row['task']:<10} {row['init']:<10} {row['regime']:<14} final success {row['final_success_mean']:.4f}")
 
 
 def cmd_gen_data(args) -> int:
+    if args.n is not None and args.n < 1:
+        raise UsageError(f"gen-data needs a positive --n, got {args.n}")
     config, stages, _ = _load(args)
     n = args.n if args.n is not None else int(stages.get("data", {}).get("n", 4000))
     rng = np.random.default_rng(config.seeds[0])
@@ -156,19 +163,8 @@ def cmd_train_scope(args) -> int:
     params = stages.get("scope", {})
     corpus = corpus_from_jsonl(args.data)
     vocab = config_vocab(config.generator)
-    model = ScopeModel(
-        vocab,
-        dim=int(params.get("dim", 32)),
-        window=int(params.get("window", 1)),
-        seed=config.seeds[0],
-    )
-    metrics = train_scope(
-        model,
-        corpus,
-        epochs=int(params.get("epochs", 6)),
-        lr=float(params.get("lr", 0.5)),
-        seed=config.seeds[0],
-    )
+    model = ScopeModel(vocab, **_present(params, dim=int, window=int), seed=config.seeds[0])
+    metrics = train_scope(model, corpus, **_present(params, epochs=int, lr=float), seed=config.seeds[0])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "scope.ckpt")
@@ -179,30 +175,22 @@ def cmd_train_scope(args) -> int:
 
 
 def cmd_train_emotion(args) -> int:
+    mode = args.scoper or ("scope" if args.scope else "gold")
+    if mode == "scope" and not args.scope:
+        raise UsageError("--scoper scope requires --scope (run the train-scope stage first)")
     config, stages, _ = _load(args)
     params = stages.get("emotion", {})
     corpus = corpus_from_jsonl(args.data)
     vocab = config_vocab(config.generator)
-    hidden = tuple(int(h) for h in params["hidden"].split(",") if h.strip()) if "hidden" in params else ()
-    model = EmotionModel(vocab, hidden=hidden, seed=config.seeds[0])
-    mode = args.scoper or ("scope" if args.scope else "gold")
+    model = EmotionModel(vocab, seed=config.seeds[0])
     if mode == "scope":
-        if not args.scope:
-            raise RuntimeError("--scoper scope requires --scope (run the train-scope stage first)")
         scope_model = ScopeModel.load(args.scope, vocab)
-        scoper = lambda m: scope_model.scope(segment(m.text, vocab)).kept_texts
+        scoper = lambda m: scope_model.scope(scope_model.sentences(m)).kept_texts
     elif mode == "none":
         scoper = all_texts
     else:
         scoper = None  # gold relevance flags
-    metrics = train_emotion(
-        model,
-        corpus,
-        epochs=int(params.get("epochs", 12)),
-        lr=float(params.get("lr", 0.5)),
-        seed=config.seeds[0],
-        scoper=scoper,
-    )
+    metrics = train_emotion(model, corpus, **_present(params, epochs=int, lr=float), seed=config.seeds[0], scoper=scoper)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "emotion.ckpt")
@@ -257,6 +245,7 @@ def cmd_report(args) -> int:
     rows = rederive_report(run_dir)
     if not rows:
         raise UsageError(f"no curve files under {run_dir / 'curves'}; is {run_dir} a run directory?")
+    check_manifest(run_dir)
     stored_path = run_dir / "report.csv"
     _print_rows(rows)
     if stored_path.exists():

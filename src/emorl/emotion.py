@@ -28,30 +28,24 @@ LABEL_ORDER = (EmotionLabel.POSITIVE, EmotionLabel.NEGATIVE, EmotionLabel.NEUTRA
 LABEL_INDEX = {label: i for i, label in enumerate(LABEL_ORDER)}
 _NEUTRAL_IDX = LABEL_INDEX[EmotionLabel.NEUTRAL]
 
-_REWARDS = {
-    EmotionLabel.POSITIVE: 1.0,
-    EmotionLabel.NEGATIVE: -1.0,
-    EmotionLabel.NEUTRAL: 0.0,
-}
-
 
 def reward_of(label: EmotionLabel) -> float:
     "Map an emotion label to its scalar reward: +1, -1, or 0."
-    return _REWARDS[label]
+    return float(label.value)
 
 
 class EmotionModel:
     """Bag-of-words softmax classifier over {positive, negative, neutral}.
 
-    A single dense layer is the default: the scoped bag-of-words classes
-    are close to linearly separable, and the linear model trains stably
-    where a small relu net plateaus.
+    A single dense layer: the scoped bag-of-words classes are close to
+    linearly separable, and the linear model trains stably where a small
+    relu net plateaus.
     """
 
-    def __init__(self, vocab: Vocabulary, hidden: tuple[int, ...] = (), seed: int = 0):
+    def __init__(self, vocab: Vocabulary, seed: int = 0):
         self.vocab = vocab
         self.net = Network.build(
-            [vocab.size, *hidden, len(LABEL_ORDER)],
+            [vocab.size, len(LABEL_ORDER)],
             head="softmax",
             rng=np.random.default_rng(seed),
             init_scale=0.5,
@@ -124,7 +118,6 @@ def train_emotion(
     corpus: Sequence,
     epochs: int = 12,
     lr: float = 0.5,
-    holdout_frac: float = 0.2,
     seed: int = 0,
     scoper: Callable[[object], list[str]] | None = None,
 ) -> dict:
@@ -132,8 +125,9 @@ def train_emotion(
 
     `scoper` maps a corpus message to the sentence texts the classifier
     should see; the default uses the gold relevance flags. Raises if any
-    emotion class is absent (macro-F1 would be undefined). Returns held-out
-    accuracy and macro-F1 plus the per-epoch training cross-entropy.
+    emotion class is absent (macro-F1 would be undefined). A fifth of the
+    corpus is held out. Returns held-out accuracy and macro-F1 plus the
+    per-epoch training cross-entropy.
     """
     if not corpus:
         raise ValueError("cannot train the emotion model on an empty corpus")
@@ -148,10 +142,9 @@ def train_emotion(
     y = np.array(labels, dtype=np.int64)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(corpus))
-    n_hold = int(round(holdout_frac * len(corpus)))
+    # all three classes make n >= 3, so 1 <= round(0.2 * n) < n: both splits are non-empty
+    n_hold = int(round(0.2 * len(corpus)))
     hold_idx, train_idx = order[:n_hold], order[n_hold:]
-    if len(train_idx) == 0:
-        raise ValueError("holdout fraction leaves no training data")
 
     opt = SGD(learning_rate=lr)
     train_ce: list[float] = []
@@ -165,10 +158,9 @@ def train_emotion(
 
     preds = [int(np.argmax(model.net.forward(X[i]))) for i in hold_idx]
     golds = [int(y[i]) for i in hold_idx]
-    accuracy = float(np.mean([p == g for p, g in zip(preds, golds)])) if golds else 0.0
     return {
-        "accuracy": accuracy,
-        "macro_f1": macro_f1(golds, preds, len(LABEL_ORDER)) if golds else 0.0,
+        "accuracy": float(np.mean([p == g for p, g in zip(preds, golds)])),
+        "macro_f1": macro_f1(golds, preds, len(LABEL_ORDER)),
         "train_ce": train_ce,
         "holdout_size": len(hold_idx),
     }

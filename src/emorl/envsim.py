@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -28,7 +28,7 @@ import numpy as np
 from .emotion import EmotionLabel, EmotionModel, classify_emotion, reward_of
 from .policy import DEFAULT_VALID_COMBOS, MULTICLASS_ACTIONS
 from .scope import ScopeModel, gold_scope_texts
-from .text import SPLIT_PUNCT, Sentence, Vocabulary, build_vocab, featurize_texts, segment, tokenize
+from .text import SPLIT_PUNCT, Vocabulary, build_vocab, featurize_texts, segment
 
 
 class ProtocolError(RuntimeError):
@@ -454,15 +454,7 @@ def corpus_to_jsonl(corpus: list[EmailMessage], path) -> None:
         for m in corpus:
             rec = {
                 "text": m.text,
-                "sentences": [
-                    {
-                        "text": s.text,
-                        "task_relevant": s.task_relevant,
-                        "directed": s.directed,
-                        "general": s.general,
-                    }
-                    for s in m.sentences
-                ],
+                "sentences": [asdict(s) for s in m.sentences],
                 "intent": list(m.gold_intent) if isinstance(m.gold_intent, tuple) else m.gold_intent,
                 "emotion": m.gold_emotion.name.lower(),
             }
@@ -476,15 +468,7 @@ def corpus_from_jsonl(path) -> list[EmailMessage]:
             if not line.strip():
                 continue
             rec = json.loads(line)
-            sentences = [
-                LabeledSentence(
-                    text=s["text"],
-                    task_relevant=s["task_relevant"],
-                    directed=s["directed"],
-                    general=s["general"],
-                )
-                for s in rec["sentences"]
-            ]
+            sentences = [LabeledSentence(**s) for s in rec["sentences"]]
             intent = tuple(rec["intent"]) if isinstance(rec["intent"], list) else rec["intent"]
             msg = EmailMessage(
                 sentences=sentences,
@@ -538,30 +522,11 @@ class Environment:
         self.rng = np.random.default_rng(seed)
         self._pending: tuple[EmailMessage, np.ndarray] | None = None
         self._step = 0
-        self._token_ids: dict[str, tuple[int, ...]] = {}
-
-    def _segments(self, message: EmailMessage) -> list[Sentence]:
-        """`segment(message.text, self.vocab)`, built from the message's own
-        sentences, each distinct sentence text tokenized once.
-
-        Equal because each labeled sentence is a stripped segment of a
-        template ending with splitting punctuation, and the text joins them
-        with single spaces.
-        """
-        out, start = [], 0
-        for s in message.sentences:
-            ids = self._token_ids.get(s.text)
-            if ids is None:
-                ids = self._token_ids[s.text] = self.vocab.ids(tokenize(s.text))
-            end = start + len(s.text)
-            out.append(Sentence(text=s.text, token_ids=ids, span=(start, end)))
-            start = end + 1
-        return out
 
     def scoped_texts(self, message: EmailMessage) -> list[str]:
         if self.channel == "oracle":
             return gold_scope_texts(message)
-        return self.scope_model.scope(self._segments(message)).kept_texts
+        return self.scope_model.scope(self.scope_model.sentences(message)).kept_texts
 
     def featurize_email(self, message: EmailMessage) -> np.ndarray:
         return featurize_texts(self.scoped_texts(message), self.vocab)
@@ -584,7 +549,7 @@ class Environment:
         if self.channel == "oracle":
             true_label = reply.gold_emotion
         else:
-            scoped = self.scope_model.scope(self._segments(reply))
+            scoped = self.scope_model.scope(self.scope_model.sentences(reply))
             true_label, _ = classify_emotion(self.emotion_model, scoped)
         present, observed = apply_regime(self.regime, self.rng, true_label)
         record = InteractionRecord(

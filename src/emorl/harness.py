@@ -386,6 +386,17 @@ def write_manifest(run_dir, config_text: str, seeds: Sequence[int]) -> None:
         g.write(manifest_text.encode("utf-8"))
 
 
+def check_manifest(run_dir) -> None:
+    """Raise ValueError if the run directory holds `config.ini` beside a
+    `manifest.json` that hashes another config, as a process killed between
+    write_manifest's two moves leaves them."""
+    config, manifest = Path(run_dir) / "config.ini", Path(run_dir) / "manifest.json"
+    if config.exists() and manifest.exists():
+        recorded = json.loads(manifest.read_text(encoding="utf-8")).get("config_sha256")
+        if recorded != hashlib.sha256(config.read_bytes()).hexdigest():
+            raise ValueError(f"{config} does not match the config_sha256 recorded in {manifest}")
+
+
 def _parse_fraction(raw: str) -> float:
     raw = raw.strip()
     if "/" in raw:

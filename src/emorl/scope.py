@@ -9,6 +9,7 @@ directed at the task). Sentences scoring >= 0.5 are kept.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -48,7 +49,6 @@ class ScopeModel:
         dim: int = 32,
         window: int = 1,
         seed: int = 0,
-        init_scale: float = 0.1,
     ):
         if window < 0:
             raise ValueError("window must be non-negative")
@@ -56,14 +56,34 @@ class ScopeModel:
         self.vocab = vocab
         self.dim = dim
         self.window = window
-        self.embed = ParamTensor("embed", rng.normal(0.0, init_scale, (vocab.size, dim)))
-        self.mix = ParamTensor("mix", rng.normal(0.0, init_scale, (2 * window + 1, dim)))
+        self.embed = ParamTensor("embed", rng.normal(0.0, 0.1, (vocab.size, dim)))
+        self.mix = ParamTensor("mix", rng.normal(0.0, 0.1, (2 * window + 1, dim)))
         self.bias = ParamTensor("bias", np.zeros(1, dtype=np.float32))
+        # token ids depend on the vocabulary alone, so training leaves this table valid
+        self._token_ids: dict[str, tuple[int, ...]] = {}
 
     def params(self) -> list[ParamTensor]:
         return [self.embed, self.mix, self.bias]
 
     # -- inference ---------------------------------------------------------
+
+    def sentences(self, message) -> list[Sentence]:
+        """`segment(message.text, self.vocab)`, built from the message's own
+        labeled sentences, each distinct sentence text tokenized once.
+
+        Equal because each labeled sentence is a stripped segment of a
+        template ending with splitting punctuation, and the text joins them
+        with single spaces.
+        """
+        out, start = [], 0
+        for s in message.sentences:
+            ids = self._token_ids.get(s.text)
+            if ids is None:
+                ids = self._token_ids[s.text] = self.vocab.ids(tokenize(s.text))
+            end = start + len(s.text)
+            out.append(Sentence(text=s.text, token_ids=ids, span=(start, end)))
+            start = end + 1
+        return out
 
     def sentence_matrix(self, token_ids: Sequence[Sequence[int]]) -> np.ndarray:
         "Stack of mean token embeddings, one row per sentence."
@@ -73,17 +93,24 @@ class ScopeModel:
                 rows[i] = self.embed.values[list(ids)].mean(axis=0)
         return rows
 
+    @staticmethod
+    @functools.cache
+    def _offsets(window: int, n: int) -> tuple[tuple[int, slice, slice], ...]:
+        """(mixer row j, rows, neighbours) for each offset k of a +/-window
+        that fits in n sentences: row i mixes in sentence i + k with mixer
+        row j. Cached, as every scored message rebuilds the same few."""
+        out = []
+        for j, k in enumerate(range(-window, window + 1)):
+            lo, hi = max(0, -k), min(n, n - k)
+            if lo < hi:
+                out.append((j, slice(lo, hi), slice(lo + k, hi + k)))
+        return tuple(out)
+
     def _logits(self, sent_vecs: np.ndarray) -> np.ndarray:
-        n = sent_vecs.shape[0]
+        logits = np.full(sent_vecs.shape[0], float(self.bias.values[0]))
         mix = self.mix.values
-        logits = np.full(n, float(self.bias.values[0]))
-        for j, k in enumerate(range(-self.window, self.window + 1)):
-            if k == 0:
-                logits += sent_vecs @ mix[j]
-            elif k > 0:
-                logits[: n - k] += sent_vecs[k:] @ mix[j]
-            else:
-                logits[-k:] += sent_vecs[: n + k] @ mix[j]
+        for j, rows, nbrs in self._offsets(self.window, len(logits)):
+            logits[rows] += sent_vecs[nbrs] @ mix[j]
         return logits
 
     def scores(self, token_ids: Sequence[Sequence[int]]) -> np.ndarray:
@@ -154,31 +181,28 @@ def train_scope(
     corpus: Sequence,
     epochs: int = 6,
     lr: float = 0.5,
-    holdout_frac: float = 0.2,
     seed: int = 0,
 ) -> dict:
     """Train the filter with per-message SGD on mean binary cross-entropy.
 
-    `corpus` holds messages with per-sentence gold flags. Returns training
-    BCE per epoch plus held-out F1/accuracy for the keep class; warns if the
-    training loss fails to decrease monotonically over the first 3 epochs.
+    `corpus` holds messages with per-sentence gold flags; a fifth of them
+    is held out. Returns training BCE per epoch plus held-out F1/accuracy
+    for the keep class; warns if the training loss fails to decrease
+    monotonically over the first 3 epochs.
     """
     if not corpus:
         raise ValueError("cannot train the scope filter on an empty corpus")
     data = []
     for message in corpus:
-        ids = [model.vocab.ids(tokenize(s.text)) for s in message.sentences]
+        ids = [s.token_ids for s in model.sentences(message)]
         data.append((ids, np.array(keep_labels(message), dtype=np.float64)))
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(data))
-    n_hold = int(round(holdout_frac * len(data)))
-    hold_idx = order[:n_hold]
-    train_idx = order[n_hold:]
-    if len(train_idx) == 0:
-        raise ValueError("holdout fraction leaves no training data")
+    # round(0.2 * n) < n for every n >= 1, so some message is always trained on
+    n_hold = int(round(0.2 * len(data)))
+    hold_idx, train_idx = order[:n_hold], order[n_hold:]
 
     opt = SGD(learning_rate=lr)
-    mix_offsets = list(range(-model.window, model.window + 1))
     epoch_bce: list[float] = []
     for _ in range(epochs):
         total, count = 0.0, 0
@@ -195,17 +219,9 @@ def train_scope(
             # head and mixer gradients
             mix_grad = np.zeros_like(model.mix.values, dtype=np.float64)
             d_vecs = np.zeros_like(vecs)
-            mix = model.mix.values
-            for j, k in enumerate(mix_offsets):
-                if k == 0:
-                    mix_grad[j] = g @ vecs
-                    d_vecs += g[:, None] * mix[j]
-                elif k > 0:
-                    mix_grad[j] = g[: n - k] @ vecs[k:]
-                    d_vecs[k:] += g[: n - k, None] * mix[j]
-                else:
-                    mix_grad[j] = g[-k:] @ vecs[: n + k]
-                    d_vecs[: n + k] += g[-k:, None] * mix[j]
+            for j, rows, nbrs in model._offsets(model.window, n):
+                mix_grad[j] = g[rows] @ vecs[nbrs]
+                d_vecs[nbrs] += g[rows, None] * model.mix.values[j]
             # embeddings: each token in sentence i receives d_vecs[i] / len(sent)
             emb_grad = np.zeros_like(model.embed.values, dtype=np.float64)
             for i_s, sent_ids in enumerate(ids):

@@ -125,15 +125,16 @@ def test_intent_distribution_matches_prior(gen_config):
 
 @functools.cache
 def _task_env(task):
-    "One environment per task, so its token-id table is shared across examples."
-    return Environment(default_config(task), seed=0)
+    "One environment and scope model per task, so the model's token-id table is shared across examples."
+    env = Environment(default_config(task), seed=0)
+    return env, ScopeModel(env.vocab)
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), task=st.sampled_from(["multiclass", "multilabel"]))
 def test_labeled_segments_match_resegmentation(seed, task):
     # the learned channel scopes these sentences in place of segment(m.text, vocab)
-    env = _task_env(task)
+    env, scope_model = _task_env(task)
     rng = np.random.default_rng(seed)
     email = generate_email(env.config, rng, draw_intent(env.config, rng))
     taken = draw_intent(env.config, rng)
@@ -141,7 +142,7 @@ def test_labeled_segments_match_resegmentation(seed, task):
     messages += build_offline_corpus(env.config, rng, 3)
     for m in messages:
         assert [s.text for s in segment(m.text, env.vocab)] == [s.text for s in m.sentences]
-        assert env._segments(m) == segment(m.text, env.vocab)
+        assert scope_model.sentences(m) == segment(m.text, env.vocab)
 
 
 _LEADING_DRAWS = st.lists(st.sampled_from(["random", "integers"]), max_size=4)

@@ -427,6 +427,38 @@ def test_cli_runners_refuse_zero_interactions_before_writing(command, configured
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["gen-data", "--out", "{out}/corpus.jsonl", "--n", "0"], "positive --n"),
+        (["gen-data", "--out", "{out}/corpus.jsonl", "--n", "-3"], "positive --n"),
+        (["train-emotion", "--data", "{data}", "--out", "{out}", "--scoper", "scope"], "requires --scope"),
+    ],
+)
+def test_cli_offline_usage_errors_exit_2_before_writing(argv, message, config_file, tmp_path, capsys):
+    data, out = tmp_path / "corpus.jsonl", tmp_path / "out"
+    data.write_text("", encoding="utf-8")
+    argv = [a.format(data=data, out=out) for a in argv]
+    assert main([*argv, "--config", str(config_file)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_report_refuses_a_config_the_manifest_does_not_hash(tmp_path, capsys):
+    # what a process killed between write_manifest's two moves leaves behind
+    run_dir = tmp_path / "run"
+    (run_dir / "curves").mkdir(parents=True)
+    (run_dir / "curves" / "multiclass_scratch_full_s1.csv").write_text(
+        "step,rolling_success,eval_accuracy\n100,0.500000,0.400000\n", encoding="utf-8"
+    )
+    write_manifest(run_dir, "[online]\nseeds = 1\n", (1,))
+    assert main(["report", "--run-dir", str(run_dir)]) == 0
+    (run_dir / "config.ini").write_text("[online]\nseeds = 2\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(run_dir)]) == 1
+    assert "config_sha256" in capsys.readouterr().err
+
+
 # -- crash-safe artefacts ---------------------------------------------------------
 
 

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emorl.envsim import EmailMessage, LabeledSentence, generate_email
 from emorl.emotion import EmotionLabel
@@ -88,6 +90,41 @@ def test_duplicating_sentence_only_affects_window_neighborhood(vocab, trained_sc
     # sentences farther than the window from the insertion point are untouched
     for i in range(len(segs) - trained_scope.window):
         assert base_scores[i] == ext_scores[i]
+
+
+_WINDOW_TEXTS = ["taskword move it.", "the sky is blue.", "please taskword now.", "lunch was fine."]
+_WINDOW_VOCAB = build_vocab(_WINDOW_TEXTS, 16)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    window=st.integers(0, 4),
+    messages=st.lists(
+        st.lists(st.tuples(st.sampled_from(_WINDOW_TEXTS), st.booleans()), max_size=6), min_size=1, max_size=3
+    ),
+)
+def test_every_window_fits_every_message_length(window, messages):
+    # a window wider than the message mixes in only the neighbours that exist
+    corpus = [make_message(specs) for specs in messages]
+    model = ScopeModel(_WINDOW_VOCAB, dim=4, window=window, seed=1)
+    for m in corpus:
+        sentences = segment(m.text, _WINDOW_VOCAB)
+        ids = [s.token_ids for s in sentences]
+        vecs = model.sentence_matrix(ids)
+        n = len(ids)
+        expected = [
+            float(model.bias.values[0])
+            + sum(vecs[i + k] @ model.mix.values[k + window] for k in range(-window, window + 1) if 0 <= i + k < n)
+            for i in range(n)
+        ]
+        assert model.scores(ids).shape == (n,)
+        np.testing.assert_allclose(model._logits(vecs), expected, rtol=1e-12, atol=1e-12)
+        assert len(model.scope(sentences).keep_mask) == n
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        metrics = train_scope(model, corpus, epochs=1, seed=0)
+    assert len(metrics["train_bce"]) == 1 and np.isfinite(metrics["train_bce"][0])
+    assert all(np.isfinite(p.values).all() for p in model.params())
 
 
 def test_train_scope_empty_corpus_raises(vocab):

@@ -41,7 +41,9 @@ def test_every_name_a_script_imports_from_emorl_exists(path):
             assert hasattr(found, name) or importlib.util.find_spec(f"{module}.{name}"), f"{module}.{name}"
 
 
-@pytest.mark.parametrize("name", ["01_networks_and_gradients", "02_text_pipeline", "04_online_reinforce"])
+@pytest.mark.parametrize(
+    "name", ["01_networks_and_gradients", "02_text_pipeline", "03_scope_and_emotion", "04_online_reinforce"]
+)
 def test_demo_runs_to_the_end(name, tmp_path):
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(

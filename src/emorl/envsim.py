@@ -27,8 +27,9 @@ import numpy as np
 
 from .emotion import EmotionLabel, EmotionModel, classify_emotion, reward_of
 from .policy import DEFAULT_VALID_COMBOS, MULTICLASS_ACTIONS
-from .scope import ScopeModel, gold_scope_texts
-from .text import SPLIT_PUNCT, Vocabulary, build_vocab, featurize_texts, segment
+from .scope import ScopedMessage, ScopeModel, gold_scope_texts
+from .text import SPLIT_PUNCT, Vocabulary, build_vocab, count_features, known_ids, segment, tokenize
+from .text import featurize_texts  # noqa: F401  the benchmark's span tracer wraps it at this name
 
 
 class ProtocolError(RuntimeError):
@@ -490,6 +491,13 @@ class Environment:
     message into the policy state; step(action) produces the user reply,
     extracts the (oracle or learned) emotion, applies the feedback regime,
     and returns the interaction record.
+
+    Per distinct sentence text it keeps the in-vocabulary token ids and, on
+    the learned channel, the scope filter's row; per tuple of kept reply
+    texts, the emotion label: about 100 entries under a trained filter, up
+    to one per reply (about 200 B each) under one that keeps everything.
+    Both assume the scope and emotion models do not change while the
+    environment uses them: after retraining either, build a new Environment.
     """
 
     def __init__(
@@ -522,14 +530,45 @@ class Environment:
         self.rng = np.random.default_rng(seed)
         self._pending: tuple[EmailMessage, np.ndarray] | None = None
         self._step = 0
+        self._texts: dict[str, tuple[tuple[int, ...], np.ndarray | None]] = {}
+        self._labels: dict[tuple[str, ...], EmotionLabel] = {}
+
+    def _facts(self, text: str) -> tuple[tuple[int, ...], np.ndarray | None]:
+        "(in-vocabulary token ids, scope row or None on the oracle channel) of a sentence text."
+        facts = self._texts.get(text)
+        if facts is None:
+            learned = self.channel == "learned"
+            row = self.scope_model.sentence_matrix([self.vocab.ids(tokenize(text))])[0] if learned else None
+            facts = self._texts[text] = (known_ids(text, self.vocab), row)
+        return facts
+
+    def _keep_mask(self, message: EmailMessage) -> list[bool]:
+        "The learned filter's keep decisions, as `ScopeModel.scope` makes them, from the texts' rows."
+        if not message.sentences:
+            return []
+        # np.array stacks the rows as np.stack does, at a third of its cost
+        return self.scope_model.keep(np.array([self._facts(s.text)[1] for s in message.sentences])).tolist()
 
     def scoped_texts(self, message: EmailMessage) -> list[str]:
         if self.channel == "oracle":
             return gold_scope_texts(message)
-        return self.scope_model.scope(self.scope_model.sentences(message)).kept_texts
+        return [s.text for s, keep in zip(message.sentences, self._keep_mask(message)) if keep]
 
     def featurize_email(self, message: EmailMessage) -> np.ndarray:
-        return featurize_texts(self.scoped_texts(message), self.vocab)
+        "`featurize_texts(self.scoped_texts(message), self.vocab)`, from the texts' token ids."
+        facts = self._facts
+        return count_features([i for text in self.scoped_texts(message) for i in facts(text)[0]], self.vocab.size)
+
+    def emotion_of(self, reply: EmailMessage) -> EmotionLabel:
+        "The reply's true emotion: its gold label, or on the learned channel the classifier's label of its scope."
+        if self.channel == "oracle":
+            return reply.gold_emotion
+        kept = tuple(self.scoped_texts(reply))
+        label = self._labels.get(kept)
+        if label is None:
+            scoped = ScopedMessage(self.scope_model.sentences(reply), self._keep_mask(reply))
+            label = self._labels[kept] = classify_emotion(self.emotion_model, scoped)[0]
+        return label
 
     def serve(self) -> tuple[EmailMessage, np.ndarray]:
         intent = draw_intent(self.config, self.rng)
@@ -546,12 +585,7 @@ class Environment:
         gold = email.gold_intent
         taken = tuple(int(b) for b in action) if self.config.task == "multilabel" else int(action)
         reply = respond(self.config, self.rng, gold, taken)
-        if self.channel == "oracle":
-            true_label = reply.gold_emotion
-        else:
-            scoped = self.scope_model.scope(self.scope_model.sentences(reply))
-            true_label, _ = classify_emotion(self.emotion_model, scoped)
-        present, observed = apply_regime(self.regime, self.rng, true_label)
+        present, observed = apply_regime(self.regime, self.rng, self.emotion_of(reply))
         record = InteractionRecord(
             step=self._step,
             state=state,

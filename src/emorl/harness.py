@@ -79,6 +79,16 @@ class ExperimentConfig:
             raise ValueError("window cannot exceed the interaction budget")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if self.eval_size < 1:
+            raise ValueError(f"eval_size must be at least 1, got {self.eval_size}")
+        if not 0.0 < self.lr < float("inf"):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not 0.0 <= self.init_scale < float("inf"):
+            raise ValueError(f"init_scale must be non-negative and finite, got {self.init_scale}")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"every hidden width must be at least 1, got {self.hidden}")
+        if self.init == "pretrained" and min(self.pretrain_size, self.pretrain_epochs) < 1:
+            raise ValueError("init = pretrained needs pretrain_size and pretrain_epochs of at least 1")
         self.generator = replace(self.generator, task=self.task)
         weights = self.generator.pretrain_intent_weights
         if weights is not None:

@@ -119,6 +119,14 @@ class ScopeModel:
             return np.zeros(0, dtype=np.float64)
         return sigmoid(self._logits(self.sentence_matrix(token_ids)))
 
+    def keep(self, sent_vecs: np.ndarray) -> np.ndarray:
+        """Keep mask of a message's `sentence_matrix`: a score of at least 0.5.
+
+        Not `logits >= 0`: a logit just below zero (about -1e-17) scores
+        exactly 0.5, because its exp rounds to 1.
+        """
+        return sigmoid(self._logits(sent_vecs)) >= 0.5
+
     def scope(self, sentences: Iterable[Sentence]) -> ScopedMessage:
         """Apply the filter: keep sentences whose score is at least 0.5.
 
@@ -127,8 +135,7 @@ class ScopeModel:
         sents = list(sentences)
         if not sents:
             return ScopedMessage([], [])
-        scores = self.scores([s.token_ids for s in sents])
-        return ScopedMessage(sents, [bool(v >= 0.5) for v in scores])
+        return ScopedMessage(sents, self.keep(self.sentence_matrix([s.token_ids for s in sents])).tolist())
 
     # -- persistence ---------------------------------------------------------
 
@@ -246,7 +253,7 @@ def _holdout_metrics(model: ScopeModel, data, hold_idx) -> dict:
         ids, y = data[i]
         if len(ids) == 0:
             continue
-        pred = model.scores(ids) >= 0.5
+        pred = model.keep(model.sentence_matrix(ids))
         gold = y >= 0.5
         tp += int(np.sum(pred & gold))
         fp += int(np.sum(pred & ~gold))

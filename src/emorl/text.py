@@ -120,19 +120,24 @@ def build_vocab(corpus: Iterable[str], max_size: int = 2048) -> Vocabulary:
     return Vocabulary([UNK_TOKEN] + kept)
 
 
+def known_ids(text: str, vocab: Vocabulary) -> tuple[int, ...]:
+    "The in-vocabulary token ids of `text`, in order; unknown tokens are dropped."
+    return tuple(i for i in vocab.ids(tokenize(text)) if i != UNK_ID)
+
+
+def count_features(ids: Sequence[int], size: int) -> np.ndarray:
+    """L1-normalized counts of in-vocabulary token ids over `size` slots, or
+    the zero vector for none: small integer counts, exact in float64."""
+    vec = np.bincount(np.asarray(ids, dtype=np.intp), minlength=size).astype(np.float64)
+    if len(ids):
+        vec /= len(ids)
+    return vec
+
+
 def featurize_texts(texts: Iterable[str], vocab: Vocabulary) -> np.ndarray:
     """L1-normalized bag-of-words counts of the in-vocabulary tokens of `texts`.
 
     Order-invariant over texts and tokens; an empty or fully
     out-of-vocabulary input yields the zero vector.
     """
-    vec = np.zeros(vocab.size, dtype=np.float64)
-    for text in texts:
-        for tok in tokenize(text):
-            tid = vocab.token_to_id.get(tok, UNK_ID)
-            if tid != UNK_ID:
-                vec[tid] += 1.0
-    total = vec.sum()
-    if total > 0.0:
-        vec /= total
-    return vec
+    return count_features([i for text in texts for i in known_ids(text, vocab)], vocab.size)

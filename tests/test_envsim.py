@@ -1,4 +1,6 @@
+import copy
 import functools
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -8,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emorl import envsim
-from emorl.emotion import EmotionLabel, EmotionModel
+from emorl.emotion import EmotionLabel, EmotionModel, classify_emotion
 from emorl.envsim import (
+    EmailMessage,
     Environment,
     FeedbackRegime,
+    LabeledSentence,
     ProtocolError,
     apply_regime,
     build_offline_corpus,
@@ -26,8 +30,8 @@ from emorl.envsim import (
 )
 from emorl.harness import ExperimentConfig, run_online
 from emorl.policy import MulticlassPolicy
-from emorl.scope import ScopeModel
-from emorl.text import Vocabulary, insertion_positions, segment
+from emorl.scope import ScopeModel, gold_scope_texts, train_scope
+from emorl.text import Vocabulary, featurize_texts, insertion_positions, segment
 
 
 # -- configuration ------------------------------------------------------------
@@ -501,3 +505,105 @@ def test_environment_seed_determinism(gen_config):
 
     assert trace(99) == trace(99)
     assert trace(99) != trace(100)
+
+
+# -- the per-text table and the kept-tuple memo ---------------------------------
+
+# words outside every template, so a sentence of them is all unknown tokens
+_UNKNOWN_SENTENCE = st.lists(st.sampled_from(["zorp", "quux", "blee", "snark"]), min_size=1, max_size=4).map(
+    lambda words: " ".join(words) + "."
+)
+
+
+@functools.cache
+def _untrained_models(vocab):
+    return ScopeModel(vocab, seed=3), EmotionModel(vocab, seed=3)
+
+
+@functools.cache
+def _shared_env(task, channel, scope_model, emotion_model, vocab):
+    "One environment per setting, shared across examples, so later examples read filled tables."
+    models = dict(scope_model=scope_model, emotion_model=emotion_model) if channel == "learned" else {}
+    return Environment(default_config(task), channel=channel, vocab=vocab, **models)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    task=st.sampled_from(["multiclass", "multilabel"]),
+    trained=st.booleans(),
+    unknown=st.lists(_UNKNOWN_SENTENCE, max_size=3),
+)
+def test_environment_tables_match_the_direct_path(seed, task, trained, unknown, vocab, trained_scope, trained_emotion):
+    assert all(vocab.id(w) == 0 for text in unknown for w in text[:-1].split())
+    scope_model, emotion_model = (trained_scope, trained_emotion) if trained else _untrained_models(vocab)
+    config = default_config(task)
+    rng = np.random.default_rng(seed)
+    email = generate_email(config, rng, draw_intent(config, rng))
+    messages = [email, respond(config, rng, email.gold_intent, draw_intent(config, rng))]
+    messages += build_offline_corpus(config, rng, 2)
+    odd = [LabeledSentence(text, task_relevant=k % 2 == 0) for k, text in enumerate(unknown)]
+    for sentences in (odd, odd + messages[1].sentences):
+        messages.append(EmailMessage(sentences, gold_intent=email.gold_intent, gold_emotion=EmotionLabel.NEUTRAL))
+    for channel in ("oracle", "learned"):
+        env = _shared_env(task, channel, scope_model, emotion_model, vocab)
+        for m in messages:
+            scoped = scope_model.scope(scope_model.sentences(m))
+            kept = gold_scope_texts(m) if channel == "oracle" else scoped.kept_texts
+            assert env.scoped_texts(m) == kept
+            assert env.featurize_email(m).tobytes() == featurize_texts(kept, vocab).tobytes()
+            label = m.gold_emotion if channel == "oracle" else classify_emotion(emotion_model, scoped)[0]
+            assert env.emotion_of(m) is label
+
+
+def test_tables_fill_once_and_a_retrained_model_needs_a_new_environment(
+    gen_config, vocab, trained_scope, trained_emotion, corpus3000, monkeypatch
+):
+    scope_model = copy.deepcopy(trained_scope)
+    learned = dict(channel="learned", scope_model=scope_model, emotion_model=trained_emotion, vocab=vocab)
+    probe = build_offline_corpus(gen_config, np.random.default_rng(9), 40)
+    stale = Environment(gen_config, seed=8, **learned)
+    for m in probe:
+        stale.scoped_texts(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        train_scope(scope_model, corpus3000[:300], epochs=1, seed=1)
+    # the old environment keeps the rows of the model it first saw; a new one reads the retrained model
+    fresh = Environment(gen_config, seed=8, **learned)
+    assert [fresh.scoped_texts(m) for m in probe] == [scope_model.scope(scope_model.sentences(m)).kept_texts for m in probe]
+    text = probe[0].sentences[0].text
+    assert not np.array_equal(fresh._facts(text)[1], stale._facts(text)[1])
+
+    scope_calls, classified, seen = [], [], set()
+    real_scope, real_classify = ScopeModel.scope, envsim.classify_emotion
+    real_generate, real_respond = envsim.generate_email, envsim.respond
+
+    def noting_texts(make):
+        def wrapped(*args):
+            message = make(*args)
+            seen.update(s.text for s in message.sentences)
+            return message
+
+        return wrapped
+
+    monkeypatch.setattr(ScopeModel, "scope", lambda self, sents: scope_calls.append(1) or real_scope(self, sents))
+    monkeypatch.setattr(envsim, "generate_email", noting_texts(real_generate))
+    monkeypatch.setattr(envsim, "respond", noting_texts(real_respond))
+    monkeypatch.setattr(
+        envsim, "classify_emotion", lambda model, scoped: classified.append(tuple(scoped.kept_texts)) or real_classify(model, scoped)
+    )
+    env = Environment(gen_config, seed=11, **learned)
+    rng = np.random.default_rng(12)
+
+    def loop():
+        for _ in range(300):
+            env.serve()
+            env.step(int(rng.integers(3)))
+        return len(classified)
+
+    first = loop()
+    second = loop() - first
+    assert scope_calls == []
+    assert len(classified) == len(set(classified)) == len(env._labels)
+    assert second < first  # the second loop mostly hits the memo
+    assert set(env._texts) == seen

@@ -85,6 +85,34 @@ def test_experiment_config_validation():
         ExperimentConfig(seeds=())
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(eval_size=0),
+        dict(lr=0.0),
+        dict(lr=-0.05),
+        dict(lr=float("nan")),
+        dict(lr=float("inf")),
+        dict(init_scale=-0.5),
+        dict(init_scale=float("nan")),
+        dict(hidden=(0,)),
+        dict(hidden=(64, 0)),
+        dict(init="pretrained", pretrain_size=0),
+        dict(init="pretrained", pretrain_epochs=0),
+    ],
+)
+def test_experiment_config_refuses_values_no_run_can_use(bad):
+    with pytest.raises(ValueError):
+        ExperimentConfig(**bad)
+
+
+def test_experiment_config_accepts_the_edges_of_its_ranges():
+    ExperimentConfig(eval_size=1, init_scale=0.0, hidden=())
+    # the pretraining sizes matter only to a pretrained run
+    ExperimentConfig(init="scratch", pretrain_size=0, pretrain_epochs=0)
+    ExperimentConfig(init="pretrained", pretrain_size=1, pretrain_epochs=1)
+
+
 def test_task_switch_drops_mismatched_pretrain_weights():
     cfg = ExperimentConfig(task="multilabel")
     assert cfg.generator.pretrain_intent_weights is None
@@ -385,6 +413,26 @@ def _bad_config(tmp_path, old, new):
     assert old in TEST_CONFIG
     path.write_text(TEST_CONFIG.replace(old, new), encoding="utf-8")
     return path
+
+
+@pytest.mark.parametrize(
+    ("old", "new", "message"),
+    [
+        ("eval_size = 20", "eval_size = 0", "eval_size"),
+        ("lr = 0.05", "lr = 0", "lr must"),
+        ("lr = 0.05", "lr = -0.05", "lr must"),
+        ("hidden = 64", "hidden = 64\ninit_scale = -1", "init_scale"),
+        ("hidden = 64", "hidden = 0", "hidden width"),
+        ("init = scratch", "init = pretrained\npretrain_size = 0", "pretrain_size"),
+        ("init = scratch", "init = pretrained\npretrain_epochs = 0", "pretrain_epochs"),
+    ],
+)
+def test_cli_run_online_refuses_an_unusable_config_before_writing(old, new, message, tmp_path, capsys):
+    path = _bad_config(tmp_path, old, new)
+    run_dir = tmp_path / "run"
+    assert main(["run-online", "--config", str(path), "--run-dir", str(run_dir)]) == 1
+    assert message in capsys.readouterr().err
+    assert not run_dir.exists()
 
 
 def test_cli_run_grid_refuses_the_learned_channel_before_writing(tmp_path, capsys):

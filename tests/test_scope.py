@@ -224,3 +224,15 @@ def test_malformed_scope_checkpoint_is_format_error(tmp_path, tensors):
     write_tensors(path, tensors)
     with pytest.raises(CheckpointFormatError):
         ScopeModel.load(path, build_vocab(["a b"], 3))
+
+
+def test_keep_holds_a_logit_just_below_zero_whose_score_rounds_to_one_half(vocab):
+    # exp(-1e-17) rounds to 1, so the score is exactly 0.5 and the sentence is kept
+    model = ScopeModel(vocab, seed=0)
+    model.mix.values[...] = 0.0
+    model.bias.values[0] = float(np.float32(-1e-17))
+    sents = segment("First part, second part.", vocab)
+    vecs = model.sentence_matrix([s.token_ids for s in sents])
+    assert np.all(model._logits(vecs) < 0.0)
+    assert model.keep(vecs).tolist() == [True, True]
+    assert model.scope(sents).keep_mask == [True, True]

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from emorl.text import (
     SPLIT_PUNCT,
+    UNK_ID,
+    UNK_TOKEN,
     Vocabulary,
     build_vocab,
+    count_features,
     featurize_texts,
     insertion_positions,
     segment,
@@ -215,3 +218,46 @@ def test_featurize_all_oov_is_zero_vector():
     vocab = build_vocab(["known"], max_size=2)
     vec = featurize_texts(["completely different"], vocab)
     assert np.all(vec == 0.0)
+
+
+_KNOWN = [f"w{i}" for i in range(30)]
+_INVARIANT_VOCAB = Vocabulary([UNK_TOKEN] + _KNOWN)
+_WORD = st.sampled_from(_KNOWN + [w.upper() for w in _KNOWN[:5]] + ["u0", "u1", "u2"])
+_TEXTS = st.lists(st.lists(_WORD, max_size=8).map(" ".join), max_size=6)
+
+
+def _per_token_loop(texts, vocab):
+    "The featurizer as one float64 increment per known token, then one division by the total."
+    vec = np.zeros(vocab.size, dtype=np.float64)
+    for text in texts:
+        for tok in tokenize(text):
+            tid = vocab.token_to_id.get(tok, UNK_ID)
+            if tid != UNK_ID:
+                vec[tid] += 1.0
+    total = vec.sum()
+    if total > 0.0:
+        vec /= total
+    return vec
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(texts=_TEXTS, data=st.data())
+def test_featurize_invariants(texts, data):
+    vocab = _INVARIANT_VOCAB
+    vec = featurize_texts(texts, vocab)
+    assert vec.tobytes() == _per_token_loop(texts, vocab).tobytes()
+    shuffled = [" ".join(data.draw(st.permutations(tokenize(t)))) for t in data.draw(st.permutations(texts))]
+    assert featurize_texts(shuffled, vocab).tobytes() == vec.tobytes()
+    repeats = data.draw(st.integers(2, 7))
+    assert featurize_texts(texts * repeats, vocab).tobytes() == vec.tobytes()
+    assert featurize_texts(texts + ["u0 u1", "u2"], vocab).tobytes() == vec.tobytes()
+    assert vec[UNK_ID] == 0.0
+    if vec.any():
+        assert vec.sum() == pytest.approx(1.0, abs=1e-12)
+    else:
+        assert not any(vocab.id(tok) for text in texts for tok in tokenize(text))
+
+
+def test_count_features_of_no_ids_is_the_zero_vector():
+    vec = count_features([], 5)
+    assert vec.dtype == np.float64 and vec.tobytes() == np.zeros(5).tobytes()

@@ -21,6 +21,7 @@ from .emotion import EmotionModel, all_texts, train_emotion
 from .envsim import build_offline_corpus, config_vocab, corpus_from_jsonl, corpus_to_jsonl
 from .harness import (
     ExperimentConfig,
+    arguments_for,
     cell_key,
     check_manifest,
     load_config_file,
@@ -135,11 +136,6 @@ def _learned_models(args, config) -> dict:
     return {"scope_model": ScopeModel.load(args.scope, vocab), "emotion_model": EmotionModel.load(args.emotion, vocab)}
 
 
-def _present(params: dict, **casts) -> dict:
-    "The keys of a stage section that the config sets, cast; the rest keep the signatures' defaults."
-    return {key: cast(params[key]) for key, cast in casts.items() if key in params}
-
-
 def _print_rows(rows: list[dict]) -> None:
     for row in rows:
         print(f"{row['task']:<10} {row['init']:<10} {row['regime']:<14} final success {row['final_success_mean']:.4f}")
@@ -149,7 +145,7 @@ def cmd_gen_data(args) -> int:
     if args.n is not None and args.n < 1:
         raise UsageError(f"gen-data needs a positive --n, got {args.n}")
     config, stages, _ = _load(args)
-    n = args.n if args.n is not None else int(stages.get("data", {}).get("n", 4000))
+    n = args.n if args.n is not None else stages.get("data", {}).get("n", 4000)
     rng = np.random.default_rng(config.seeds[0])
     corpus = build_offline_corpus(config.generator, rng, n)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -163,8 +159,8 @@ def cmd_train_scope(args) -> int:
     params = stages.get("scope", {})
     corpus = corpus_from_jsonl(args.data)
     vocab = config_vocab(config.generator)
-    model = ScopeModel(vocab, **_present(params, dim=int, window=int), seed=config.seeds[0])
-    metrics = train_scope(model, corpus, **_present(params, epochs=int, lr=float), seed=config.seeds[0])
+    model = ScopeModel(vocab, **arguments_for(ScopeModel, params), seed=config.seeds[0])
+    metrics = train_scope(model, corpus, **arguments_for(train_scope, params), seed=config.seeds[0])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "scope.ckpt")
@@ -179,7 +175,6 @@ def cmd_train_emotion(args) -> int:
     if mode == "scope" and not args.scope:
         raise UsageError("--scoper scope requires --scope (run the train-scope stage first)")
     config, stages, _ = _load(args)
-    params = stages.get("emotion", {})
     corpus = corpus_from_jsonl(args.data)
     vocab = config_vocab(config.generator)
     model = EmotionModel(vocab, seed=config.seeds[0])
@@ -190,7 +185,7 @@ def cmd_train_emotion(args) -> int:
         scoper = all_texts
     else:
         scoper = None  # gold relevance flags
-    metrics = train_emotion(model, corpus, **_present(params, epochs=int, lr=float), seed=config.seeds[0], scoper=scoper)
+    metrics = train_emotion(model, corpus, **stages.get("emotion", {}), seed=config.seeds[0], scoper=scoper)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "emotion.ckpt")

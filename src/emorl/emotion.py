@@ -61,15 +61,7 @@ class EmotionModel:
         safest outcome for the learner), then follow label order.
         """
         texts = [t for t in texts if t.strip()]
-        if not texts:
-            probs = np.zeros(len(LABEL_ORDER))
-            probs[_NEUTRAL_IDX] = 1.0
-            return EmotionLabel.NEUTRAL, probs
-        probs = self.distribution(texts)
-        top = probs.max()
-        tied = [i for i in range(len(LABEL_ORDER)) if probs[i] == top]
-        idx = _NEUTRAL_IDX if _NEUTRAL_IDX in tied else tied[0]
-        return LABEL_ORDER[idx], probs
+        return _label(self.distribution(texts) if texts else None)
 
     def save(self, path) -> None:
         save_checkpoint(self.net, path)
@@ -82,6 +74,18 @@ class EmotionModel:
         model = cls(vocab)
         model.net = net
         return model
+
+
+def _label(probs: np.ndarray | None) -> tuple[EmotionLabel, np.ndarray]:
+    "classify_texts's label of a class distribution; None stands for an empty scope, which is Neutral."
+    if probs is None:
+        probs = np.zeros(len(LABEL_ORDER))
+        probs[_NEUTRAL_IDX] = 1.0
+        return EmotionLabel.NEUTRAL, probs
+    top = probs.max()
+    tied = [i for i in range(len(LABEL_ORDER)) if probs[i] == top]
+    idx = _NEUTRAL_IDX if _NEUTRAL_IDX in tied else tied[0]
+    return LABEL_ORDER[idx], probs
 
 
 def classify_emotion(model: EmotionModel, scoped) -> tuple[EmotionLabel, np.ndarray]:
@@ -138,7 +142,12 @@ def train_emotion(
         missing = [LABEL_ORDER[i].name for i in range(len(LABEL_ORDER)) if i not in present]
         raise ValueError(f"corpus is missing emotion classes: {', '.join(missing)}")
 
-    X = np.stack([featurize_texts(scoper(m), model.vocab) for m in corpus])
+    rows, empty = [], []
+    for m in corpus:
+        texts = [t for t in scoper(m) if t.strip()]  # the texts classify_texts classifies
+        rows.append(featurize_texts(texts, model.vocab))
+        empty.append(not texts)
+    X = np.stack(rows)
     y = np.array(labels, dtype=np.int64)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(corpus))
@@ -156,7 +165,8 @@ def train_emotion(
             apply_update(grads, opt)
         train_ce.append(total / len(train_idx))
 
-    preds = [int(np.argmax(model.net.forward(X[i]))) for i in hold_idx]
+    # held-out labels follow classify_texts's rule, as the online loop's do
+    preds = [LABEL_INDEX[_label(None if empty[i] else model.net.forward(X[i]))[0]] for i in hold_idx]
     golds = [int(y[i]) for i in hold_idx]
     return {
         "accuracy": float(np.mean([p == g for p, g in zip(preds, golds)])),

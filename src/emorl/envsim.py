@@ -508,7 +508,6 @@ class Environment:
         channel: str = "oracle",
         scope_model: ScopeModel | None = None,
         emotion_model: EmotionModel | None = None,
-        vocab: Vocabulary | None = None,
     ):
         if channel not in ("oracle", "learned"):
             raise ValueError(f"unknown emotion channel {channel!r}")
@@ -522,11 +521,11 @@ class Environment:
         self.channel = channel
         self.scope_model = scope_model
         self.emotion_model = emotion_model
-        self.vocab = vocab if vocab is not None else config_vocab(config)
+        self.vocab = config_vocab(config)
         for name, model in (("scope", scope_model), ("emotion", emotion_model)):
             # token ids index the models' weights, so the tables must agree id for id
             if model is not None and model.vocab.id_to_token != self.vocab.id_to_token:
-                raise ValueError(f"the {name} model's vocabulary differs from the one the environment segments with")
+                raise ValueError(f"the {name} model's vocabulary differs from the generator's (config_vocab)")
         self.rng = np.random.default_rng(seed)
         self._pending: tuple[EmailMessage, np.ndarray] | None = None
         self._step = 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import inspect
 import json
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -28,7 +29,6 @@ from .envsim import (
     Environment,
     FeedbackRegime,
     GeneratorConfig,
-    config_vocab,
     default_config,
     draw_intent,
     draw_pretrain_set,
@@ -37,7 +37,6 @@ from .envsim import (
 from .nn import replacing
 from .policy import MulticlassPolicy, MultilabelPolicy, save_agent
 from .scope import ScopeModel
-from .text import Vocabulary
 
 CURVE_HEADER = "step,rolling_success,eval_accuracy"
 
@@ -200,7 +199,6 @@ def run_online(
     checkpoint_dir=None,
     scope_model: ScopeModel | None = None,
     emotion_model: EmotionModel | None = None,
-    vocab: Vocabulary | None = None,
 ):
     """One online run: serve -> act -> step -> learn for the whole budget.
 
@@ -210,7 +208,6 @@ def run_online(
     is given rows are flushed to disk as they are produced.
     """
     gen = config.generator
-    vocab = vocab if vocab is not None else config_vocab(gen)
     env = Environment(
         gen,
         seed=[seed, 2],
@@ -218,9 +215,8 @@ def run_online(
         channel=config.channel,
         scope_model=scope_model,
         emotion_model=emotion_model,
-        vocab=vocab,
     )
-    agent = build_agent(config, vocab.size, seed)
+    agent = build_agent(config, env.vocab.size, seed)
     eval_set = make_eval_set(config, env, seed)
 
     info: dict = {"seed": seed}
@@ -407,82 +403,73 @@ def check_manifest(run_dir) -> None:
             raise ValueError(f"{config} does not match the config_sha256 recorded in {manifest}")
 
 
-def _parse_fraction(raw: str) -> float:
-    raw = raw.strip()
-    if "/" in raw:
-        num, den = raw.split("/", 1)
-        return float(num) / float(den)
-    return float(raw)
+def _fraction(raw: str) -> float:
+    "A float, or a fraction written `num/den`."
+    num, slash, den = raw.partition("/")
+    return float(num) / float(den) if slash else float(raw)
 
 
-def _parse_tuple(raw: str, cast) -> tuple:
-    items = [p.strip() for p in raw.replace("(", "").replace(")", "").split(",") if p.strip()]
-    return tuple(cast(p) for p in items)
+def _tuple_of(cast):
+    "The cast of a comma-separated list, parentheses optional, to a tuple of `cast`."
+    return lambda raw: tuple(cast(p) for p in raw.replace("(", "").replace(")", "").split(",") if p.strip())
 
 
-def parse_regime(section: dict) -> FeedbackRegime:
-    kind = section.get("regime", "full").strip()
-    if kind == "full":
-        return FeedbackRegime.full()
-    p = _parse_fraction(section.get("feedback_p", "0.15"))
-    if kind == "partial":
-        return FeedbackRegime.partial(p)
-    if kind == "partial_noisy":
-        return FeedbackRegime.partial_noisy(p, _parse_fraction(section.get("wrong_frac", "1/3")))
-    raise ValueError(f"unknown regime {kind!r}")
+# the [online] keys that build the FeedbackRegime, by the factory parameter each sets
+_REGIME_ARGS = {"feedback_p": "p", "wrong_frac": "wrong_frac"}
+
+# Every key a run configuration may set, by section, with the cast of its
+# value. [online] keys are ExperimentConfig fields (`regime` names the
+# FeedbackRegime factory), [generator] keys GeneratorConfig fields, and the
+# stage sections' keys are parameters of the stage commands' callees.
+SECTIONS: dict[str, dict] = {
+    "online": {
+        "task": str, "init": str, "channel": str, "regime": str, **dict.fromkeys(_REGIME_ARGS, _fraction),
+        "interactions": int, "eval_every": int, "window": int, "seeds": _tuple_of(int),
+        "lr": float, "hidden": _tuple_of(int), "init_scale": float,
+        "eval_size": int, "pretrain_size": int, "pretrain_epochs": int,
+    },
+    "generator": {
+        **dict.fromkeys(RATE_FIELDS, _fraction), "max_distractors": int, "vocab_size": int,
+        "pretrain_intent_weights": _tuple_of(float), "intent_prior": _tuple_of(float),
+    },
+    "scope": {"dim": int, "window": int, "epochs": int, "lr": float},
+    "emotion": {"epochs": int, "lr": float},
+    "data": {"n": int},
+}
 
 
-def build_generator_config(section: dict, task: str) -> GeneratorConfig:
-    overrides: dict = {}
-    for name in RATE_FIELDS:
-        if name in section:
-            overrides[name] = _parse_fraction(section[name])
-    if "max_distractors" in section:
-        overrides["max_distractors"] = int(section["max_distractors"])
-    if "vocab_size" in section:
-        overrides["vocab_size"] = int(section["vocab_size"])
-    if "pretrain_intent_weights" in section:
-        overrides["pretrain_intent_weights"] = _parse_tuple(section["pretrain_intent_weights"], float)
-    if "intent_prior" in section:
-        overrides["intent_prior"] = _parse_tuple(section["intent_prior"], float)
-    return default_config(task=task, **overrides)
+def arguments_for(fn, values: dict) -> dict:
+    "The entries of `values` that `fn` takes as keyword arguments."
+    params = inspect.signature(fn).parameters
+    return {key: value for key, value in values.items() if key in params}
 
 
 def load_config_file(path) -> dict:
-    """Parse the flat `key = value` sections of a run configuration.
+    """Parse a run configuration: flat `key = value` sections, each key one of
+    SECTIONS; an unknown section or key raises ValueError naming it.
 
-    Returns {"experiment": ExperimentConfig, "stages": {section: dict}}.
-    Unknown sections are preserved in "stages" for the CLI stage commands.
+    Returns {"experiment": ExperimentConfig, "stages": {section: {key: value}}},
+    the values cast; the stage commands read their sections from "stages".
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
+    # no header names the default section "", so a [DEFAULT] is one more unknown section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
+    if not parser.read(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    sections = {name: dict(parser[name]) for name in parser.sections()}
-    online = sections.get("online", {})
-    task = online.get("task", "multiclass").strip()
-    generator = build_generator_config(sections.get("generator", {}), task)
-    kwargs: dict = {"task": task, "generator": generator}
-    if "init" in online:
-        kwargs["init"] = online["init"].strip()
-    if "channel" in online:
-        kwargs["channel"] = online["channel"].strip()
-    kwargs["regime"] = parse_regime(online)
-    for name, cast in (
-        ("interactions", int),
-        ("eval_every", int),
-        ("window", int),
-        ("lr", float),
-        ("init_scale", float),
-        ("eval_size", int),
-        ("pretrain_size", int),
-        ("pretrain_epochs", int),
-    ):
-        if name in online:
-            kwargs[name] = cast(online[name])
-    if "seeds" in online:
-        kwargs["seeds"] = _parse_tuple(online["seeds"], int)
-    if "hidden" in online:
-        kwargs["hidden"] = _parse_tuple(online["hidden"], int)
-    experiment = ExperimentConfig(**kwargs)
-    return {"experiment": experiment, "stages": sections}
+    stages = {}
+    for name in parser.sections():
+        if name not in SECTIONS:
+            raise ValueError(f"unknown section [{name}]; the sections are {', '.join(f'[{s}]' for s in SECTIONS)}")
+        unknown = sorted(set(parser[name]) - set(SECTIONS[name]))
+        if unknown:
+            raise ValueError(f"unknown key(s) in [{name}]: {', '.join(unknown)}")
+        stages[name] = {key: SECTIONS[name][key](value) for key, value in parser[name].items()}
+    online = dict(stages.get("online", {}))
+    args = {param: online.pop(key) for key, param in _REGIME_ARGS.items() if key in online}
+    if "regime" in online:
+        if online["regime"] not in REGIME_NAMES:
+            raise ValueError(f"unknown regime {online['regime']!r}")
+        # full takes none of the regime arguments, partial only p
+        factory = getattr(FeedbackRegime, online["regime"])
+        online["regime"] = factory(**arguments_for(factory, args))
+    generator = default_config(online.get("task", ExperimentConfig.task), **stages.get("generator", {}))
+    return {"experiment": ExperimentConfig(**online, generator=generator), "stages": stages}

@@ -123,6 +123,16 @@ def test_separable_three_phrase_corpus():
     assert metrics["accuracy"] >= 0.99
 
 
+def test_holdout_labels_an_empty_scope_neutral(vocab, corpus3000):
+    # all Negative but one Positive and one Neutral message, all scoped to nothing:
+    # training on empty inputs pulls the output bias toward Negative, but an empty
+    # scope is Neutral by definition, so only a held-out Neutral message is right
+    first = {label: [m for m in corpus3000[:300] if m.gold_emotion is label] for label in LABEL_ORDER}
+    corpus = first[EmotionLabel.NEGATIVE] + first[EmotionLabel.POSITIVE][:1] + first[EmotionLabel.NEUTRAL][:1]
+    metrics = train_emotion(EmotionModel(vocab, seed=0), corpus, epochs=2, seed=0, scoper=lambda m: [])
+    assert metrics["accuracy"] <= 1 / metrics["holdout_size"]
+
+
 def test_label_shuffled_corpus_is_chance(vocab, corpus3000):
     rng = np.random.default_rng(0)
     corpus = corpus3000[:900]

@@ -172,9 +172,9 @@ def test_single_draws_equal_rng_choice(gen_config, seed, n, draws):
     assert fast.bit_generator.state == ref.bit_generator.state
 
 
-def test_templates_are_segmented_once_per_process(gen_config, vocab, trained_scope, trained_emotion, monkeypatch):
+def test_templates_are_segmented_once_per_process(gen_config, trained_scope, trained_emotion, monkeypatch):
     config = ExperimentConfig(interactions=200, eval_every=100, window=100, eval_size=20, seeds=(1,))
-    scoped = dict(channel="learned", scope_model=trained_scope, emotion_model=trained_emotion, vocab=vocab)
+    scoped = dict(channel="learned", scope_model=trained_scope, emotion_model=trained_emotion)
 
     def loop():
         env = Environment(gen_config, seed=5, **scoped)
@@ -407,28 +407,24 @@ def _reordered(vocab):
     return Vocabulary(tokens)
 
 
-def _learned_env(gen_config, vocab, scope_vocab, emotion_vocab):
+def _learned_env(gen_config, scope_vocab, emotion_vocab):
     return Environment(
-        gen_config,
-        channel="learned",
-        scope_model=ScopeModel(scope_vocab),
-        emotion_model=EmotionModel(emotion_vocab),
-        vocab=vocab,
+        gen_config, channel="learned", scope_model=ScopeModel(scope_vocab), emotion_model=EmotionModel(emotion_vocab)
     )
 
 
 def test_scope_model_vocabulary_must_match(gen_config, vocab):
     # an equal table in another object is accepted
-    _learned_env(gen_config, vocab, Vocabulary(vocab.id_to_token), vocab)
+    _learned_env(gen_config, Vocabulary(vocab.id_to_token), vocab)
     for other in (_reordered(vocab), Vocabulary(vocab.id_to_token[:-1])):
         with pytest.raises(ValueError, match="scope model's vocabulary"):
-            _learned_env(gen_config, vocab, other, vocab)
+            _learned_env(gen_config, other, vocab)
 
 
 def test_emotion_model_vocabulary_must_match(gen_config, vocab):
     for other in (_reordered(vocab), Vocabulary(vocab.id_to_token[:-1])):
         with pytest.raises(ValueError, match="emotion model's vocabulary"):
-            _learned_env(gen_config, vocab, vocab, other)
+            _learned_env(gen_config, vocab, other)
 
 
 def test_oracle_full_rewards_track_correctness(gen_config):
@@ -465,9 +461,7 @@ def test_learned_channel_agreement_tracks_emotion_accuracy(
 ):
     emotion_model, metrics = emotion_training
     cfg = replace(gen_config, q_pos=1.0, q_neg=1.0)
-    env = Environment(
-        cfg, seed=26, channel="learned", scope_model=trained_scope, emotion_model=emotion_model, vocab=vocab
-    )
+    env = Environment(cfg, seed=26, channel="learned", scope_model=trained_scope, emotion_model=emotion_model)
     agent = MulticlassPolicy(vocab.size, seed=3)
     agree = 0
     n = 1500
@@ -521,10 +515,10 @@ def _untrained_models(vocab):
 
 
 @functools.cache
-def _shared_env(task, channel, scope_model, emotion_model, vocab):
+def _shared_env(task, channel, scope_model, emotion_model):
     "One environment per setting, shared across examples, so later examples read filled tables."
     models = dict(scope_model=scope_model, emotion_model=emotion_model) if channel == "learned" else {}
-    return Environment(default_config(task), channel=channel, vocab=vocab, **models)
+    return Environment(default_config(task), channel=channel, **models)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -546,7 +540,7 @@ def test_environment_tables_match_the_direct_path(seed, task, trained, unknown, 
     for sentences in (odd, odd + messages[1].sentences):
         messages.append(EmailMessage(sentences, gold_intent=email.gold_intent, gold_emotion=EmotionLabel.NEUTRAL))
     for channel in ("oracle", "learned"):
-        env = _shared_env(task, channel, scope_model, emotion_model, vocab)
+        env = _shared_env(task, channel, scope_model, emotion_model)
         for m in messages:
             scoped = scope_model.scope(scope_model.sentences(m))
             kept = gold_scope_texts(m) if channel == "oracle" else scoped.kept_texts
@@ -560,7 +554,7 @@ def test_tables_fill_once_and_a_retrained_model_needs_a_new_environment(
     gen_config, vocab, trained_scope, trained_emotion, corpus3000, monkeypatch
 ):
     scope_model = copy.deepcopy(trained_scope)
-    learned = dict(channel="learned", scope_model=scope_model, emotion_model=trained_emotion, vocab=vocab)
+    learned = dict(channel="learned", scope_model=scope_model, emotion_model=trained_emotion)
     probe = build_offline_corpus(gen_config, np.random.default_rng(9), 40)
     stale = Environment(gen_config, seed=8, **learned)
     for m in probe:

@@ -129,6 +129,5 @@ def test_learned_channel_bytes_match_golden_hashes(tmp_path):
         checkpoint_dir=tmp_path / "run" / "agent",
         scope_model=scope_model,
         emotion_model=emotion_model,
-        vocab=vocab,
     )
     assert file_hashes(tmp_path) == GOLDEN_LEARNED

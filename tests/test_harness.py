@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import time
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ import pytest
 from emorl.cli import main
 from emorl.envsim import Environment, FeedbackRegime
 from emorl.harness import (
+    SECTIONS,
     CurveRow,
     ExperimentConfig,
     LearningCurve,
@@ -126,12 +128,20 @@ def test_config_file_parsing(config_file):
     assert cfg.seeds == (1, 2)
     assert cfg.hidden == (64,)
     assert cfg.interactions == 200
-    assert loaded["stages"]["data"]["n"] == "120"
+    assert loaded["stages"]["data"]["n"] == 120
 
 
 def test_config_file_missing(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_config_file(tmp_path / "nope.ini")
+
+
+@pytest.mark.parametrize(("section", "key"), [(s, k) for s, keys in SECTIONS.items() for k in keys])
+def test_a_misspelt_key_of_any_section_is_refused(section, key, tmp_path):
+    path = tmp_path / "typo.ini"
+    path.write_text(f"[{section}]\n{key}s = 1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"unknown key(s) in [{section}]: {key}s")):
+        load_config_file(path)
 
 
 # -- curves ---------------------------------------------------------------------
@@ -165,7 +175,8 @@ def test_zero_interactions_empty_curve_unchanged_agent():
     cfg = ExperimentConfig(interactions=0, eval_every=1, window=1, seeds=(1,), eval_size=5)
     curve, agent, info = run_online(cfg, seed=1)
     assert len(curve) == 0
-    from emorl.harness import build_agent, config_vocab
+    from emorl.envsim import config_vocab
+    from emorl.harness import build_agent
 
     fresh = build_agent(cfg, config_vocab(cfg.generator).size, 1)
     assert [p.values.tobytes() for p in agent.net.params()] == [
@@ -433,6 +444,26 @@ def test_cli_run_online_refuses_an_unusable_config_before_writing(old, new, mess
     assert main(["run-online", "--config", str(path), "--run-dir", str(run_dir)]) == 1
     assert message in capsys.readouterr().err
     assert not run_dir.exists()
+
+
+@pytest.mark.parametrize(
+    ("argv", "old", "new", "message"),
+    [
+        (["run-online", "--run-dir", "{out}"], "interactions = 200", "interaction = 50", "in [online]: interaction"),
+        (["gen-data", "--out", "{out}/corpus.jsonl"], "interactions = 200", "interaction = 50", "in [online]: interaction"),
+        (["train-scope", "--data", "{data}", "--out", "{out}"], "epochs = 3", "epoch = 3", "in [scope]: epoch"),
+        (["run-online", "--run-dir", "{out}"], "[data]", "[dataset]", "unknown section [dataset]"),
+        (["gen-data", "--out", "{out}/corpus.jsonl"], "[data]", "[DEFAULT]", "unknown section [DEFAULT]"),
+    ],
+)
+def test_cli_refuses_an_unknown_key_or_section_before_writing(argv, old, new, message, tmp_path, capsys):
+    path = _bad_config(tmp_path, old, new)
+    data, out = tmp_path / "corpus.jsonl", tmp_path / "out"
+    data.write_text("", encoding="utf-8")
+    argv = [a.format(data=data, out=out) for a in argv]
+    assert main([*argv, "--config", str(path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_run_grid_refuses_the_learned_channel_before_writing(tmp_path, capsys):

@@ -195,6 +195,16 @@ def test_sigmoid_equals_the_two_branch_form_bit_for_bit(values):
     assert sigmoid(wide).tobytes() == _two_branch_sigmoid(wide).tobytes()
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.floats(-2e-3, 2e-3), st.floats(1e-15, 1e-5))
+def test_sigmoid_bounds_its_output_as_np_clip_does(shift, step):
+    "Logits whose logistic lands on, beside and beyond 1e-12 and 1 - 1e-12."
+    edge = np.log(1e12 - 1) + shift  # the logistic of +-log(1e12 - 1) is 1 - 1e-12 and 1e-12
+    u = edge + step * np.arange(-200, 201)
+    u = np.concatenate([u, -u])
+    assert sigmoid(u).tobytes() == _two_branch_sigmoid(u).tobytes()
+
+
 def test_forward_dimension_mismatch_raises():
     net = Network.build([5, 3], head="softmax")
     with pytest.raises(ValueError, match="input dim"):

@@ -76,3 +76,34 @@ def test_readme_names_exactly_the_cli_subcommands():
     (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     named = set(re.findall(r"(?:^|`)emorl ([a-z][a-z-]*)", (ROOT / "README.md").read_text(encoding="utf-8"), re.M))
     assert named == set(sub.choices)
+
+
+def test_example_config_shows_every_key_at_its_default(tmp_path, monkeypatch):
+    import configparser
+    import inspect
+
+    from emorl import cli
+    from emorl.emotion import train_emotion
+    from emorl.harness import SECTIONS, ExperimentConfig, load_config_file
+    from emorl.scope import ScopeModel, train_scope
+
+    path = ROOT / "configs" / "example.ini"
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read(path, encoding="utf-8")
+    shown = {(section, key) for section in parser.sections() for key in parser[section]}
+    assert shown == {(section, key) for section, keys in SECTIONS.items() for key in keys} - {("generator", "intent_prior")}
+
+    loaded = load_config_file(path)
+    assert loaded["experiment"] == ExperimentConfig()
+    stages = loaded["stages"]
+    for section, callees in (("scope", (ScopeModel, train_scope)), ("emotion", (train_emotion,))):
+        defaults = {name: p.default for fn in callees for name, p in inspect.signature(fn).parameters.items()}
+        assert stages[section] == {key: defaults[key] for key in stages[section]}, section
+
+    # gen-data's corpus size when neither --n nor [data] sets it
+    sizes = []
+    monkeypatch.setattr(cli, "build_offline_corpus", lambda config, rng, n: sizes.append(n) or [])
+    bare = tmp_path / "bare.ini"
+    bare.write_text("[online]\nseeds = 1\n", encoding="utf-8")
+    assert cli.main(["gen-data", "--config", str(bare), "--out", str(tmp_path / "corpus.jsonl")]) == 0
+    assert stages["data"] == {"n": sizes[0]}

@@ -444,6 +444,14 @@ def arguments_for(fn, values: dict) -> dict:
     return {key: value for key, value in values.items() if key in params}
 
 
+def _cast(section: str, key: str, raw: str):
+    "SECTIONS' cast of one value; a value it cannot take raises ValueError naming `[section] key`."
+    try:
+        return SECTIONS[section][key](raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"[{section}] {key} = {raw!r} is not a valid value: {exc}") from None
+
+
 def load_config_file(path) -> dict:
     """Parse a run configuration: flat `key = value` sections, each key one of
     SECTIONS; an unknown section or key raises ValueError naming it.
@@ -462,7 +470,7 @@ def load_config_file(path) -> dict:
         unknown = sorted(set(parser[name]) - set(SECTIONS[name]))
         if unknown:
             raise ValueError(f"unknown key(s) in [{name}]: {', '.join(unknown)}")
-        stages[name] = {key: SECTIONS[name][key](value) for key, value in parser[name].items()}
+        stages[name] = {key: _cast(name, key, value) for key, value in parser[name].items()}
     online = dict(stages.get("online", {}))
     args = {param: online.pop(key) for key, param in _REGIME_ARGS.items() if key in online}
     if "regime" in online:

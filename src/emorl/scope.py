@@ -10,6 +10,7 @@ directed at the task). Sentences scoring >= 0.5 are kept.
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -86,12 +87,10 @@ class ScopeModel:
         return out
 
     def sentence_matrix(self, token_ids: Sequence[Sequence[int]]) -> np.ndarray:
-        "Stack of mean token embeddings, one row per sentence."
-        rows = np.zeros((len(token_ids), self.dim), dtype=np.float64)
-        for i, ids in enumerate(token_ids):
-            if ids:
-                rows[i] = self.embed.values[list(ids)].mean(axis=0)
-        return rows
+        "Stack of mean token embeddings, one row per sentence; an empty sentence's row is zero."
+        lens = np.fromiter(map(len, token_ids), dtype=np.intp, count=len(token_ids))
+        ids = np.fromiter(itertools.chain.from_iterable(token_ids), dtype=np.intp, count=int(lens.sum()))
+        return _means(self.embed.values, ids, np.add.accumulate(lens) - lens, lens)
 
     @staticmethod
     @functools.cache
@@ -183,6 +182,68 @@ def gold_scope_texts(message) -> list[str]:
     return [s.text for s in message.sentences if in_gold_scope(s)]
 
 
+def _means(values: np.ndarray, ids: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """One row per sentence: the mean of `values[ids]` over the sentence's run
+    of `lens[i]` ids from `starts[i]`, or zero for an empty sentence.
+
+    `np.add.reduceat` adds a run's rows one after another along axis 0, as
+    `values[run].mean(axis=0)` does before it divides, so each row equals the
+    sentence's own mean bit for bit.
+    """
+    if lens.all():
+        return np.add.reduceat(values[ids], starts, axis=0) / lens[:, None]
+    rows = np.zeros((len(lens), values.shape[1]))
+    full = lens > 0
+    if ids.size:
+        rows[full] = np.add.reduceat(values[ids], starts[full], axis=0) / lens[full, None]
+    return rows
+
+
+class _Packs:
+    """A corpus's sentence token ids, packed once into flat arrays.
+
+    Per sentence: the offset of its first token in its message, its length
+    and its gold keep label. Per token: its id, in sentence order. Per
+    message: its touched embedding rows, sorted, and where each row's run
+    starts in the message's tokens ordered stably by id, with the index of
+    each token's sentence in that order. The integer arrays are int16 when
+    that holds their values. `packs[i]` is message i's
+    (ids, starts, lens, labels, rows, row_starts, token_sentence), as views.
+    """
+
+    def __init__(self, model: ScopeModel, corpus: Sequence):
+        flat = itertools.chain.from_iterable
+        token_ids = [[s.token_ids for s in model.sentences(m)] for m in corpus]
+        counts, sizes = [len(t) for t in token_ids], [sum(map(len, t)) for t in token_ids]
+        touched = [len(set(flat(t))) for t in token_ids]
+        narrow = np.int16 if max([model.vocab.size, *counts, *sizes]) <= np.iinfo(np.int16).max else np.intp
+        self.ids = np.fromiter(flat(flat(token_ids)), narrow, sum(sizes))
+        self.lens = np.fromiter((len(ids) for t in token_ids for ids in t), narrow, sum(counts))
+        self.labels = np.fromiter((k for m in corpus for k in keep_labels(m)), np.float64, sum(counts))
+        self.starts, self.token_sentence = np.empty_like(self.lens), np.empty_like(self.ids)
+        self.rows, self.row_starts = np.empty(sum(touched), narrow), np.empty(sum(touched), narrow)
+        # message by message, so that no temporary spans the corpus
+        s0 = t0 = r0 = 0
+        for count, size, n_rows in zip(counts, sizes, touched):
+            ids, lens = self.ids[t0 : t0 + size], self.lens[s0 : s0 + count]
+            self.starts[s0 : s0 + count] = np.add.accumulate(lens) - lens
+            # the message's tokens ordered stably by id: a run of one id is one touched row
+            order = np.argsort(ids, kind="stable")
+            by_id = ids[order]
+            first = np.flatnonzero(np.diff(by_id, prepend=-1))
+            self.rows[r0 : r0 + n_rows], self.row_starts[r0 : r0 + n_rows] = by_id[first], first
+            self.token_sentence[t0 : t0 + size] = np.repeat(np.arange(count), lens)[order]
+            s0, t0, r0 = s0 + count, t0 + size, r0 + n_rows
+        self.offsets = np.cumsum(np.transpose([[0, *counts], [0, *sizes], [0, *touched]]), axis=0)
+
+    def __getitem__(self, i: int) -> tuple[np.ndarray, ...]:
+        (s0, t0, r0), (s1, t1, r1) = self.offsets[i : i + 2].tolist()
+        return (
+            self.ids[t0:t1], self.starts[s0:s1], self.lens[s0:s1], self.labels[s0:s1],
+            self.rows[r0:r1], self.row_starts[r0:r1], self.token_sentence[t0:t1],
+        )
+
+
 def train_scope(
     model: ScopeModel,
     corpus: Sequence,
@@ -193,20 +254,20 @@ def train_scope(
     """Train the filter with per-message SGD on mean binary cross-entropy.
 
     `corpus` holds messages with per-sentence gold flags; a fifth of them
-    is held out. Returns training BCE per epoch plus held-out F1/accuracy
-    for the keep class; warns if the training loss fails to decrease
-    monotonically over the first 3 epochs.
+    is held out. The token ids are packed once, before the epochs, and a
+    step moves only the embedding rows of its message's tokens: the other
+    rows have zero gradient, and v - lr * 0 = v, -0.0 included. Returns
+    training BCE per epoch plus held-out F1/accuracy for the keep class;
+    warns if the training loss fails to decrease monotonically over the
+    first 3 epochs.
     """
     if not corpus:
         raise ValueError("cannot train the scope filter on an empty corpus")
-    data = []
-    for message in corpus:
-        ids = [s.token_ids for s in model.sentences(message)]
-        data.append((ids, np.array(keep_labels(message), dtype=np.float64)))
+    packs = _Packs(model, corpus)
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(data))
+    order = rng.permutation(len(corpus))
     # round(0.2 * n) < n for every n >= 1, so some message is always trained on
-    n_hold = int(round(0.2 * len(data)))
+    n_hold = int(round(0.2 * len(corpus)))
     hold_idx, train_idx = order[:n_hold], order[n_hold:]
 
     opt = SGD(learning_rate=lr)
@@ -214,28 +275,29 @@ def train_scope(
     for _ in range(epochs):
         total, count = 0.0, 0
         for i in rng.permutation(train_idx):
-            ids, y = data[i]
-            n = len(ids)
+            ids, starts, lens, y, touched, row_starts, token_sentence = packs[i]
+            n = len(y)
             if n == 0:
                 continue
-            vecs = model.sentence_matrix(ids)
+            vecs = _means(model.embed.values, ids, starts, lens)
             p = sigmoid(model._logits(vecs))
             total += float(-np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
             count += n
             g = (p - y) / n
             # head and mixer gradients
-            mix_grad = np.zeros_like(model.mix.values, dtype=np.float64)
-            d_vecs = np.zeros_like(vecs)
+            mix_grad = np.zeros(model.mix.values.shape)
+            d_vecs = np.zeros(vecs.shape)
             for j, rows, nbrs in model._offsets(model.window, n):
                 mix_grad[j] = g[rows] @ vecs[nbrs]
                 d_vecs[nbrs] += g[rows, None] * model.mix.values[j]
-            # embeddings: each token in sentence i receives d_vecs[i] / len(sent)
-            emb_grad = np.zeros_like(model.embed.values, dtype=np.float64)
-            for i_s, sent_ids in enumerate(ids):
-                if sent_ids:
-                    np.add.at(emb_grad, list(sent_ids), d_vecs[i_s] / len(sent_ids))
+            # embeddings: each token of sentence i adds d_vecs[i] / lens[i] to its row.
+            # reduceat sums a row's tokens in message order, as np.add.at onto zeros
+            # does but for the leading 0.0; that changes only the sign of a zero sum,
+            # which the + 0.0 below clears. An empty sentence's divisor of 1 is never read.
+            shares = (d_vecs / np.maximum(lens, 1)[:, None])[token_sentence]
+            emb_grad = np.add.reduceat(shares, row_starts, axis=0)
             # float32 blocks plus 0.0, so that a gradient rounded to -0.0 steps as 0.0
-            grads = [(model.embed, ..., emb_grad), (model.mix, ..., mix_grad), (model.bias, ..., np.array([g.sum()]))]
+            grads = [(model.embed, touched, emb_grad), (model.mix, ..., mix_grad), (model.bias, ..., np.array([g.sum()]))]
             apply_update([(p, at, d.astype(np.float32) + 0.0) for p, at, d in grads], opt)
         epoch_bce.append(total / max(count, 1))
     first = epoch_bce[: min(3, len(epoch_bce))]
@@ -243,23 +305,23 @@ def train_scope(
         warnings.warn("scope training BCE did not decrease monotonically over the first epochs")
 
     metrics = {"train_bce": epoch_bce}
-    metrics.update(_holdout_metrics(model, data, hold_idx))
+    metrics.update(_holdout_metrics(model, packs, hold_idx))
     return metrics
 
 
-def _holdout_metrics(model: ScopeModel, data, hold_idx) -> dict:
+def _holdout_metrics(model: ScopeModel, packs: _Packs, hold_idx) -> dict:
     tp = fp = fn = hits = total = 0
     for i in hold_idx:
-        ids, y = data[i]
-        if len(ids) == 0:
+        ids, starts, lens, y = packs[i][:4]
+        if len(y) == 0:
             continue
-        pred = model.keep(model.sentence_matrix(ids))
+        pred = model.keep(_means(model.embed.values, ids, starts, lens))
         gold = y >= 0.5
         tp += int(np.sum(pred & gold))
         fp += int(np.sum(pred & ~gold))
         fn += int(np.sum(~pred & gold))
         hits += int(np.sum(pred == gold))
-        total += len(ids)
+        total += len(y)
     f1 = 2.0 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
     accuracy = hits / total if total else 0.0
     return {"holdout_f1": f1, "holdout_accuracy": accuracy}

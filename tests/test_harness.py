@@ -466,6 +466,26 @@ def test_cli_refuses_an_unknown_key_or_section_before_writing(argv, old, new, me
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("old", "new", "message"),
+    [
+        ("interactions = 200", "interactions = abc", "[online] interactions = 'abc'"),
+        ("lr = 0.05", "lr = fast", "[online] lr = 'fast'"),
+        ("hidden = 64", "hidden = 64, wide", "[online] hidden = '64, wide'"),
+        ("wrong_frac = 1/3", "wrong_frac = one/3", "[online] wrong_frac = 'one/3'"),
+        ("wrong_frac = 1/3", "wrong_frac = 1/0", "[online] wrong_frac = '1/0'"),
+        ("q_pos = 0.8", "q_pos = 4/5ths", "[generator] q_pos = '4/5ths'"),
+    ],
+    ids=["int", "float", "tuple", "fraction", "fraction_by_zero", "generator_fraction"],
+)
+def test_cli_refuses_a_value_its_key_cannot_take_naming_the_key(old, new, message, tmp_path, capsys):
+    path = _bad_config(tmp_path, old, new)
+    run_dir = tmp_path / "run"
+    assert main(["run-online", "--config", str(path), "--run-dir", str(run_dir)]) == 1
+    assert message in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
 def test_cli_run_grid_refuses_the_learned_channel_before_writing(tmp_path, capsys):
     path = _bad_config(tmp_path, "channel = oracle", "channel = learned")
     run_dir = tmp_path / "grid"

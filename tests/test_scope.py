@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from emorl.envsim import EmailMessage, LabeledSentence, generate_email
 from emorl.emotion import EmotionLabel
-from emorl.nn import CheckpointFormatError, write_tensors
+from emorl.nn import SGD, CheckpointFormatError, TrainingFault, apply_update, sigmoid, write_tensors
 from emorl.scope import ScopeModel, ScopedMessage, keep_labels, train_scope
 from emorl.text import build_vocab, segment
 
@@ -125,6 +125,138 @@ def test_every_window_fits_every_message_length(window, messages):
         metrics = train_scope(model, corpus, epochs=1, seed=0)
     assert len(metrics["train_bce"]) == 1 and np.isfinite(metrics["train_bce"][0])
     assert all(np.isfinite(p.values).all() for p in model.params())
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    dim=st.sampled_from([1, 2, 3, 32]),
+    token_ids=st.lists(st.lists(st.integers(0, _WINDOW_VOCAB.size - 1), max_size=40).map(tuple), max_size=8),
+    seed=st.integers(0, 2**16),
+)
+def test_sentence_matrix_equals_each_sentence_mean(dim, token_ids, seed):
+    # empty sentences keep a zero row; a message with no sentences is (0, dim)
+    model = ScopeModel(_WINDOW_VOCAB, dim=dim, seed=seed)
+    expected = np.zeros((len(token_ids), dim))
+    for i, ids in enumerate(token_ids):
+        if ids:
+            expected[i] = model.embed.values[list(ids)].mean(axis=0)
+    got = model.sentence_matrix(token_ids)
+    assert got.shape == (len(token_ids), dim) and got.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
+
+
+# The whole-gradient training loop that train_scope replaced, kept as its
+# reference: per-sentence means, one np.add.at per sentence into a dense
+# (vocab, dim) gradient, and a step of the whole embedding.
+def _loop_sentence_matrix(model, token_ids):
+    rows = np.zeros((len(token_ids), model.dim), dtype=np.float64)
+    for i, ids in enumerate(token_ids):
+        if ids:
+            rows[i] = model.embed.values[list(ids)].mean(axis=0)
+    return rows
+
+
+def _dense_train_scope(model, corpus, epochs, lr, seed):
+    data = []
+    for message in corpus:
+        ids = [s.token_ids for s in model.sentences(message)]
+        data.append((ids, np.array(keep_labels(message), dtype=np.float64)))
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(data))
+    n_hold = int(round(0.2 * len(data)))
+    hold_idx, train_idx = order[:n_hold], order[n_hold:]
+
+    opt = SGD(learning_rate=lr)
+    epoch_bce = []
+    for _ in range(epochs):
+        total, count = 0.0, 0
+        for i in rng.permutation(train_idx):
+            ids, y = data[i]
+            n = len(ids)
+            if n == 0:
+                continue
+            vecs = _loop_sentence_matrix(model, ids)
+            p = sigmoid(model._logits(vecs))
+            total += float(-np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+            count += n
+            g = (p - y) / n
+            mix_grad = np.zeros_like(model.mix.values, dtype=np.float64)
+            d_vecs = np.zeros_like(vecs)
+            for j, rows, nbrs in model._offsets(model.window, n):
+                mix_grad[j] = g[rows] @ vecs[nbrs]
+                d_vecs[nbrs] += g[rows, None] * model.mix.values[j]
+            emb_grad = np.zeros_like(model.embed.values, dtype=np.float64)
+            for i_s, sent_ids in enumerate(ids):
+                if sent_ids:
+                    np.add.at(emb_grad, list(sent_ids), d_vecs[i_s] / len(sent_ids))
+            grads = [(model.embed, ..., emb_grad), (model.mix, ..., mix_grad), (model.bias, ..., np.array([g.sum()]))]
+            apply_update([(p, at, d.astype(np.float32) + 0.0) for p, at, d in grads], opt)
+        epoch_bce.append(total / max(count, 1))
+    first = epoch_bce[: min(3, len(epoch_bce))]
+    if any(b >= a for a, b in zip(first, first[1:])):
+        warnings.warn("scope training BCE did not decrease monotonically over the first epochs")
+
+    tp = fp = fn = hits = total = 0
+    for i in hold_idx:
+        ids, y = data[i]
+        if len(ids) == 0:
+            continue
+        pred = model.keep(_loop_sentence_matrix(model, ids))
+        gold = y >= 0.5
+        tp += int(np.sum(pred & gold))
+        fp += int(np.sum(pred & ~gold))
+        fn += int(np.sum(~pred & gold))
+        hits += int(np.sum(pred == gold))
+        total += len(ids)
+    f1 = 2.0 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
+    accuracy = hits / total if total else 0.0
+    return {"train_bce": epoch_bce, "holdout_f1": f1, "holdout_accuracy": accuracy}
+
+
+_ORACLE_WORDS = ["taskword", "move", "sky", "blue", "lunch", "rare"]
+_ORACLE_VOCAB = build_vocab(_ORACLE_WORDS[:-1], 16)  # "rare" is unknown: id 0
+# an empty text is a sentence with no token ids
+_ORACLE_SENTENCE = st.lists(st.sampled_from(_ORACLE_WORDS), max_size=7).map(" ".join)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    window=st.integers(0, 3),
+    epochs=st.integers(1, 2),
+    dim=st.sampled_from([1, 3, 8]),
+    lr=st.sampled_from([0.1, 0.5, 4.0]),
+    seed=st.integers(0, 2**16),
+    messages=st.lists(
+        st.lists(st.tuples(_ORACLE_SENTENCE, st.booleans()), min_size=1, max_size=6), min_size=1, max_size=10
+    ),
+)
+def test_train_scope_matches_the_dense_gradient_loop(window, epochs, dim, lr, seed, messages):
+    corpus = [make_message(specs) for specs in messages]
+    models, results = [], []
+    for train in (train_scope, _dense_train_scope):
+        model = ScopeModel(_ORACLE_VOCAB, dim=dim, window=window, seed=seed)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            metrics = train(model, corpus, epochs=epochs, lr=lr, seed=seed)
+        models.append(model)
+        results.append((metrics, [str(w.message) for w in caught]))
+    packed, dense = models
+    for a, b in zip(packed.params(), dense.params()):
+        assert a.values.tobytes() == b.values.tobytes(), a.name
+    assert results[0] == results[1]
+
+
+def test_non_finite_step_on_touched_rows_raises_and_keeps_every_tensor():
+    corpus = separable_corpus(n=20)
+    vocab = build_vocab([s.text for m in corpus for s in m.sentences], 64)
+    model = ScopeModel(vocab, dim=4, seed=0)
+    before = [p.values.tobytes() for p in model.params()]
+    # a rate beyond float32's range makes every step of the first message inf or nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(TrainingFault, match="'embed'"):
+            train_scope(model, corpus, epochs=1, lr=1e39, seed=0)
+    assert [p.values.tobytes() for p in model.params()] == before
 
 
 def test_train_scope_empty_corpus_raises(vocab):

@@ -35,6 +35,7 @@ from .harness import (
     write_manifest,
     write_report,
 )
+from .nn import replacing
 from .scope import ScopeModel, train_scope
 
 
@@ -189,7 +190,7 @@ def cmd_train_emotion(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "emotion.ckpt")
-    with open(out / "emotion_eval.csv", "w", encoding="utf-8", newline="\n") as f:
+    with replacing(out / "emotion_eval.csv", encoding="utf-8", newline="\n") as f:
         f.write("split,accuracy,macro_f1\n")
         f.write(f"holdout,{metrics['accuracy']:.6f},{metrics['macro_f1']:.6f}\n")
     print(f"emotion model: holdout accuracy {metrics['accuracy']:.4f}, macro-F1 {metrics['macro_f1']:.4f}")

@@ -26,6 +26,7 @@ from importlib import resources
 import numpy as np
 
 from .emotion import EmotionLabel, EmotionModel, classify_emotion, reward_of
+from .nn import replacing
 from .policy import DEFAULT_VALID_COMBOS, MULTICLASS_ACTIONS
 from .scope import ScopedMessage, ScopeModel, gold_scope_texts
 from .text import SPLIT_PUNCT, Vocabulary, build_vocab, count_features, known_ids, segment, tokenize
@@ -450,8 +451,8 @@ def draw_pretrain_set(config: GeneratorConfig, rng: np.random.Generator, n: int)
 
 
 def corpus_to_jsonl(corpus: list[EmailMessage], path) -> None:
-    "One message per line; stable field order; UTF-8."
-    with open(path, "w", encoding="utf-8") as f:
+    "One message per line; stable field order; UTF-8; replaces `path` whole."
+    with replacing(path, encoding="utf-8") as f:
         for m in corpus:
             rec = {
                 "text": m.text,

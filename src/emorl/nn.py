@@ -9,12 +9,12 @@ values, not tensor state: a backward pass returns its gradient as a list of
 nonzero columns only, and `apply_update` steps exactly those entries.
 Supported pieces: dense layers with relu/tanh/identity activations, a
 softmax or per-unit sigmoid output head, cross-entropy and policy-gradient
-(score-function) losses, plain SGD, and a binary checkpoint format with a
-bit-exact round-trip guarantee, written through `replacing` so that an
-interrupted write leaves the old file whole. Tensors may carry a leading
-stack axis of heads that share no entry and run in one pass, each computing
-bit for bit what it computes alone; the forward pass also takes a batch of
-inputs.
+(score-function) losses, plain SGD, one supervised training loop (`fit`),
+and a binary checkpoint format with a bit-exact round-trip guarantee,
+written through `replacing` so that an interrupted write leaves the old
+file whole. Tensors may carry a leading stack axis of heads that share no
+entry and run in one pass, each computing bit for bit what it computes
+alone; the forward pass also takes a batch of inputs.
 """
 
 from __future__ import annotations
@@ -328,15 +328,6 @@ class Network:
         return self._backprop(probs - self._target(probs, label), zs, hs), probs
 
 
-def log_prob(probs: np.ndarray, action, head: str) -> float:
-    "ln pi(action) under a head's probability vector."
-    if head == "softmax":
-        return float(np.log(max(probs[int(action)], 1e-300)))
-    bits = np.asarray(action, dtype=np.float64).ravel()
-    p = np.clip(np.ravel(probs), 1e-300, 1.0 - 1e-16)
-    return float(np.sum(bits * np.log(p) + (1.0 - bits) * np.log(1.0 - p)))
-
-
 # -- optimizer -----------------------------------------------------------
 
 
@@ -368,6 +359,21 @@ def apply_update(grads: Iterable[GradEntry], opt: SGD) -> None:
         raise TrainingFault(f"non-finite values in tensor {bad.name!r} after update")
     for p, at, new in steps:
         p.values[at] = new
+
+
+def fit(net: Network, X: np.ndarray, labels, rows, epochs: int, opt: SGD, rng: np.random.Generator) -> None:
+    """Supervised cross-entropy training: each epoch, one
+    `supervised_backward` and `apply_update` step on row `X[i]` against
+    `labels[i]` for each `i` of `rng.permutation(rows)`; `rows` is an array
+    of row indices, or a count n for rows 0..n-1.
+
+    A TrainingFault stops training with every tensor as the faulting step
+    found it.
+    """
+    for _ in range(epochs):
+        for i in rng.permutation(rows):
+            grads, _ = net.supervised_backward(X[i], labels[i])
+            apply_update(grads, opt)
 
 
 def dense_grads(params: Sequence[ParamTensor], grads: Iterable[GradEntry]) -> list[np.ndarray]:
@@ -506,52 +512,3 @@ def load_checkpoint(path) -> Network:
         return Network(layers, HEADS[head_code])
     except ValueError as exc:
         raise CheckpointFormatError(str(exc)) from exc
-
-
-# -- gradient verification ------------------------------------------------
-
-
-def _loss(net: Network, x: np.ndarray, mode: str, target, reward: float) -> float:
-    scale = reward if mode == "reinforce" else 1.0
-    return -scale * log_prob(net.forward(x), target, net.head)
-
-
-def gradient_check(
-    net: Network,
-    x: np.ndarray,
-    target,
-    mode: str = "reinforce",
-    reward: float = 1.0,
-    h: float = 1e-4,
-) -> float:
-    """Compare analytic gradients against central finite differences.
-
-    Returns the maximum relative error over every parameter entry. The
-    division uses the realized float32 step, not the nominal one, so
-    parameter quantization does not inflate the error estimate.
-    """
-    if mode not in ("reinforce", "supervised"):
-        raise ValueError(f"unknown mode {mode!r}")
-    work = net.copy()
-    if mode == "reinforce":
-        grads = work.reinforce_backward(x, target, reward)
-    else:
-        grads, _ = work.supervised_backward(x, target)
-    worst = 0.0
-    for p, g in zip(work.params(), dense_grads(work.params(), grads)):
-        flat_v = p.values.ravel()
-        flat_g = g.ravel()
-        for i in range(flat_v.shape[0]):
-            orig = flat_v[i]
-            flat_v[i] = np.float32(orig + h)
-            hi_val = float(flat_v[i])
-            hi = _loss(work, x, mode, target, reward)
-            flat_v[i] = np.float32(orig - h)
-            lo_val = float(flat_v[i])
-            lo = _loss(work, x, mode, target, reward)
-            flat_v[i] = orig
-            fd = (hi - lo) / (hi_val - lo_val)
-            ana = float(flat_g[i])
-            denom = max(abs(fd), abs(ana), 1e-6)
-            worst = max(worst, abs(fd - ana) / denom)
-    return worst

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .nn import SGD, CheckpointFormatError, Network, apply_update, load_checkpoint, replacing, save_checkpoint
+from .nn import SGD, CheckpointFormatError, Network, apply_update, fit, load_checkpoint, replacing, save_checkpoint
 
 # an action is a class index (multiclass) or a 6-bit tuple (multilabel)
 IntentAction = int | tuple[int, ...]
@@ -79,13 +79,9 @@ class _Policy:
         "Supervised cross-entropy pass over a labeled subset, `epochs` times."
         if not examples:
             raise ValueError("pretraining needs a non-empty labeled subset")
-        rng = rng if rng is not None else self.rng
         self._acted = None
-        for _ in range(epochs):
-            for i in rng.permutation(len(examples)):
-                state, label = examples[i]
-                grads, _ = self.net.supervised_backward(state, label)
-                apply_update(grads, self.opt)
+        X, labels = _batch(examples)
+        fit(self.net, X, labels, len(examples), epochs, self.opt, rng if rng is not None else self.rng)
 
 
 def _batch(examples: Sequence[tuple[np.ndarray, IntentAction]]) -> tuple[np.ndarray, np.ndarray]:
@@ -117,9 +113,6 @@ class MulticlassPolicy(_Policy):
     @property
     def n_actions(self) -> int:
         return self.net.output_dim
-
-    def action_probs(self, state: np.ndarray) -> np.ndarray:
-        return self.net.forward(state)
 
     def act(self, state: np.ndarray, rng: np.random.Generator | None = None) -> int:
         "Sample an action on-policy."

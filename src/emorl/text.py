@@ -14,6 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .nn import replacing
+
 SPLIT_PUNCT = frozenset(",.:?!")
 
 UNK_TOKEN = "<unk>"
@@ -87,9 +89,9 @@ class Vocabulary:
         return tuple(self.token_to_id.get(t, UNK_ID) for t in tokens)
 
     def save(self, path) -> None:
-        "Persist as lexicographically sorted `token<TAB>id` UTF-8 lines."
+        "Persist as lexicographically sorted `token<TAB>id` UTF-8 lines, replacing `path` whole."
         lines = sorted(f"{tok}\t{i}" for i, tok in enumerate(self.id_to_token))
-        with open(path, "w", encoding="utf-8") as f:
+        with replacing(path, encoding="utf-8") as f:
             f.write("\n".join(lines) + "\n")
 
     @classmethod

@@ -4,12 +4,15 @@ import os
 import re
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from emorl import cli
 from emorl.cli import main
-from emorl.envsim import Environment, FeedbackRegime
+from emorl.emotion import EmotionLabel
+from emorl.envsim import EmailMessage, Environment, FeedbackRegime, LabeledSentence, corpus_to_jsonl
 from emorl.harness import (
     SECTIONS,
     CurveRow,
@@ -26,6 +29,7 @@ from emorl.harness import (
 )
 from emorl.nn import Network, write_tensors
 from emorl.policy import MultilabelPolicy, save_agent
+from emorl.text import Vocabulary
 
 SMALL = dict(interactions=300, eval_every=100, window=100, eval_size=30, seeds=(1,))
 
@@ -574,8 +578,38 @@ def _fail_agent_json(out):
     save_agent(agent, out)
 
 
+def _corpus(text):
+    "A one-message corpus; a lone surrogate in `text` cannot be encoded."
+    return [EmailMessage([LabeledSentence(text, True)], 0, EmotionLabel.NEUTRAL)]
+
+
+def _emotion_eval(d, macro_f1):
+    "The train-emotion stage on a five-message corpus, its training stubbed to report `macro_f1`."
+    (d / "c.ini").write_text("[online]\nseeds = 1\n", encoding="utf-8")
+    assert main(["gen-data", "--config", str(d / "c.ini"), "--out", str(d / "corpus.jsonl"), "--n", "5"]) == 0
+    argv = ["train-emotion", "--config", str(d / "c.ini"), "--data", str(d / "corpus.jsonl"), "--out", str(d / "emotion")]
+    args = cli._build_parser().parse_args(argv)
+    with mock.patch.object(cli, "train_emotion", lambda *a, **k: {"accuracy": 0.5, "macro_f1": macro_f1}):
+        cli.cmd_train_emotion(args)
+
+
 WRITERS = {
     # name: (path under the directory, write that succeeds, write that fails partway)
+    "corpus.jsonl": (
+        "corpus.jsonl",
+        lambda d: corpus_to_jsonl(_corpus("Thanks."), d / "corpus.jsonl"),
+        lambda d: corpus_to_jsonl(_corpus("Fine.") + _corpus("\udc80"), d / "corpus.jsonl"),
+    ),
+    "vocab.tsv": (
+        "vocab.tsv",
+        lambda d: Vocabulary(["<unk>", "a"]).save(d / "vocab.tsv"),
+        lambda d: Vocabulary(["<unk>", "b", "\udc80"]).save(d / "vocab.tsv"),
+    ),
+    "emotion_eval.csv": (
+        "emotion/emotion_eval.csv",
+        lambda d: _emotion_eval(d, 0.5),
+        lambda d: _emotion_eval(d, None),  # its row cannot be formatted, after the header is written
+    ),
     "checkpoint": (
         "t.ckpt",
         lambda d: write_tensors(d / "t.ckpt", {"a": np.ones(3, dtype=np.float32)}),

@@ -5,6 +5,7 @@ The oracle re-implements the forward arithmetic with plain Python floats
 differences of the oracle's loss provide the gradient reference.
 """
 
+import contextlib
 import math
 import struct
 
@@ -21,9 +22,8 @@ from emorl.nn import (
     TrainingFault,
     apply_update,
     dense_grads,
-    gradient_check,
+    fit,
     load_checkpoint,
-    log_prob,
     read_tensors,
     save_checkpoint,
     sigmoid,
@@ -295,30 +295,26 @@ def test_sigmoid_head_rejects_non_binary_target():
         net.reinforce_backward(np.zeros(4), (0.5, 0, 1), 1.0)
 
 
-def test_log_prob_multilabel_is_sum_of_bit_logs():
-    probs = np.array([0.9, 0.2, 0.5])
-    bits = (1, 0, 1)
-    expected = math.log(0.9) + math.log(0.8) + math.log(0.5)
-    assert abs(log_prob(probs, bits, "sigmoid") - expected) < 1e-12
-
-
-def test_package_gradient_check_utility():
-    rng = np.random.default_rng(12)
-    net = Network.build([5, 4, 3], head="softmax", rng=rng)
-    assert gradient_check(net, rng.normal(0, 1, 5), 1, mode="reinforce", reward=1.0) < 1e-4
-
-
 def test_gradient_check_on_stacked_heads():
     # two sigmoid heads in one stacked network; zero input entries exercise
-    # the first layer's gradient on nonzero columns only
+    # the first layer's gradient on nonzero columns only. Each head's slice
+    # of the stacked gradient is held to the oracle's gradient of that head
     rng = np.random.default_rng(21)
     nets = [Network.build([6, 4, 2], head="sigmoid", activations=["tanh", "identity"], rng=rng) for _ in range(2)]
     stacked = Network.stack(nets)
     assert stacked.stack_shape == (2,)
     x = rng.normal(0.0, 1.0, 6)
     x[[1, 4]] = 0.0
-    assert gradient_check(stacked, x, (1, 0, 0, 1), mode="reinforce", reward=-1.0) < 1e-4
-    assert gradient_check(stacked, x, (0, 1, 1, 1), mode="supervised") < 1e-4
+    for mode, target, reward in (("reinforce", (1, 0, 0, 1), -1.0), ("supervised", (0, 1, 1, 1), 1.0)):
+        if mode == "reinforce":
+            grads = stacked.reinforce_backward(x, target, reward)
+        else:
+            grads, _ = stacked.supervised_backward(x, target)
+        dense = dense_grads(stacked.params(), grads)
+        for k, head in enumerate(stacked.unstack()):
+            entries = [(p, ..., g[k]) for p, g in zip(head.params(), dense)]
+            ref = fd_oracle_grads(head, x, mode, target[2 * k : 2 * k + 2], reward)
+            assert max_rel_error(head, entries, ref) < 1e-4
 
 
 def test_stacked_forward_and_gradients_equal_each_head_alone():
@@ -527,6 +523,59 @@ def test_applied_entries_equal_a_dense_gradient_step(heads, seed, passes):
         ]
         apply_update(grads, opt)
         assert [p.values.astype(np.float32).tobytes() for p in net.params()] == expected
+
+
+def per_step_fit(net, examples, order, opt) -> list[bytes]:
+    """`fit`'s reference: one `supervised_backward` and one `apply_update` on
+    the example itself for each index of `order`. Returns the parameter bytes
+    from before the step that raised TrainingFault, or else at the end."""
+    for i in order:
+        before = values_bytes(net)
+        state, label = examples[i]
+        grads, _ = net.supervised_backward(state, label)
+        try:
+            apply_update(grads, opt)
+        except TrainingFault:
+            return before
+    return values_bytes(net)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    heads=st.sampled_from([0, 6]),
+    seed=st.integers(0, 2**32 - 1),
+    bags=st.lists(st.lists(st.integers(0, 10), max_size=5), min_size=1, max_size=6),
+    epochs=st.integers(0, 3),
+    data=st.data(),
+)
+def test_fit_steps_exactly_as_the_per_step_loop(heads, seed, bags, epochs, data):
+    # a plain softmax net or a 6-head sigmoid stack, on all rows (a count) or
+    # a drawn subset (indices), with a drawn row possibly holding a NaN: fit
+    # must leave every byte, and its generator, as the per-step loop does,
+    # and on a non-finite step raise with the tensors as the step found them
+    rng = np.random.default_rng(seed)
+    net = _sparse_case_net(heads, rng)
+    examples = [(_bag(*cols), _target(heads, rng)) for cols in bags]
+    n = len(examples)
+    poisoned = data.draw(st.sampled_from([None, *range(n)]))
+    if poisoned is not None:
+        examples[poisoned][0][0] = np.nan
+    subset = data.draw(st.none() | st.lists(st.integers(0, n - 1), unique=True))
+    rows = n if subset is None else np.array(subset, dtype=np.intp)
+    opt = SGD(learning_rate=0.3)
+
+    ref, ref_rng = net.copy(), np.random.default_rng([seed, 1])
+    order = [i for _ in range(epochs) for i in ref_rng.permutation(rows)]
+    faults = poisoned in order
+    expected = per_step_fit(ref, examples, order, opt)
+
+    states, labels = zip(*examples)
+    fit_rng = np.random.default_rng([seed, 1])
+    with pytest.raises(TrainingFault) if faults else contextlib.nullcontext():
+        fit(net, np.stack(states), np.array(labels), rows, epochs, opt, fit_rng)
+    assert values_bytes(net) == expected
+    if not faults:
+        assert fit_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_optimizer_validation():

@@ -1,5 +1,4 @@
 import contextlib
-import math
 from collections import Counter
 from types import SimpleNamespace
 
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emorl.nn import SGD, CheckpointFormatError, Network, apply_update, dense_grads, log_prob, save_checkpoint
+from emorl.nn import SGD, CheckpointFormatError, Network, apply_update, dense_grads, save_checkpoint
 from emorl.policy import (
     DEFAULT_VALID_COMBOS,
     MulticlassPolicy,
@@ -66,27 +65,11 @@ def test_zero_weight_multilabel_hits_all_64_combos_uniformly():
     assert chi2 < 100.0  # df=63; ~3 sigma above the mean
 
 
-def test_log_prob_matches_direct_computation():
-    rng = np.random.default_rng(3)
-    mc = MulticlassPolicy(DIM, seed=1)
-    state = rand_state(rng)
-    action = mc.act(state, rng)
-    lp = log_prob(mc.action_probs(state), action, "softmax")
-    assert lp == pytest.approx(math.log(mc.action_probs(state)[action]), abs=1e-12)
-
-    ml = MultilabelPolicy(DIM, seed=1)
-    bits = ml.act(state, rng)
-    probs = ml.bit_probs(state)
-    lp = log_prob(probs, bits, "sigmoid")
-    direct = sum(math.log(p if b else 1.0 - p) for p, b in zip(probs, bits))
-    assert lp == pytest.approx(direct, abs=1e-12)
-
-
 def test_sampling_converges_to_forward_probabilities():
     rng = np.random.default_rng(5)
     agent = MulticlassPolicy(DIM, seed=9)
     state = rand_state(rng)
-    probs = agent.action_probs(state)
+    probs = agent.net.forward(state)
     n = 30000
     counts = Counter(agent.act(state, rng) for _ in range(n))
     chi2 = sum((counts[a] - n * probs[a]) ** 2 / (n * probs[a]) for a in range(3))
@@ -118,10 +101,10 @@ def test_positive_reward_monotonically_raises_action_probability():
     agent = MulticlassPolicy(DIM, seed=4, lr=0.05)
     state = rand_state(np.random.default_rng(1))
     action = 0
-    prev = agent.action_probs(state)[action]
+    prev = agent.net.forward(state)[action]
     for _ in range(100):
         agent.learn(record(state, action, 1.0))
-        cur = agent.action_probs(state)[action]
+        cur = agent.net.forward(state)[action]
         if prev < 0.995:
             assert cur > prev
         else:
@@ -134,10 +117,10 @@ def test_negative_reward_monotonically_lowers_action_probability():
     agent = MulticlassPolicy(DIM, seed=4, lr=0.05)
     state = rand_state(np.random.default_rng(1))
     action = 0
-    prev = agent.action_probs(state)[action]
+    prev = agent.net.forward(state)[action]
     for _ in range(100):
         agent.learn(record(state, action, -1.0))
-        cur = agent.action_probs(state)[action]
+        cur = agent.net.forward(state)[action]
         if prev > 0.005:
             assert cur < prev
         else:
@@ -292,7 +275,7 @@ def test_expected_gradient_enumeration_matches_monte_carlo():
     state = rng.random(6)
     gold = 1
     reward = lambda a: 1.0 if a == gold else -1.0
-    probs = agent.action_probs(state)
+    probs = agent.net.forward(state)
 
     def grads_for(action):
         grads = agent.net.reinforce_backward(state, action, reward(action))
@@ -345,7 +328,7 @@ def test_evaluate_perfect_agent_scores_one():
     examples = []
     for _ in range(50):
         s = rand_state(rng)
-        examples.append((s, int(np.argmax(agent.action_probs(s)))))
+        examples.append((s, int(np.argmax(agent.net.forward(s)))))
     assert agent.evaluate(examples) == 1.0
 
 

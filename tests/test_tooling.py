@@ -57,14 +57,46 @@ def test_demo_runs_to_the_end(name, tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-def test_every_traced_lookup_site_resolves():
+def traced_lookup_sites() -> dict:
+    "`bench/spans.py`'s lookup sites in emorl: span name -> (module or class, attribute) pairs."
     spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    sites = spans.lookup_sites(emorl)
+    return spans.lookup_sites(emorl)
+
+
+def test_every_traced_lookup_site_resolves():
+    sites = traced_lookup_sites()
     assert sites
     missing = [f"{owner.__name__}.{attr}" for pairs in sites.values() for owner, attr in pairs if not hasattr(owner, attr)]
     assert not missing
+
+
+TRACER_MARK = "the benchmark's span tracer wraps it at this name"
+
+
+def test_imports_kept_for_the_tracer_are_exactly_its_unused_lookup_sites():
+    # a module may import a name it does not use only because the tracer
+    # wraps the function there; such an import says so, and says so only then
+    sites = {(owner.__name__, attr) for pairs in traced_lookup_sites().values() for owner, attr in pairs}
+    marked, unused = set(), set()
+    for path in sorted((ROOT / "src" / "emorl").glob("*.py")):
+        module = "emorl" if path.stem == "__init__" else f"emorl.{path.stem}"
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if TRACER_MARK in lines[alias.lineno - 1]:
+                        marked.add((module, name))
+                    if name not in used:
+                        unused.add((module, name))
+    assert marked, "no import carries the tracer's mark"
+    assert marked <= sites, sorted(marked - sites)
+    assert sites & unused <= marked, sorted(sites & unused - marked)
 
 
 def test_readme_names_exactly_the_cli_subcommands():

@@ -24,6 +24,7 @@ from .harness import (
     arguments_for,
     cell_key,
     check_manifest,
+    grid_cells,
     load_config_file,
     read_report,
     rederive_report,
@@ -228,6 +229,8 @@ def cmd_run_grid(args) -> int:
     if config.channel != "oracle":
         # one pair of offline models is trained on one task's corpus, so it cannot serve both tasks
         raise ValueError("run-grid runs the oracle channel only; run a learned-channel cell with run-online")
+    # refuse a value some cell cannot take (an intent_prior fits one task only) before anything is written
+    grid_cells(config)
     run_dir = Path(args.run_dir)
     write_manifest(run_dir, text, config.seeds)
     rows = run_grid(config, run_dir)

@@ -8,8 +8,9 @@ registers: "directed" phrases reacting to the assistant's action (these set
 the message's gold emotion) and "general" phrases about unrelated matters,
 which leave the gold label Neutral. Every emotion phrase is spliced in at a
 position immediately after one of the splitting punctuation marks of the
-pre-injection text, and the builder records each splice so corpora can be
-audited.
+pre-injection text, and each message records its splices so corpora can be
+audited. A generated message keeps only what was drawn; its text is built
+when, and if, something reads it.
 
 The environment exposes two emotion channels: "oracle" reads the reply's
 gold label (isolating the policy-learning loop), "learned" runs the trained
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 
@@ -28,7 +30,7 @@ import numpy as np
 from .emotion import EmotionLabel, EmotionModel, classify_emotion, reward_of
 from .nn import replacing
 from .policy import DEFAULT_VALID_COMBOS, MULTICLASS_ACTIONS
-from .scope import ScopedMessage, ScopeModel, gold_scope_texts
+from .scope import ScopedMessage, ScopeModel, gold_scope_texts, in_gold_scope
 from .text import SPLIT_PUNCT, Vocabulary, build_vocab, count_features, known_ids, segment, tokenize
 from .text import featurize_texts  # noqa: F401  the benchmark's span tracer wraps it at this name
 
@@ -55,13 +57,83 @@ class LabeledSentence:
     general: str = "none"
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class Group:
+    """A template's segments, all sharing the template's flags.
+
+    One record per (template, flags) per process (`_instantiate`), so it is
+    hashed and compared by identity.
+    """
+
+    template: str
+    sentences: tuple[LabeledSentence, ...]
+    n_task: int  # how many of the sentences are task-relevant: all or none
+
+
 class EmailMessage:
-    sentences: list[LabeledSentence]
-    gold_intent: "int | tuple[int, ...]"
-    gold_emotion: EmotionLabel
-    base_text: str = ""
-    injections: list[Injection] = field(default_factory=list)
+    """A user email or reply: its gold labels and its sentences.
+
+    A generated message is its draws: `groups`, the template groups of the
+    message before any splice, in order; `inserts`, the offline corpus's
+    (sentence position, group) inserts into them, in draw order; and
+    `picks`, the emotion phrases as (slot, group, register, polarity), the
+    slot counting task sentences for a directed phrase and all sentences
+    for a general one. `sentences`, `injections` and `base_text` are
+    rendered from the draws on first read, so a reader of the gold labels
+    or the groups alone builds no text.
+
+    A message built from sentences (a loaded corpus, a test) holds them as
+    given; its groups are None, its base text is its text, and it has no
+    injections.
+    """
+
+    def __init__(self, sentences, gold_intent, gold_emotion, *, groups=None, inserts=(), picks=()):
+        self.gold_intent = gold_intent
+        self.gold_emotion = gold_emotion
+        self.groups = groups
+        self.inserts = inserts
+        self.picks = picks
+        if groups is None:
+            self.sentences = sentences
+
+    def _base(self) -> list[LabeledSentence]:
+        "The sentences before the emotion splices, in a list of their own."
+        if self.groups is None:
+            return list(self.sentences)
+        base = [s for g in self.groups for s in g.sentences]
+        for pos, g in self.inserts:
+            base[pos:pos] = g.sentences
+        return base
+
+    def _splices(self, base: list[LabeledSentence]) -> list[tuple[int, Group, str, str]]:
+        "The picks, each slot resolved to the index in `base` of the sentence its phrase follows."
+        out = []
+        for slot, group, register, polarity in self.picks:
+            if register == "directed":
+                slot = [i for i, s in enumerate(base) if s.task_relevant][slot]
+            out.append((slot, group, register, polarity))
+        return out
+
+    @functools.cached_property
+    def sentences(self) -> list[LabeledSentence]:
+        sentences = self._base()
+        for idx, group, _, _ in sorted(self._splices(sentences), key=lambda p: p[0], reverse=True):
+            sentences[idx + 1 : idx + 1] = group.sentences
+        return sentences
+
+    @functools.cached_property
+    def injections(self) -> list[Injection]:
+        base = self._base()
+        # the offset just after sentence idx's final punctuation in the base text
+        return [
+            Injection(group.template, len(" ".join(s.text for s in base[: idx + 1])), register, polarity)
+            for idx, group, register, polarity in self._splices(base)
+        ]
+
+    @functools.cached_property
+    def base_text(self) -> str:
+        "The text before the emotion splices."
+        return " ".join(s.text for s in self._base())
 
     @property
     def text(self) -> str:
@@ -110,6 +182,9 @@ class InteractionRecord:
     reward: float
     correct: bool
 
+
+# how far from 1 the weights of rng.choice's `p` may sum (numpy's own tolerance)
+_SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
 
 # the GeneratorConfig fields that are probabilities in [0, 1]
 RATE_FIELDS = (
@@ -167,6 +242,26 @@ class GeneratorConfig:
             for template in pool:
                 if not template or template[-1] not in SPLIT_PUNCT:
                     raise ValueError(f"template must end with splitting punctuation: {template!r}")
+        if self.max_distractors < 0:
+            raise ValueError(f"max_distractors must be at least 0, got {self.max_distractors}")
+        if self.vocab_size < 1:
+            raise ValueError(f"vocab_size must be at least 1, got {self.vocab_size}")
+        if self.intent_prior is not None and len(self.intent_prior) != self.n_intents:
+            raise ValueError(
+                f"intent_prior needs {self.n_intents} entries, one per {self.task} intent, got {len(self.intent_prior)}"
+            )
+        # the length of pretrain_intent_weights is ExperimentConfig's to settle
+        for name in ("intent_prior", "pretrain_intent_weights"):
+            weights = getattr(self, name)
+            if weights is None:
+                continue
+            if not all(math.isfinite(w) and w >= 0.0 for w in weights) or abs(math.fsum(weights) - 1.0) > _SUM_TOLERANCE:
+                raise ValueError(f"{name} must be finite non-negative weights summing to 1, got {weights}")
+
+    @property
+    def n_intents(self) -> int:
+        "How many intents the task draws from: the multiclass intents, or the valid multilabel combinations."
+        return len(self.multiclass_intents) if self.task == "multiclass" else len(self.valid_combos)
 
     def _all_template_pools(self) -> list[list[str]]:
         pools = [self.intent_templates[n] for n in self.multiclass_intents if n in self.intent_templates]
@@ -218,67 +313,55 @@ def config_vocab(config: GeneratorConfig) -> Vocabulary:
 
 
 @functools.cache
-def _instantiate(
-    template: str, task_relevant: bool, directed: str = "none", general: str = "none"
-) -> tuple[LabeledSentence, ...]:
-    """Expand a template into its segments, all sharing the template's flags.
-
-    Cached: a template is segmented once per process, and every caller gets
-    the same tuple of frozen sentences, which it copies into its own list.
-    """
-    return tuple(
+def _instantiate(template: str, task_relevant: bool, directed: str = "none", general: str = "none") -> Group:
+    "The template's group: it is segmented once per process, and every message shares the record."
+    sentences = tuple(
         LabeledSentence(text=s.text, task_relevant=task_relevant, directed=directed, general=general)
         for s in segment(template)
     )
+    return Group(template, sentences, len(sentences) if task_relevant else 0)
 
 
-def _with_distractors(config: GeneratorConfig, rng: np.random.Generator, groups: list) -> list[LabeledSentence]:
-    "`groups` plus a binomial number of distractor templates, flattened in a random group order."
+def _with_distractors(config: GeneratorConfig, rng: np.random.Generator, groups: list[Group]) -> list[Group]:
+    "`groups` plus a binomial number of distractor templates, in a random order."
     n_distract = int(rng.binomial(config.max_distractors, config.distractor_rate))
     for template in _draw_templates(config.distractor_templates, rng, n_distract):
-        groups.append(_instantiate(template, task_relevant=False))
-    return [s for gi in rng.permutation(len(groups)) for s in groups[int(gi)]]
+        groups.append(_instantiate(template, False))
+    # the same draws, order and generator state as [groups[i] for i in rng.permutation(len(groups))], for less
+    rng.shuffle(groups)
+    return groups
 
 
 _POLARITY_LABEL = {"pos": EmotionLabel.POSITIVE, "neg": EmotionLabel.NEGATIVE, "none": EmotionLabel.NEUTRAL}
 
 
 def _with_emotion(
-    config: GeneratorConfig, rng: np.random.Generator, base: list[LabeledSentence], gold_intent, directed: str
+    config: GeneratorConfig, rng: np.random.Generator, groups: list[Group], gold_intent, directed: str, inserts=()
 ) -> EmailMessage:
-    """The message `base` with emotion phrases spliced in.
+    """The message of `groups` and `inserts` with emotion phrases spliced in.
 
     A `directed` ("pos" or "neg") phrase lands right after a task sentence
     and sets the gold emotion; "none" leaves it Neutral. Then, with
     probability general_rate, a general-register phrase of either polarity
-    lands after any sentence. Offsets are recorded against the
-    pre-injection text, so audits can check them against that text's
-    insertion positions.
+    lands after any sentence. A slot is drawn from the groups' sentence
+    counts alone; the message places the phrases, and records their
+    offsets against the pre-injection text, when it is rendered.
     """
-    picks: list[tuple[int, str, str, str]] = []
+    base = [*groups, *(group for _, group in inserts)] if inserts else groups
+    picks = []
     if directed != "none":
         pool = config.directed_pos if directed == "pos" else config.directed_neg
         phrase = pool[int(rng.integers(len(pool)))]
-        task_slots = [i for i, s in enumerate(base) if s.task_relevant]
-        picks.append((task_slots[int(rng.integers(len(task_slots)))], phrase, "directed", directed))
+        slot = int(rng.integers(sum(g.n_task for g in base)))
+        picks.append((slot, _instantiate(phrase, False, directed), "directed", directed))
     if rng.random() < config.general_rate:
         pol = "pos" if rng.random() < 0.5 else "neg"
         pool = config.general_pos if pol == "pos" else config.general_neg
         phrase = pool[int(rng.integers(len(pool)))]
-        picks.append((int(rng.integers(len(base))), phrase, "general", pol))
-
-    sentences, injections = list(base), []
-    for idx, phrase, register, polarity in picks:
-        # the offset just after sentence idx's final punctuation in the joined text
-        injections.append(Injection(phrase, len(" ".join(s.text for s in base[: idx + 1])), register, polarity))
-    for idx, phrase, register, polarity in sorted(picks, key=lambda p: p[0], reverse=True):
-        sentences[idx + 1 : idx + 1] = _instantiate(phrase, task_relevant=False, **{register: polarity})
+        slot = int(rng.integers(sum(len(g.sentences) for g in base)))
+        picks.append((slot, _instantiate(phrase, False, "none", pol), "general", pol))
     return EmailMessage(
-        sentences=sentences,
-        gold_intent=gold_intent,
-        gold_emotion=_POLARITY_LABEL[directed],
-        base_text=" ".join(s.text for s in base),
-        injections=injections,
+        None, gold_intent, _POLARITY_LABEL[directed], groups=groups, inserts=tuple(inserts), picks=tuple(picks)
     )
 
 
@@ -308,12 +391,9 @@ def normalize_intent(config: GeneratorConfig, intent) -> "int | tuple[int, ...]"
 
 
 def draw_intent(config: GeneratorConfig, rng: np.random.Generator) -> "int | tuple[int, ...]":
-    n = len(config.multiclass_intents) if config.task == "multiclass" else len(config.valid_combos)
     prior = config.intent_prior
-    if prior is not None and len(prior) != n:
-        raise ValueError(f"intent prior needs {n} entries")
     # with no prior, rng.integers(n) draws what rng.choice(n) does, for less
-    idx = int(rng.choice(n, p=prior)) if prior is not None else int(rng.integers(n))
+    idx = int(rng.choice(config.n_intents, p=prior)) if prior is not None else int(rng.integers(config.n_intents))
     return idx if config.task == "multiclass" else config.valid_combos[idx]
 
 
@@ -325,41 +405,38 @@ def generate_email(config: GeneratorConfig, rng: np.random.Generator, intent) ->
     not.
     """
     intent = normalize_intent(config, intent)
-    groups: list[tuple[LabeledSentence, ...]] = []
+    groups: list[Group] = []
     if config.task == "multiclass":
         name = config.multiclass_intents[intent]
         relevant = name != "other"
         n_task = 1 + int(rng.random() < config.extra_task_rate)
         for template in _draw_templates(config.intent_templates[name], rng, n_task):
-            groups.append(_instantiate(template, task_relevant=relevant))
+            groups.append(_instantiate(template, relevant))
     else:
         for bit, on in enumerate(intent):
             if on:
                 template = _draw_templates(config.bit_templates[bit], rng, 1)[0]
-                groups.append(_instantiate(template, task_relevant=True))
-    sentences = _with_distractors(config, rng, groups)
-    msg = EmailMessage(sentences=sentences, gold_intent=intent, gold_emotion=EmotionLabel.NEUTRAL)
-    msg.base_text = msg.text
-    return msg
+                groups.append(_instantiate(template, True))
+    return EmailMessage(None, intent, EmotionLabel.NEUTRAL, groups=_with_distractors(config, rng, groups))
 
 
 def respond(config: GeneratorConfig, rng: np.random.Generator, gold, taken) -> EmailMessage:
     """The user's reply to the agent's action.
 
-    A correct action draws a directed-positive phrase with probability
-    q_pos, a wrong one a directed-negative phrase with probability q_neg;
+    `gold` is a normalized intent, as a generated email's gold_intent is. A
+    correct action draws a directed-positive phrase with probability q_pos,
+    a wrong one a directed-negative phrase with probability q_neg;
     otherwise the reply stays neutral. Directed phrases land immediately
     after a task sentence; a general-register phrase may land after any
     sentence. The gold emotion label reflects only the directed injection.
     """
-    gold = normalize_intent(config, gold)
     followup = _draw_templates(config.followup_templates, rng, 1)[0]
-    base = _with_distractors(config, rng, [_instantiate(followup, task_relevant=True)])
+    groups = _with_distractors(config, rng, [_instantiate(followup, True)])
     if taken == gold:
         directed = "pos" if rng.random() < config.q_pos else "none"
     else:
         directed = "neg" if rng.random() < config.q_neg else "none"
-    return _with_emotion(config, rng, base, gold, directed)
+    return _with_emotion(config, rng, groups, gold, directed)
 
 
 def apply_regime(
@@ -415,16 +492,16 @@ def build_offline_corpus(config: GeneratorConfig, rng: np.random.Generator, n: i
     for directed in polarities:
         intent = task_pool[int(rng.integers(len(task_pool)))]
         email = generate_email(config, rng, intent)
-        base = list(email.sentences)
+        n_sentences = sum(len(g.sentences) for g in email.groups)
+        inserts = []
         if rng.random() < config.corpus_followup_rate:
-            template = _draw_templates(config.followup_templates, rng, 1)[0]
-            pos = int(rng.integers(len(base) + 1))
-            base[pos:pos] = _instantiate(template, task_relevant=True)
+            group = _instantiate(_draw_templates(config.followup_templates, rng, 1)[0], True)
+            inserts.append((int(rng.integers(n_sentences + 1)), group))
+            n_sentences += len(group.sentences)
         if config.task == "multiclass" and rng.random() < config.corpus_other_rate:
-            template = _draw_templates(config.intent_templates["other"], rng, 1)[0]
-            pos = int(rng.integers(len(base) + 1))
-            base[pos:pos] = _instantiate(template, task_relevant=False)
-        out.append(_with_emotion(config, rng, base, email.gold_intent, directed))
+            group = _instantiate(_draw_templates(config.intent_templates["other"], rng, 1)[0], False)
+            inserts.append((int(rng.integers(n_sentences + 1)), group))
+        out.append(_with_emotion(config, rng, email.groups, email.gold_intent, directed, inserts))
     return out
 
 
@@ -472,13 +549,7 @@ def corpus_from_jsonl(path) -> list[EmailMessage]:
             rec = json.loads(line)
             sentences = [LabeledSentence(**s) for s in rec["sentences"]]
             intent = tuple(rec["intent"]) if isinstance(rec["intent"], list) else rec["intent"]
-            msg = EmailMessage(
-                sentences=sentences,
-                gold_intent=intent,
-                gold_emotion=EmotionLabel[rec["emotion"].upper()],
-            )
-            msg.base_text = msg.text
-            out.append(msg)
+            out.append(EmailMessage(sentences, intent, EmotionLabel[rec["emotion"].upper()]))
     return out
 
 
@@ -494,9 +565,11 @@ class Environment:
     and returns the interaction record.
 
     Per distinct sentence text it keeps the in-vocabulary token ids and, on
-    the learned channel, the scope filter's row; per tuple of kept reply
-    texts, the emotion label: about 100 entries under a trained filter, up
-    to one per reply (about 200 B each) under one that keeps everything.
+    the learned channel, the scope filter's row; per template group, the ids
+    of its gold-scope sentences, from which the oracle state of a generated
+    message is counted without rendering it; per tuple of kept reply texts,
+    the emotion label: about 100 entries under a trained filter, up to one
+    per reply (about 200 B each) under one that keeps everything.
     Both assume the scope and emotion models do not change while the
     environment uses them: after retraining either, build a new Environment.
     """
@@ -532,6 +605,7 @@ class Environment:
         self._step = 0
         self._texts: dict[str, tuple[tuple[int, ...], np.ndarray | None]] = {}
         self._labels: dict[tuple[str, ...], EmotionLabel] = {}
+        self._gold_ids: dict[Group, tuple[int, ...]] = {}
 
     def _facts(self, text: str) -> tuple[tuple[int, ...], np.ndarray | None]:
         "(in-vocabulary token ids, scope row or None on the oracle channel) of a sentence text."
@@ -554,8 +628,25 @@ class Environment:
             return gold_scope_texts(message)
         return [s.text for s, keep in zip(message.sentences, self._keep_mask(message)) if keep]
 
+    def _group_ids(self, group: Group) -> tuple[int, ...]:
+        "The in-vocabulary token ids of a group's gold-scope sentences."
+        ids = self._gold_ids.get(group)
+        if ids is None:
+            ids = self._gold_ids[group] = tuple(
+                i for s in group.sentences if in_gold_scope(s) for i in self._facts(s.text)[0]
+            )
+        return ids
+
     def featurize_email(self, message: EmailMessage) -> np.ndarray:
-        "`featurize_texts(self.scoped_texts(message), self.vocab)`, from the texts' token ids."
+        "`featurize_texts(self.scoped_texts(message), self.vocab)`, from cached token ids."
+        if self.channel == "oracle" and message.groups is not None:
+            # the gold scope of a generated message is its groups' gold-scope
+            # sentences, and counts do not depend on the order they are taken in
+            group_ids = self._group_ids
+            groups = message.groups
+            if message.inserts or message.picks:
+                groups = [*groups, *(g for _, g in message.inserts), *(p[1] for p in message.picks)]
+            return count_features([i for g in groups for i in group_ids(g)], self.vocab.size)
         facts = self._facts
         return count_features([i for text in self.scoped_texts(message) for i in facts(text)[0]], self.vocab.size)
 

@@ -90,11 +90,9 @@ class ExperimentConfig:
             raise ValueError("init = pretrained needs pretrain_size and pretrain_epochs of at least 1")
         self.generator = replace(self.generator, task=self.task)
         weights = self.generator.pretrain_intent_weights
-        if weights is not None:
-            n = len(self.generator.multiclass_intents) if self.task == "multiclass" else len(self.generator.valid_combos)
-            if len(weights) != n:
-                # weights from the other task's action space; fall back to uniform
-                self.generator = replace(self.generator, pretrain_intent_weights=None)
+        if weights is not None and len(weights) != self.generator.n_intents:
+            # weights from the other task's action space; fall back to uniform
+            self.generator = replace(self.generator, pretrain_intent_weights=None)
 
 
 @dataclass(frozen=True)
@@ -290,6 +288,14 @@ def run_cell(config: ExperimentConfig, run_dir, **models):
         yield curve, info
 
 
+def grid_cells(base: ExperimentConfig) -> list[ExperimentConfig]:
+    "Every (task, init, regime) cell's config; a value that some cell cannot take raises here, before any cell runs."
+    return [
+        replace(base, task=task, init=init, regime=getattr(FeedbackRegime, regime)())
+        for task, init, regime in product(("multiclass", "multilabel"), ("scratch", "pretrained"), REGIME_NAMES)
+    ]
+
+
 def run_grid(base: ExperimentConfig, run_dir) -> list[dict]:
     """Run every (task, init, regime) cell at every seed and summarize.
 
@@ -297,8 +303,7 @@ def run_grid(base: ExperimentConfig, run_dir) -> list[dict]:
     (one per cell) that are also written to run_dir/report.csv.
     """
     curves: dict[tuple[str, str, str], list[LearningCurve]] = {}
-    for task, init, regime in product(("multiclass", "multilabel"), ("scratch", "pretrained"), REGIME_NAMES):
-        cfg = replace(base, task=task, init=init, regime=getattr(FeedbackRegime, regime)())
+    for cfg in grid_cells(base):
         curves[cell_key(cfg)] = [curve for curve, _ in run_cell(cfg, run_dir)]
     rows = summarize_grid(curves)
     write_report(Path(run_dir) / "report.csv", rows)

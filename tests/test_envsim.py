@@ -201,6 +201,142 @@ def test_templates_are_segmented_once_per_process(gen_config, trained_scope, tra
         assert make(np.random.default_rng(3)).sentences == kept
 
 
+# -- the draw path against the eager builders ---------------------------------
+# The builders below render each message in full as they draw it, as the
+# package did before a message kept only its draws. They stay here as the
+# reference the draw path is held to: field for field, and generator state
+# for generator state.
+
+_LABEL = {"pos": EmotionLabel.POSITIVE, "neg": EmotionLabel.NEGATIVE, "none": EmotionLabel.NEUTRAL}
+
+
+def _eager_segments(template, task_relevant, directed="none", general="none"):
+    return [LabeledSentence(s.text, task_relevant, directed, general) for s in segment(template)]
+
+
+def _eager_with_distractors(config, rng, groups):
+    n_distract = int(rng.binomial(config.max_distractors, config.distractor_rate))
+    for template in envsim._draw_templates(config.distractor_templates, rng, n_distract):
+        groups.append(_eager_segments(template, False))
+    return [s for gi in rng.permutation(len(groups)) for s in groups[int(gi)]]
+
+
+def _eager_message(sentences, gold_intent, directed="none", base=None, injections=()):
+    base = sentences if base is None else base
+    return {
+        "sentences": sentences,
+        "text": " ".join(s.text for s in sentences),
+        "base_text": " ".join(s.text for s in base),
+        "injections": list(injections),
+        "gold_intent": gold_intent,
+        "gold_emotion": _LABEL[directed],
+    }
+
+
+def _eager_with_emotion(config, rng, base, gold_intent, directed):
+    picks = []
+    if directed != "none":
+        pool = config.directed_pos if directed == "pos" else config.directed_neg
+        phrase = pool[int(rng.integers(len(pool)))]
+        task_slots = [i for i, s in enumerate(base) if s.task_relevant]
+        picks.append((task_slots[int(rng.integers(len(task_slots)))], phrase, "directed", directed))
+    if rng.random() < config.general_rate:
+        pol = "pos" if rng.random() < 0.5 else "neg"
+        pool = config.general_pos if pol == "pos" else config.general_neg
+        phrase = pool[int(rng.integers(len(pool)))]
+        picks.append((int(rng.integers(len(base))), phrase, "general", pol))
+    injections = [
+        envsim.Injection(phrase, len(" ".join(s.text for s in base[: idx + 1])), register, polarity)
+        for idx, phrase, register, polarity in picks
+    ]
+    sentences = list(base)
+    for idx, phrase, register, polarity in sorted(picks, key=lambda p: p[0], reverse=True):
+        sentences[idx + 1 : idx + 1] = _eager_segments(phrase, False, **{register: polarity})
+    return _eager_message(sentences, gold_intent, directed, base, injections)
+
+
+def _eager_email(config, rng, intent):
+    intent = envsim.normalize_intent(config, intent)
+    groups = []
+    if config.task == "multiclass":
+        name = config.multiclass_intents[intent]
+        n_task = 1 + int(rng.random() < config.extra_task_rate)
+        for template in envsim._draw_templates(config.intent_templates[name], rng, n_task):
+            groups.append(_eager_segments(template, name != "other"))
+    else:
+        for bit, on in enumerate(intent):
+            if on:
+                groups.append(_eager_segments(envsim._draw_templates(config.bit_templates[bit], rng, 1)[0], True))
+    return _eager_message(_eager_with_distractors(config, rng, groups), intent)
+
+
+def _eager_reply(config, rng, gold, taken):
+    followup = envsim._draw_templates(config.followup_templates, rng, 1)[0]
+    base = _eager_with_distractors(config, rng, [_eager_segments(followup, True)])
+    if taken == gold:
+        directed = "pos" if rng.random() < config.q_pos else "none"
+    else:
+        directed = "neg" if rng.random() < config.q_neg else "none"
+    return _eager_with_emotion(config, rng, base, gold, directed)
+
+
+def _eager_corpus(config, rng, n):
+    polarities = np.array(["pos", "neg", "none"], dtype=object)[np.arange(n) % 3]
+    rng.shuffle(polarities)
+    task_pool = envsim._task_intents(config)
+    out = []
+    for directed in polarities:
+        email = _eager_email(config, rng, task_pool[int(rng.integers(len(task_pool)))])
+        base = list(email["sentences"])
+        if rng.random() < config.corpus_followup_rate:
+            template = envsim._draw_templates(config.followup_templates, rng, 1)[0]
+            pos = int(rng.integers(len(base) + 1))
+            base[pos:pos] = _eager_segments(template, True)
+        if config.task == "multiclass" and rng.random() < config.corpus_other_rate:
+            template = envsim._draw_templates(config.intent_templates["other"], rng, 1)[0]
+            pos = int(rng.integers(len(base) + 1))
+            base[pos:pos] = _eager_segments(template, False)
+        out.append(_eager_with_emotion(config, rng, base, email["gold_intent"], directed))
+    return out
+
+
+_FIELDS = ("sentences", "text", "base_text", "injections", "gold_intent", "gold_emotion")
+
+# the defaults; every draw at its most frequent (two picks may share a slot); no distractor or phrase at all
+_RATES = [
+    {},
+    dict(distractor_rate=1.0, extra_task_rate=1.0, general_rate=1.0, corpus_followup_rate=1.0, corpus_other_rate=1.0),
+    dict(distractor_rate=0.0, extra_task_rate=0.0, general_rate=0.0, q_pos=0.0, q_neg=0.0),
+]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    task=st.sampled_from(["multiclass", "multilabel"]),
+    rates=st.sampled_from(_RATES),
+    order=st.permutations(_FIELDS),
+)
+def test_drawn_messages_render_as_the_eager_builders(seed, task, rates, order):
+    # the fields are read in a drawn order, as each is rendered on its first read
+    config = default_config(task, **rates)
+    drawn, eager = np.random.default_rng(seed), np.random.default_rng(seed)
+
+    def check(messages, expected):
+        for message, fields in zip(messages, expected, strict=True):
+            assert message.groups is not None
+            for name in order:
+                assert getattr(message, name) == fields[name], name
+        assert drawn.bit_generator.state == eager.bit_generator.state
+
+    intent, taken = draw_intent(config, drawn), draw_intent(config, drawn)
+    draw_intent(config, eager), draw_intent(config, eager)
+    email = generate_email(config, drawn, intent)
+    check([email], [_eager_email(config, eager, intent)])
+    check([respond(config, drawn, email.gold_intent, taken)], [_eager_reply(config, eager, email.gold_intent, taken)])
+    check(build_offline_corpus(config, drawn, 4), _eager_corpus(config, eager, 4))
+
+
 # -- replies ------------------------------------------------------------------
 
 
@@ -515,10 +651,10 @@ def _untrained_models(vocab):
 
 
 @functools.cache
-def _shared_env(task, channel, scope_model, emotion_model):
+def _shared_env(task, channel, scope_model, emotion_model, vocab_size=2048):
     "One environment per setting, shared across examples, so later examples read filled tables."
     models = dict(scope_model=scope_model, emotion_model=emotion_model) if channel == "learned" else {}
-    return Environment(default_config(task), channel=channel, **models)
+    return Environment(default_config(task, vocab_size=vocab_size), channel=channel, **models)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -539,6 +675,8 @@ def test_environment_tables_match_the_direct_path(seed, task, trained, unknown, 
     odd = [LabeledSentence(text, task_relevant=k % 2 == 0) for k, text in enumerate(unknown)]
     for sentences in (odd, odd + messages[1].sentences):
         messages.append(EmailMessage(sentences, gold_intent=email.gold_intent, gold_emotion=EmotionLabel.NEUTRAL))
+    # the generated messages give the oracle state from their groups' ids, the others from their texts'
+    assert [m.groups is not None for m in messages] == [True] * 4 + [False] * 2
     for channel in ("oracle", "learned"):
         env = _shared_env(task, channel, scope_model, emotion_model)
         for m in messages:
@@ -548,6 +686,10 @@ def test_environment_tables_match_the_direct_path(seed, task, trained, unknown, 
             assert env.featurize_email(m).tobytes() == featurize_texts(kept, vocab).tobytes()
             label = m.gold_emotion if channel == "oracle" else classify_emotion(emotion_model, scoped)[0]
             assert env.emotion_of(m) is label
+    # a vocabulary that leaves most template tokens unknown
+    small = _shared_env(task, "oracle", None, None, vocab_size=16)
+    for m in messages:
+        assert small.featurize_email(m).tobytes() == featurize_texts(gold_scope_texts(m), small.vocab).tobytes()
 
 
 def test_tables_fill_once_and_a_retrained_model_needs_a_new_environment(

@@ -490,6 +490,37 @@ def test_cli_refuses_a_value_its_key_cannot_take_naming_the_key(old, new, messag
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize(
+    ("argv", "value", "key"),
+    [
+        (["run-online", "--run-dir", "{out}"], "max_distractors = -1", "max_distractors"),
+        (["gen-data", "--out", "{out}/corpus.jsonl"], "max_distractors = -1", "max_distractors"),
+        (["run-online", "--run-dir", "{out}"], "vocab_size = 0", "vocab_size"),
+        (["run-online", "--run-dir", "{out}"], "intent_prior = 0.5, 0.5", "intent_prior"),
+        (["run-online", "--run-dir", "{out}"], "intent_prior = 1.2, -0.2, 0.0", "intent_prior"),
+        (["run-online", "--run-dir", "{out}"], "intent_prior = 0.2, 0.2, 0.2", "intent_prior"),
+        (["run-online", "--run-dir", "{out}"], "intent_prior = nan, 0.5, 0.5", "intent_prior"),
+        (["run-online", "--run-dir", "{out}"], "pretrain_intent_weights = 0.6, 0.6, -0.2", "pretrain_intent_weights"),
+    ],
+    ids=["distractors", "gen_data_distractors", "vocab", "prior_length", "prior_negative", "prior_sum", "prior_nan", "pretrain_negative"],
+)
+def test_cli_refuses_a_generator_value_no_draw_can_use_before_writing(argv, value, key, tmp_path, capsys):
+    path = _bad_config(tmp_path, "distractor_rate = 0.5", f"distractor_rate = 0.5\n{value}")
+    out = tmp_path / "out"
+    assert main([*(a.format(out=out) for a in argv), "--config", str(path)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_grid_refuses_an_intent_prior_before_writing(tmp_path, capsys):
+    # three weights fit the multiclass cells, and no multilabel cell
+    path = _bad_config(tmp_path, "distractor_rate = 0.5", "distractor_rate = 0.5\nintent_prior = 0.2, 0.3, 0.5")
+    run_dir = tmp_path / "grid"
+    assert main(["run-grid", "--config", str(path), "--run-dir", str(run_dir)]) == 1
+    assert "intent_prior needs 6 entries" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
 def test_cli_run_grid_refuses_the_learned_channel_before_writing(tmp_path, capsys):
     path = _bad_config(tmp_path, "channel = oracle", "channel = learned")
     run_dir = tmp_path / "grid"

@@ -72,6 +72,31 @@ def test_every_traced_lookup_site_resolves():
     assert not missing
 
 
+def test_the_tracer_sees_every_call_of_the_environment_layers(monkeypatch):
+    # the per-layer benchmark counts the generator where bench/spans.py wraps
+    # it; a loop that reached the generator by another name would leave those
+    # spans silently empty
+    from emorl.harness import ExperimentConfig, run_online
+
+    sites = traced_lookup_sites()
+    calls = {"envsim.respond": 0, "envsim.generate_email": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        for owner, attr in sites[name]:
+            monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+    config = ExperimentConfig(interactions=60, eval_every=30, window=30, eval_size=10, seeds=(1,))
+    run_online(config, 1)
+    assert calls["envsim.respond"] == config.interactions
+    assert calls["envsim.generate_email"] >= config.interactions
+
+
 TRACER_MARK = "the benchmark's span tracer wraps it at this name"
 
 

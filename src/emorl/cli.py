@@ -90,19 +90,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seed_override(args) -> int | None:
-    if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get("NARLE_SEED")
-    return int(env) if env else None
+def _seed_override(args, config: ExperimentConfig) -> ExperimentConfig:
+    "`config` on the seed `--seed`, else NARLE_SEED, gives; a seed no run can take is a usage error naming it."
+    source, seed = ("--seed", args.seed) if args.seed is not None else ("NARLE_SEED", os.environ.get("NARLE_SEED"))
+    if seed in (None, ""):
+        return config
+    try:  # replace() re-runs the config's validation
+        return replace(config, seeds=(int(seed),))
+    except ValueError as exc:
+        raise UsageError(f"{source}: {exc}") from exc
 
 
 def _load(args) -> tuple[ExperimentConfig, dict, str]:
     loaded = load_config_file(args.config)
-    config: ExperimentConfig = loaded["experiment"]
-    seed = _seed_override(args)
-    if seed is not None:
-        config = replace(config, seeds=(seed,))
+    config = _seed_override(args, loaded["experiment"])
     text = Path(args.config).read_text(encoding="utf-8")
     return config, loaded["stages"], text
 

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .nn import Network, SGD, fit, load_checkpoint, save_checkpoint
+from .nn import Network, PackedRows, SGD, fit, load_checkpoint, save_checkpoint
 from .nn import apply_update  # noqa: F401  the benchmark's span tracer wraps it at this name
 from .scope import gold_scope_texts
 from .text import Vocabulary, featurize_texts
@@ -143,24 +143,26 @@ def train_emotion(
         missing = [LABEL_ORDER[i].name for i in range(len(LABEL_ORDER)) if i not in present]
         raise ValueError(f"corpus is missing emotion classes: {', '.join(missing)}")
 
-    rows, empty = [], []
-    for m in corpus:
-        texts = [t for t in scoper(m) if t.strip()]  # the texts classify_texts classifies
-        rows.append(featurize_texts(texts, model.vocab))
-        empty.append(not texts)
-    X = np.stack(rows)
-    y = np.array(labels, dtype=np.int64)
+    empty = []
+
+    def featurized():
+        for m in corpus:
+            texts = [t for t in scoper(m) if t.strip()]  # the texts classify_texts classifies
+            empty.append(not texts)
+            yield featurize_texts(texts, model.vocab)
+
+    data = PackedRows(featurized(), labels, model.vocab.size)  # packed as featurized: no dense corpus matrix
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(corpus))
     # all three classes make n >= 3, so 1 <= round(0.2 * n) < n: both splits are non-empty
     n_hold = int(round(0.2 * len(corpus)))
     hold_idx, train_idx = order[:n_hold], order[n_hold:]
 
-    fit(model.net, X, y, train_idx, epochs, SGD(learning_rate=lr), rng)
+    fit(model.net, data, train_idx, epochs, SGD(learning_rate=lr), rng)
 
     # held-out labels follow classify_texts's rule, as the online loop's do
-    preds = [LABEL_INDEX[_label(None if empty[i] else model.net.forward(X[i]))[0]] for i in hold_idx]
-    golds = [int(y[i]) for i in hold_idx]
+    preds = [LABEL_INDEX[_label(None if empty[i] else model.net.forward(data.row(i)))[0]] for i in hold_idx]
+    golds = [labels[i] for i in hold_idx]
     return {
         "accuracy": float(np.mean([p == g for p, g in zip(preds, golds)])),
         "macro_f1": macro_f1(golds, preds, len(LABEL_ORDER)),

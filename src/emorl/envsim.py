@@ -368,14 +368,17 @@ def _with_emotion(
 def _draw_templates(pool: list, rng: np.random.Generator, k: int) -> list[str]:
     if k <= 0:
         return []
+    n = len(pool)
     if k == 1:
-        # the same value and generator state as rng.choice(len(pool), size=1, replace=False), at a fifth of its cost
-        return [pool[int(rng.integers(len(pool)))]]
-    if k <= len(pool):
-        idx = rng.choice(len(pool), size=k, replace=False)
-    else:
-        idx = rng.choice(len(pool), size=k, replace=True)
-    return [pool[int(i)] for i in idx]
+        # the same value and generator state as rng.choice(n, size=1, replace=False), at a fifth of its cost
+        return [pool[int(rng.integers(n))]]
+    if k == 2 and n >= 2:
+        # rng.choice(n, size=2, replace=False)'s draws, for less: Floyd's algorithm
+        # (a value drawn again is replaced by the bound), then its one-swap shuffle
+        first, second = int(rng.integers(n - 1)), int(rng.integers(n))
+        pair = [pool[first], pool[n - 1 if second == first else second]]
+        return pair if rng.integers(2) else pair[::-1]
+    return [pool[int(i)] for i in rng.choice(n, size=k, replace=k > n)]
 
 
 def normalize_intent(config: GeneratorConfig, intent) -> "int | tuple[int, ...]":

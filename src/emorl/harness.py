@@ -78,6 +78,8 @@ class ExperimentConfig:
             raise ValueError("window cannot exceed the interaction budget")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError(f"seeds must be non-negative, got {', '.join(map(str, self.seeds))}")
         if self.eval_size < 1:
             raise ValueError(f"eval_size must be at least 1, got {self.eval_size}")
         if not 0.0 < self.lr < float("inf"):
@@ -159,24 +161,11 @@ def _format_row(row: CurveRow) -> str:
 
 
 def build_agent(config: ExperimentConfig, input_dim: int, seed: int):
+    shared = dict(hidden=config.hidden, lr=config.lr, seed=seed, init_scale=config.init_scale)
     if config.task == "multiclass":
-        return MulticlassPolicy(
-            input_dim,
-            n_actions=len(config.generator.multiclass_intents),
-            hidden=config.hidden,
-            lr=config.lr,
-            seed=seed,
-            init_scale=config.init_scale,
-        )
-    return MultilabelPolicy(
-        input_dim,
-        n_bits=len(config.generator.valid_combos[0]),
-        hidden=config.hidden,
-        lr=config.lr,
-        seed=seed,
-        init_scale=config.init_scale,
-        valid_combos=config.generator.valid_combos,
-    )
+        return MulticlassPolicy(input_dim, n_actions=len(config.generator.multiclass_intents), **shared)
+    combos = config.generator.valid_combos
+    return MultilabelPolicy(input_dim, n_bits=len(combos[0]), valid_combos=combos, **shared)
 
 
 def make_eval_set(config: ExperimentConfig, env: Environment, seed: int):

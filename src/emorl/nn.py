@@ -24,6 +24,7 @@ import math
 import os
 import re
 import struct
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -87,6 +88,11 @@ class Layer:
     w: ParamTensor
     b: ParamTensor
     activation: str
+
+    @classmethod
+    def named(cls, i: int, activation: str, w, b) -> "Layer":
+        "Layer `i` of a network, its tensors named as its checkpoint stores them."
+        return cls(ParamTensor(f"L{i:02d}.{activation}.W", w), ParamTensor(f"L{i:02d}.{activation}.b", b), activation)
 
     @property
     def out_dim(self) -> int:
@@ -179,17 +185,9 @@ class Network:
         layers = []
         for i in range(n_layers):
             fan_in, fan_out = dims[i], dims[i + 1]
-            if rng is None:
-                w = np.zeros((fan_out, fan_in), dtype=np.float32)
-            else:
-                w = rng.normal(0.0, init_scale / np.sqrt(fan_in), size=(fan_out, fan_in))
-            layers.append(
-                Layer(
-                    w=ParamTensor(f"L{i:02d}.{activations[i]}.W", w),
-                    b=ParamTensor(f"L{i:02d}.{activations[i]}.b", np.zeros(fan_out, dtype=np.float32)),
-                    activation=activations[i],
-                )
-            )
+            shape = (fan_out, fan_in)
+            w = np.zeros(shape) if rng is None else rng.normal(0.0, init_scale / np.sqrt(fan_in), size=shape)
+            layers.append(Layer.named(i, activations[i], w, np.zeros(fan_out, dtype=np.float32)))
         return cls(layers, head)
 
     @classmethod
@@ -232,11 +230,7 @@ class Network:
         return self.layers[0].w.shape[:-2]
 
     def params(self) -> list[ParamTensor]:
-        out = []
-        for layer in self.layers:
-            out.append(layer.w)
-            out.append(layer.b)
-        return out
+        return [p for layer in self.layers for p in (layer.w, layer.b)]
 
     # -- forward ---------------------------------------------------------
 
@@ -247,7 +241,10 @@ class Network:
         if x.ndim == 0 or x.shape[-1] != self.input_dim:
             raise ValueError(f"input of shape {x.shape} does not match network input dim {self.input_dim}")
         # one singleton axis per stack axis, so that batch axes lead the result
-        h = x.reshape(x.shape[:-1] + (1,) * len(self.stack_shape) + x.shape[-1:])
+        return self._pass(x, x.reshape(x.shape[:-1] + (1,) * len(self.stack_shape) + x.shape[-1:]))
+
+    def _pass(self, x: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        "`trace` of the checked float64 input `x`, also given as `h`: `x` with trace's singleton stack axes."
         zs, hs = [], [x]
         for layer in self.layers:
             z = np.matmul(layer.w.values, h[..., None])[..., 0] + layer.b.values
@@ -264,9 +261,11 @@ class Network:
 
     # -- backward --------------------------------------------------------
 
-    def _backprop(self, g_head: np.ndarray, zs: list[np.ndarray], hs: list[np.ndarray]) -> list[GradEntry]:
+    def _backprop(self, g_head: np.ndarray, zs: list[np.ndarray], hs: list[np.ndarray], cols=None) -> list[GradEntry]:
         """The parameter gradient of one input given dLoss/d(pre-head output),
-        one entry per tensor in `params()` order."""
+        one entry per tensor in `params()` order; `cols` are columns that
+        hold all of the input's nonzero entries, found here when not given."""
+        cols = np.flatnonzero(hs[0]) if cols is None else cols
         grads = []
         g = g_head
         for i in range(len(self.layers) - 1, -1, -1):
@@ -279,13 +278,12 @@ class Network:
             else:
                 # the input is sparse and its zero columns get an exactly zero
                 # gradient, so the entry covers its nonzero columns only
-                cols = np.flatnonzero(hs[0])
                 grads.append((layer.w, (..., cols), _float32(gz[..., :, None] * hs[0][cols])))
         grads.reverse()
         return grads
 
-    def _target(self, probs: np.ndarray, target) -> np.ndarray:
-        "A one-hot vector for a softmax index, or the 0/1 bits shaped as `probs`."
+    def _target(self, target) -> np.ndarray:
+        "A one-hot vector for a softmax index, or the 0/1 bits shaped as one input's probabilities."
         if self.head == "softmax":
             a = int(target)
             if a < 0 or a >= self.output_dim:
@@ -293,12 +291,13 @@ class Network:
             onehot = np.zeros(self.output_dim)
             onehot[a] = 1.0
             return onehot
+        shape = self.stack_shape + (self.output_dim,)
         bits = np.asarray(target, dtype=np.float64)
-        if bits.size != probs.size:
-            raise ValueError(f"target length {bits.size} != output size {probs.size}")
+        if bits.size != math.prod(shape):
+            raise ValueError(f"target length {bits.size} != output size {math.prod(shape)}")
         if not np.all((bits == 0.0) | (bits == 1.0)):
             raise ValueError("sigmoid-head target must be a 0/1 vector")
-        return bits.reshape(probs.shape)
+        return bits.reshape(shape)
 
     def reinforce_backward(self, x: np.ndarray, action, reward: float, trace=None) -> list[GradEntry]:
         """The gradient of -reward * ln pi(action | x), as entries for `apply_update`.
@@ -315,7 +314,7 @@ class Network:
         probs, zs, hs = trace if trace is not None else self.trace(np.ravel(x))
         # d(-R ln pi)/d(head input) = R * (p - target), identical in form for
         # the softmax-categorical and the factored-Bernoulli log-likelihood.
-        return self._backprop(reward * (probs - self._target(probs, action)), zs, hs)
+        return self._backprop(reward * (probs - self._target(action)), zs, hs)
 
     def supervised_backward(self, x: np.ndarray, label) -> tuple[list[GradEntry], np.ndarray]:
         """The cross-entropy gradient against a gold label, as entries for
@@ -325,7 +324,7 @@ class Network:
         Sigmoid head: summed per-unit binary cross-entropy with a bit vector.
         """
         probs, zs, hs = self.trace(np.ravel(x))
-        return self._backprop(probs - self._target(probs, label), zs, hs), probs
+        return self._backprop(probs - self._target(label), zs, hs), probs
 
 
 # -- optimizer -----------------------------------------------------------
@@ -361,19 +360,60 @@ def apply_update(grads: Iterable[GradEntry], opt: SGD) -> None:
         p.values[at] = new
 
 
-def fit(net: Network, X: np.ndarray, labels, rows, epochs: int, opt: SGD, rng: np.random.Generator) -> None:
-    """Supervised cross-entropy training: each epoch, one
-    `supervised_backward` and `apply_update` step on row `X[i]` against
-    `labels[i]` for each `i` of `rng.permutation(rows)`; `rows` is an array
-    of row indices, or a count n for rows 0..n-1.
+class PackedRows:
+    """Input rows and their targets, packed row by row into flat arrays. Row
+    i's entries are `cols`/`vals`[bounds[i]:bounds[i + 1]]: the columns
+    (int16 when the width allows) that hold anything but +0.0, and their
+    float64 values. `row(i)` rebuilds row i bit for bit."""
 
+    def __init__(self, rows: Iterable[np.ndarray], targets: Sequence, width: int):
+        cols, vals, bounds = array("q"), array("d"), array("q", [0])
+        for row in rows:
+            row = np.asarray(row, dtype=np.float64).ravel()
+            if row.size != width:
+                raise ValueError(f"a row of {row.size} entries does not match width {width}")
+            at = np.flatnonzero(row.view(np.int64))  # +0.0 is the one float64 whose bits are all zero
+            cols.frombytes(at.astype(np.int64).tobytes())
+            vals.frombytes(row[at].tobytes())
+            bounds.append(len(cols))
+        self.width, self.targets = width, list(targets)
+        self.cols = np.array(cols, dtype=np.int16 if width <= np.iinfo(np.int16).max else np.intp)
+        self.vals, self.bounds = np.frombuffer(vals), np.frombuffer(bounds, dtype=np.int64)
+        if len(self.targets) != len(self.bounds) - 1:
+            raise ValueError(f"{len(self.targets)} targets for {len(self.bounds) - 1} rows")
+
+    def row(self, i: int) -> np.ndarray:
+        a, b = self.bounds[i : i + 2].tolist()
+        x = np.zeros(self.width)
+        x[self.cols[a:b]] = self.vals[a:b]
+        return x
+
+
+def fit(net: Network, data: PackedRows, rows, epochs: int, opt: SGD, rng: np.random.Generator) -> None:
+    """Supervised cross-entropy training: each epoch, the step of
+    `supervised_backward` and `apply_update` on row `i` of `data` and its
+    target for each `i` of `rng.permutation(rows)`; `rows` is an array of
+    row indices, or a count n for rows 0..n-1. The width and the targets are
+    checked before the first step. A step rebuilds its row in one buffer for
+    the dense forward pass, whose order of additions a product over the
+    gathered columns would change, and takes the first layer's gradient on
+    the row's packed columns: a -0.0 entry's is +0.0, which moves no weight.
     A TrainingFault stops training with every tensor as the faulting step
     found it.
     """
+    if data.width != net.input_dim:
+        raise ValueError(f"rows of width {data.width} do not match network input dim {net.input_dim}")
+    targets = np.array([net._target(t) for t in data.targets])
+    x = np.zeros(data.width)
+    h = x.reshape((1,) * len(net.stack_shape) + x.shape)
     for _ in range(epochs):
         for i in rng.permutation(rows):
-            grads, _ = net.supervised_backward(X[i], labels[i])
-            apply_update(grads, opt)
+            a, b = data.bounds[i : i + 2].tolist()
+            at = data.cols[a:b].astype(np.intp)  # numpy would widen narrow indices on every use
+            x[at] = data.vals[a:b]
+            probs, zs, hs = net._pass(x, h)
+            apply_update(net._backprop(probs - targets[i], zs, hs, at), opt)
+            x[at] = 0.0
 
 
 def dense_grads(params: Sequence[ParamTensor], grads: Iterable[GradEntry]) -> list[np.ndarray]:
@@ -501,13 +541,7 @@ def load_checkpoint(path) -> Network:
         w, b = entry["W"], entry["b"]
         if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[0]:
             raise CheckpointFormatError(f"layer {idx} tensor shapes are inconsistent")
-        layers.append(
-            Layer(
-                w=ParamTensor(f"L{idx:02d}.{acts[idx]}.W", w),
-                b=ParamTensor(f"L{idx:02d}.{acts[idx]}.b", b),
-                activation=acts[idx],
-            )
-        )
+        layers.append(Layer.named(idx, acts[idx], w, b))
     try:
         return Network(layers, HEADS[head_code])
     except ValueError as exc:

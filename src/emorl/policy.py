@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .nn import SGD, CheckpointFormatError, Network, apply_update, fit, load_checkpoint, replacing, save_checkpoint
+from .nn import SGD, CheckpointFormatError, Network, PackedRows, apply_update, fit, load_checkpoint, replacing, save_checkpoint
 
 # an action is a class index (multiclass) or a 6-bit tuple (multilabel)
 IntentAction = int | tuple[int, ...]
@@ -80,8 +80,9 @@ class _Policy:
         if not examples:
             raise ValueError("pretraining needs a non-empty labeled subset")
         self._acted = None
-        X, labels = _batch(examples)
-        fit(self.net, X, labels, len(examples), epochs, self.opt, rng if rng is not None else self.rng)
+        states, labels = zip(*examples)
+        data = PackedRows(states, labels, self.net.input_dim)
+        fit(self.net, data, len(examples), epochs, self.opt, rng if rng is not None else self.rng)
 
 
 def _batch(examples: Sequence[tuple[np.ndarray, IntentAction]]) -> tuple[np.ndarray, np.ndarray]:

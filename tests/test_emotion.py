@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,24 @@ def test_training_is_deterministic(vocab, corpus3000):
         return metrics["accuracy"], [p.values.tobytes() for p in model.net.params()]
 
     assert run() == run()
+
+
+def test_training_keeps_no_dense_copy_of_the_corpus(gen_config, vocab):
+    # a dense float64 row per message would take n * vocab * 8 bytes; the
+    # packed rows, buffers and temporaries of training must stay under half
+    # of that. The messages are rendered first, so that their cached
+    # sentences are not counted as training's
+    corpus = build_offline_corpus(gen_config, np.random.default_rng(11), 400)
+    for m in corpus:
+        gold_scope_texts(m)
+    model = EmotionModel(vocab, seed=0)
+    tracemalloc.start()
+    try:
+        train_emotion(model, corpus, epochs=1, lr=0.5, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(corpus) * vocab.size * 8 / 2
 
 
 def test_directed_positive_classified_positive(gen_config, vocab, trained_emotion):

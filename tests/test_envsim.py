@@ -167,6 +167,9 @@ def test_single_draws_equal_rng_choice(gen_config, seed, n, draws):
     _advance(ref, draws)
     assert envsim._draw_templates(pool, fast, 1) == [pool[int(ref.choice(n, size=1, replace=False)[0])]]
     assert fast.bit_generator.state == ref.bit_generator.state
+    for k in (2, 3):
+        assert envsim._draw_templates(pool, fast, k) == [pool[int(i)] for i in ref.choice(n, size=k, replace=k > n)]
+        assert fast.bit_generator.state == ref.bit_generator.state
     config = replace(gen_config, multiclass_intents=tuple(f"intent{i}" for i in range(n)), intent_prior=None)
     assert draw_intent(config, fast) == int(ref.choice(n))
     assert fast.bit_generator.state == ref.bit_generator.state

@@ -105,6 +105,8 @@ def test_experiment_config_validation():
         dict(hidden=(64, 0)),
         dict(init="pretrained", pretrain_size=0),
         dict(init="pretrained", pretrain_epochs=0),
+        dict(seeds=(-1,)),
+        dict(seeds=(3, -2)),
     ],
 )
 def test_experiment_config_refuses_values_no_run_can_use(bad):
@@ -117,6 +119,7 @@ def test_experiment_config_accepts_the_edges_of_its_ranges():
     # the pretraining sizes matter only to a pretrained run
     ExperimentConfig(init="scratch", pretrain_size=0, pretrain_epochs=0)
     ExperimentConfig(init="pretrained", pretrain_size=1, pretrain_epochs=1)
+    ExperimentConfig(seeds=(0,))
 
 
 def test_task_switch_drops_mismatched_pretrain_weights():
@@ -446,6 +449,27 @@ def test_cli_run_online_refuses_an_unusable_config_before_writing(old, new, mess
     path = _bad_config(tmp_path, old, new)
     run_dir = tmp_path / "run"
     assert main(["run-online", "--config", str(path), "--run-dir", str(run_dir)]) == 1
+    assert message in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize(
+    ("seed", "env", "seeds", "code", "message"),
+    [
+        (["--seed", "-1"], None, "1, 2", 2, "--seed: seeds must be non-negative"),
+        ([], "abc", "1, 2", 2, "NARLE_SEED: invalid literal for int() with base 10: 'abc'"),
+        ([], "-3", "1, 2", 2, "NARLE_SEED: seeds must be non-negative"),
+        ([], None, "1, -1", 1, "seeds must be non-negative, got 1, -1"),
+    ],
+)
+def test_cli_refuses_a_negative_or_malformed_seed_before_writing(seed, env, seeds, code, message, tmp_path, capsys, monkeypatch):
+    if env is None:
+        monkeypatch.delenv("NARLE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("NARLE_SEED", env)
+    path = _bad_config(tmp_path, "seeds = 1, 2", f"seeds = {seeds}")
+    run_dir = tmp_path / "run"
+    assert main(["run-online", "--config", str(path), "--run-dir", str(run_dir), *seed]) == code
     assert message in capsys.readouterr().err
     assert not run_dir.exists()
 

@@ -18,6 +18,7 @@ from emorl.nn import (
     SGD,
     CheckpointFormatError,
     Network,
+    PackedRows,
     ParamTensor,
     TrainingFault,
     apply_update,
@@ -540,22 +541,42 @@ def per_step_fit(net, examples, order, opt) -> list[bytes]:
     return values_bytes(net)
 
 
-@settings(max_examples=60, deadline=None, database=None)
+def _fit_case_net(kind: str, rng) -> Network:
+    "The one-layer softmax net of the emotion model's shape, or a `_sparse_case_net` of 0 or 6 heads."
+    if kind == "linear":
+        return Network.build([11, 3], head="softmax", rng=rng)
+    return _sparse_case_net(6 if kind == "stack" else 0, rng)
+
+
+@settings(max_examples=80, deadline=None, database=None)
 @given(
-    heads=st.sampled_from([0, 6]),
+    kind=st.sampled_from(["linear", "softmax", "stack"]),
     seed=st.integers(0, 2**32 - 1),
-    bags=st.lists(st.lists(st.integers(0, 10), max_size=5), min_size=1, max_size=6),
+    bags=st.lists(
+        st.tuples(st.lists(st.integers(0, 10), max_size=5), st.lists(st.integers(0, 10), max_size=3)),
+        min_size=1,
+        max_size=6,
+    ),
     epochs=st.integers(0, 3),
     data=st.data(),
 )
-def test_fit_steps_exactly_as_the_per_step_loop(heads, seed, bags, epochs, data):
-    # a plain softmax net or a 6-head sigmoid stack, on all rows (a count) or
-    # a drawn subset (indices), with a drawn row possibly holding a NaN: fit
-    # must leave every byte, and its generator, as the per-step loop does,
-    # and on a non-finite step raise with the tensors as the step found them
+def test_fit_steps_exactly_as_the_per_step_loop(kind, seed, bags, epochs, data):
+    # a one-layer softmax net (its only layer is also its last), a two-layer
+    # softmax net or a 6-head sigmoid stack, on all rows (a count) or a drawn
+    # subset (indices); rows may be all zero, hold -0.0 entries (on columns
+    # where some weights are -0.0, which fit's gradient entries cover and
+    # must leave -0.0) and one drawn row a NaN: fit on the packed rows must
+    # leave every byte, and its generator, as the per-step loop does, and on
+    # a non-finite step raise with the tensors as the step found them
     rng = np.random.default_rng(seed)
-    net = _sparse_case_net(heads, rng)
-    examples = [(_bag(*cols), _target(heads, rng)) for cols in bags]
+    net = _fit_case_net(kind, rng)
+    net.layers[0].w.values[..., ::2, 6:] = -0.0
+    heads = net.stack_shape[0] if net.stack_shape else 0
+    examples = []
+    for cols, negative_zeros in bags:
+        x = _bag(*cols)
+        x[[c for c in negative_zeros if x[c] == 0.0]] = -0.0
+        examples.append((x, _target(heads, rng)))
     n = len(examples)
     poisoned = data.draw(st.sampled_from([None, *range(n)]))
     if poisoned is not None:
@@ -572,10 +593,52 @@ def test_fit_steps_exactly_as_the_per_step_loop(heads, seed, bags, epochs, data)
     states, labels = zip(*examples)
     fit_rng = np.random.default_rng([seed, 1])
     with pytest.raises(TrainingFault) if faults else contextlib.nullcontext():
-        fit(net, np.stack(states), np.array(labels), rows, epochs, opt, fit_rng)
+        fit(net, PackedRows(states, labels, 11), rows, epochs, opt, fit_rng)
     assert values_bytes(net) == expected
     if not faults:
         assert fit_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "kind, bad",
+    [("linear", 3), ("linear", -1), ("softmax", 7), ("stack", np.full((6, 2), 0.5)), ("stack", np.zeros(11))],
+)
+def test_fit_refuses_a_bad_label_before_the_first_step(kind, bad):
+    # the bad label is on row 3, which this generator's one-epoch order
+    # (2, 0, 1, 3) steps on last: a check made at the step would leave
+    # three steps applied, and every tensor must be left unchanged
+    rng = np.random.default_rng(3)
+    net = _fit_case_net(kind, rng)
+    heads = net.stack_shape[0] if net.stack_shape else 0
+    states = [_bag(k, 2 * k) for k in range(4)]
+    labels = [_target(heads, rng) for _ in range(3)] + [bad]
+    before = values_bytes(net)
+    with pytest.raises(ValueError):
+        fit(net, PackedRows(states, labels, 11), 4, 1, SGD(learning_rate=0.3), np.random.default_rng(0))
+    assert values_bytes(net) == before
+
+
+def test_fit_refuses_rows_of_another_width():
+    net = _fit_case_net("linear", np.random.default_rng(3))
+    with pytest.raises(ValueError, match="width 12"):
+        fit(net, PackedRows([np.ones(12)], [0], 12), 1, 1, SGD(), np.random.default_rng(0))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    width=st.integers(1, 40),
+    data=st.data(),
+)
+def test_packed_rows_rebuild_each_row_bit_for_bit(width, data):
+    # entries drawn from zeros, -0.0, NaN, +-inf and any other float64, so
+    # rows come out mostly zero, all zero, or dense; and the pack may be empty
+    value = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]) | st.floats(allow_nan=True, width=64)
+    sparse = st.sampled_from([0.0]) | value
+    rows = data.draw(st.lists(st.lists(sparse, min_size=width, max_size=width).map(np.array), max_size=6))
+    packed = PackedRows(iter(rows), list(range(len(rows))), width)
+    assert len(packed.bounds) == len(rows) + 1
+    assert [packed.row(i).tobytes() for i in range(len(rows))] == [r.tobytes() for r in rows]
+    assert packed.cols.dtype == np.int16
 
 
 def test_optimizer_validation():

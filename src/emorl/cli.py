@@ -22,17 +22,14 @@ from .envsim import build_offline_corpus, config_vocab, corpus_from_jsonl, corpu
 from .harness import (
     ExperimentConfig,
     arguments_for,
-    cell_key,
     check_manifest,
     grid_cells,
     load_config_file,
-    read_report,
     rederive_report,
-    report_rows_equal,
+    report_text,
     run_cell,
     run_grid,
     run_online,
-    summarize_grid,
     write_manifest,
     write_report,
 )
@@ -177,6 +174,8 @@ def cmd_train_emotion(args) -> int:
     mode = args.scoper or ("scope" if args.scope else "gold")
     if mode == "scope" and not args.scope:
         raise UsageError("--scoper scope requires --scope (run the train-scope stage first)")
+    if mode != "scope" and args.scope:
+        raise UsageError(f"--scope is read only under --scoper scope, not --scoper {mode}")
     config, stages, _ = _load(args)
     corpus = corpus_from_jsonl(args.data)
     vocab = config_vocab(config.generator)
@@ -215,12 +214,10 @@ def cmd_run_online(args) -> int:
     models = _learned_models(args, config)
     run_dir = Path(args.run_dir)
     write_manifest(run_dir, text, config.seeds)
-    curves = []
     for curve, info in run_cell(config, run_dir, **models):
-        curves.append(curve)
         extra = f" (baseline {info['baseline_accuracy']:.4f})" if "baseline_accuracy" in info else ""
         print(f"seed {info['seed']}: final rolling success {curve.final_success:.4f}{extra}")
-    write_report(run_dir / "report.csv", summarize_grid({cell_key(config): curves}))
+    write_report(run_dir / "report.csv", rederive_report(run_dir))
     print(f"run artifacts under {run_dir}")
     return 0
 
@@ -246,11 +243,10 @@ def cmd_report(args) -> int:
     if not rows:
         raise UsageError(f"no curve files under {run_dir / 'curves'}; is {run_dir} a run directory?")
     check_manifest(run_dir)
-    stored_path = run_dir / "report.csv"
+    stored = run_dir / "report.csv"
     _print_rows(rows)
-    if stored_path.exists():
-        stored = read_report(stored_path)
-        if report_rows_equal(rows, stored):
+    if stored.exists():
+        if stored.read_bytes() == report_text(rows).encode("utf-8"):
             print("re-derived summary matches the stored report")
         else:
             raise RuntimeError("re-derived summary does not match the stored report")

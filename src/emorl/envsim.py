@@ -657,10 +657,11 @@ class Environment:
         "The reply's true emotion: its gold label, or on the learned channel the classifier's label of its scope."
         if self.channel == "oracle":
             return reply.gold_emotion
-        kept = tuple(self.scoped_texts(reply))
+        mask = self._keep_mask(reply)
+        kept = tuple(s.text for s, keep in zip(reply.sentences, mask) if keep)
         label = self._labels.get(kept)
         if label is None:
-            scoped = ScopedMessage(self.scope_model.sentences(reply), self._keep_mask(reply))
+            scoped = ScopedMessage(self.scope_model.sentences(reply), mask)
             label = self._labels[kept] = classify_emotion(self.emotion_model, scoped)[0]
         return label
 

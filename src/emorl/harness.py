@@ -2,10 +2,11 @@
 learning-curve files, run manifests, and the INI config format.
 
 Curve files are CSV with the header `step,rolling_success,eval_accuracy`,
-appended row by row so an interrupted run leaves a valid prefix; the report,
-the manifest and its config copy are replaced whole, never torn, and as a
-pair. Runs are a pure function of (config, seed): repeating one reproduces
-curve files and checkpoints byte for byte.
+appended row by row so an interrupted run leaves a valid prefix. The report
+is re-derived from the curve files alone. It, the manifest and its config
+copy are replaced whole, never torn, the last two as a pair. Runs are a
+pure function of (config, seed): repeating one reproduces curve files and
+checkpoints byte for byte.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import configparser
 import hashlib
 import inspect
 import json
+import re
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import product
@@ -40,6 +42,8 @@ from .scope import ScopeModel
 
 CURVE_HEADER = "step,rolling_success,eval_accuracy"
 
+TASKS = ("multiclass", "multilabel")
+INITS = ("scratch", "pretrained")
 REGIME_NAMES = ("full", "partial", "partial_noisy")
 
 
@@ -62,9 +66,9 @@ class ExperimentConfig:
     generator: GeneratorConfig = field(default_factory=default_config)
 
     def __post_init__(self) -> None:
-        if self.task not in ("multiclass", "multilabel"):
+        if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
-        if self.init not in ("scratch", "pretrained"):
+        if self.init not in INITS:
             raise ValueError(f"unknown init {self.init!r}")
         if self.channel not in ("oracle", "learned"):
             raise ValueError(f"unknown channel {self.channel!r}")
@@ -249,11 +253,6 @@ def run_online(
 # -- grid ---------------------------------------------------------------------
 
 
-def cell_key(config: ExperimentConfig) -> tuple[str, str, str]:
-    "The (task, init, regime) of a report row; joined by '_', its cell's file prefix."
-    return (config.task, config.init, config.regime.kind)
-
-
 def run_cell(config: ExperimentConfig, run_dir, **models):
     """Run every seed of `config`'s (task, init, regime) cell, yielding each
     seed's (curve, info) as it finishes.
@@ -265,7 +264,7 @@ def run_cell(config: ExperimentConfig, run_dir, **models):
     run_dir = Path(run_dir)
     (run_dir / "curves").mkdir(parents=True, exist_ok=True)
     (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
-    cell = "_".join(cell_key(config))
+    cell = f"{config.task}_{config.init}_{config.regime.kind}"
     for seed in config.seeds:
         curve, _, info = run_online(
             config,
@@ -281,7 +280,7 @@ def grid_cells(base: ExperimentConfig) -> list[ExperimentConfig]:
     "Every (task, init, regime) cell's config; a value that some cell cannot take raises here, before any cell runs."
     return [
         replace(base, task=task, init=init, regime=getattr(FeedbackRegime, regime)())
-        for task, init, regime in product(("multiclass", "multilabel"), ("scratch", "pretrained"), REGIME_NAMES)
+        for task, init, regime in product(TASKS, INITS, REGIME_NAMES)
     ]
 
 
@@ -289,28 +288,49 @@ def run_grid(base: ExperimentConfig, run_dir) -> list[dict]:
     """Run every (task, init, regime) cell at every seed and summarize.
 
     Completed cells survive a later cell's failure. Returns the report rows
-    (one per cell) that are also written to run_dir/report.csv.
+    that are also written to run_dir/report.csv: rederive_report's, so they
+    cover every curve file in run_dir, an earlier run's included.
     """
-    curves: dict[tuple[str, str, str], list[LearningCurve]] = {}
     for cfg in grid_cells(base):
-        curves[cell_key(cfg)] = [curve for curve, _ in run_cell(cfg, run_dir)]
-    rows = summarize_grid(curves)
+        for _ in run_cell(cfg, run_dir):
+            pass
+    rows = rederive_report(run_dir)
     write_report(Path(run_dir) / "report.csv", rows)
     return rows
 
 
-def summarize_grid(curves: dict[tuple[str, str, str], list[LearningCurve]]) -> list[dict]:
-    "One report row per cell key, from the final values of the cell's curves."
+# a curve file's name: <task>_<init>_<regime>_s<seed>.csv
+_CURVE_NAME = re.compile(rf"({'|'.join(TASKS)})_({'|'.join(INITS)})_({'|'.join(REGIME_NAMES)})_s\d+")
+
+
+def rederive_report(run_dir) -> list[dict]:
+    """The report rows, from the curve files alone: one per cell, from the
+    final values of its curves, in the order of the cells' file names.
+
+    A curve file that cannot be summarised (one named otherwise, or one
+    without rows, as a run killed before its first evaluation leaves it)
+    raises ValueError naming it.
+    """
+    finals: dict[tuple[str, ...], list[tuple[float, float]]] = {}
+    for path in sorted((Path(run_dir) / "curves").glob("*.csv")):
+        name = _CURVE_NAME.fullmatch(path.stem)
+        try:
+            if name is None:
+                raise ValueError("its name is not of the form <task>_<init>_<regime>_s<seed>.csv")
+            curve = LearningCurve.from_csv(path)
+            finals.setdefault(name.groups(), []).append((curve.final_success, curve.final_eval))
+        except ValueError as exc:
+            raise ValueError(f"cannot summarise curve file {path}: {exc}") from None
     rows = [
         {
             "task": task,
             "init": init,
             "regime": regime,
             "seeds": len(cell),
-            "final_success_mean": float(np.mean([c.final_success for c in cell])),
-            "final_eval_mean": float(np.mean([c.final_eval for c in cell])),
+            "final_success_mean": float(np.mean([success for success, _ in cell])),
+            "final_eval_mean": float(np.mean([accuracy for _, accuracy in cell])),
         }
-        for (task, init, regime), cell in curves.items()
+        for (task, init, regime), cell in finals.items()
     ]
     # ordering check per (task, init) panel: full >= partial >= partial_noisy
     by_panel: dict[tuple[str, str], dict[str, float]] = {}
@@ -329,44 +349,15 @@ def summarize_grid(curves: dict[tuple[str, str, str], list[LearningCurve]]) -> l
 REPORT_COLUMNS = ("task", "init", "regime", "seeds", "final_success_mean", "final_eval_mean", "panel_order_ok")
 
 
-def _report_cells(row: dict) -> tuple[str, ...]:
-    "A report row's cells as report.csv holds them."
-    return tuple(f"{v:.6f}" if isinstance(v, float) else str(v) for v in (row[col] for col in REPORT_COLUMNS))
+def report_text(rows: list[dict]) -> str:
+    "report.csv's text for report rows: the one rendering `write_report` writes and `emorl report` compares."
+    cells = [[f"{v:.6f}" if isinstance(v, float) else str(v) for v in (row[col] for col in REPORT_COLUMNS)] for row in rows]
+    return "".join(",".join(line) + "\n" for line in [REPORT_COLUMNS, *cells])
 
 
 def write_report(path, rows: list[dict]) -> None:
     with replacing(path, encoding="utf-8", newline="\n") as f:
-        f.write(",".join(REPORT_COLUMNS) + "\n")
-        for row in rows:
-            f.write(",".join(_report_cells(row)) + "\n")
-
-
-def read_report(path) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-        if tuple(header) != REPORT_COLUMNS:
-            raise ValueError(f"unexpected report header {header}")
-        for line in f:
-            if not line.strip():
-                continue
-            vals = line.rstrip("\n").split(",")
-            rows.append(dict(zip(REPORT_COLUMNS, vals)))
-    return rows
-
-
-def rederive_report(run_dir) -> list[dict]:
-    "Recompute the report rows from the curve files alone."
-    curves: dict[tuple[str, str, str], list[LearningCurve]] = {}
-    for path in sorted((Path(run_dir) / "curves").glob("*.csv")):
-        cell = path.stem.rpartition("_s")[0]
-        curves.setdefault(tuple(cell.split("_", 2)), []).append(LearningCurve.from_csv(path))
-    return summarize_grid(curves)
-
-
-def report_rows_equal(a: list[dict], b: list[dict]) -> bool:
-    "Compare report rows after normalizing through the CSV text format."
-    return sorted(map(_report_cells, a)) == sorted(map(_report_cells, b))
+        f.write(report_text(rows))
 
 
 # -- manifests and config files -------------------------------------------------

@@ -506,10 +506,7 @@ def read_tensors(path) -> dict[str, np.ndarray]:
 def save_checkpoint(net: Network, path) -> None:
     """Persist a network; layer order, activation tags, and the head type are
     encoded in the tensor names so the file alone reconstructs the model."""
-    tensors: dict[str, np.ndarray] = {}
-    for i, layer in enumerate(net.layers):
-        tensors[f"L{i:02d}.{layer.activation}.W"] = layer.w.values
-        tensors[f"L{i:02d}.{layer.activation}.b"] = layer.b.values
+    tensors = {p.name: p.values for p in net.params()}  # named by Layer.named
     tensors["head"] = np.array([float(HEADS.index(net.head))], dtype=np.float32)
     write_tensors(path, tensors)
 

@@ -74,15 +74,16 @@ class _Policy:
         self,
         examples: Sequence[tuple[np.ndarray, IntentAction]],
         epochs: int,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator,
     ) -> None:
-        "Supervised cross-entropy pass over a labeled subset, `epochs` times."
+        """Supervised cross-entropy pass over a labeled subset, `epochs` times;
+        `rng`, not the agent's sampling stream, orders the epochs."""
         if not examples:
             raise ValueError("pretraining needs a non-empty labeled subset")
         self._acted = None
         states, labels = zip(*examples)
         data = PackedRows(states, labels, self.net.input_dim)
-        fit(self.net, data, len(examples), epochs, self.opt, rng if rng is not None else self.rng)
+        fit(self.net, data, len(examples), epochs, self.opt, rng)
 
 
 def _batch(examples: Sequence[tuple[np.ndarray, IntentAction]]) -> tuple[np.ndarray, np.ndarray]:

@@ -746,3 +746,18 @@ def test_tables_fill_once_and_a_retrained_model_needs_a_new_environment(
     assert len(classified) == len(set(classified)) == len(env._labels)
     assert second < first  # the second loop mostly hits the memo
     assert set(env._texts) == seen
+
+
+def test_a_reply_is_scoped_once_whether_its_label_is_new_or_memoised(gen_config, trained_scope, trained_emotion, monkeypatch):
+    keeps = []
+    real_keep = ScopeModel.keep
+    monkeypatch.setattr(ScopeModel, "keep", lambda self, vecs: keeps.append(1) or real_keep(self, vecs))
+    env = Environment(gen_config, channel="learned", scope_model=trained_scope, emotion_model=trained_emotion)
+    rng = np.random.default_rng(6)
+    replies = [respond(gen_config, rng, 0, int(rng.integers(3))) for _ in range(30)]
+    for reply in replies + replies:  # the second pass hits the label memo
+        expected = classify_emotion(trained_emotion, trained_scope.scope(trained_scope.sentences(reply)))[0]
+        before, labels = len(keeps), len(env._labels)
+        assert env.emotion_of(reply) is expected
+        assert len(keeps) - before == 1, f"{len(env._labels) - labels} new label(s)"
+    assert 1 < len(env._labels) < len(replies)

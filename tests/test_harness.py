@@ -14,14 +14,14 @@ from emorl.cli import main
 from emorl.emotion import EmotionLabel
 from emorl.envsim import EmailMessage, Environment, FeedbackRegime, LabeledSentence, corpus_to_jsonl
 from emorl.harness import (
+    REPORT_COLUMNS,
     SECTIONS,
     CurveRow,
     ExperimentConfig,
     LearningCurve,
     load_config_file,
-    read_report,
     rederive_report,
-    report_rows_equal,
+    report_text,
     run_grid,
     run_online,
     write_manifest,
@@ -278,8 +278,12 @@ def test_grid_report_has_twelve_rows(tiny_grid):
     cells = {(r["task"], r["init"], r["regime"]) for r in rows}
     assert len(cells) == 12
     assert all(r["panel_order_ok"] in (0, 1) for r in rows)
-    stored = read_report(run_dir / "report.csv")
-    assert len(stored) == 12
+    header, *lines = (run_dir / "report.csv").read_text(encoding="utf-8").splitlines()
+    assert header == ",".join(REPORT_COLUMNS)
+    assert [line.split(",")[:3] for line in lines] == [[r["task"], r["init"], r["regime"]] for r in rows]
+    # one line per cell, in the order of the cells' curve file names
+    names = sorted(path.name for path in (run_dir / "curves").glob("*.csv"))
+    assert ["_".join(line.split(",")[:3]) + "_s1.csv" for line in lines] == names
 
 
 def test_grid_cell_equals_run_online(tiny_grid, tmp_path):
@@ -293,9 +297,7 @@ def test_grid_cell_equals_run_online(tiny_grid, tmp_path):
 
 def test_report_rederivation_matches_stored(tiny_grid):
     run_dir, _, _ = tiny_grid
-    rows = rederive_report(run_dir)
-    stored = read_report(run_dir / "report.csv")
-    assert report_rows_equal(rows, stored)
+    assert (run_dir / "report.csv").read_bytes() == report_text(rederive_report(run_dir)).encode("utf-8")
 
 
 def test_curve_files_are_valid_prefixes(tiny_grid):
@@ -591,6 +593,8 @@ def test_cli_runners_refuse_zero_interactions_before_writing(command, configured
         (["gen-data", "--out", "{out}/corpus.jsonl", "--n", "0"], "positive --n"),
         (["gen-data", "--out", "{out}/corpus.jsonl", "--n", "-3"], "positive --n"),
         (["train-emotion", "--data", "{data}", "--out", "{out}", "--scoper", "scope"], "requires --scope"),
+        (["train-emotion", "--data", "{data}", "--out", "{out}", "--scope", "{out}.ckpt", "--scoper", "gold"], "--scoper gold"),
+        (["train-emotion", "--data", "{data}", "--out", "{out}", "--scope", "{out}.ckpt", "--scoper", "none"], "--scoper none"),
     ],
 )
 def test_cli_offline_usage_errors_exit_2_before_writing(argv, message, config_file, tmp_path, capsys):
@@ -600,6 +604,49 @@ def test_cli_offline_usage_errors_exit_2_before_writing(argv, message, config_fi
     assert main([*argv, "--config", str(config_file)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_report_matches_a_run_whose_exact_means_round_apart_from_the_files(tmp_path, capsys):
+    # these seeds' exact final means and the means of their 6-decimal curve
+    # values round apart in the 6th decimal
+    path = tmp_path / "c.ini"
+    path.write_text("[online]\nregime = partial_noisy\ninteractions = 100\neval_every = 100\nwindow = 100\nseeds = 1, 2, 3\n", encoding="utf-8")
+    run_dir = tmp_path / "run"
+    assert main(["run-online", "--config", str(path), "--run-dir", str(run_dir)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(run_dir)]) == 0
+    assert "matches the stored report" in capsys.readouterr().out
+
+
+def test_cli_report_covers_every_run_into_a_reused_directory(config_file, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    for seed in ("1", "2"):
+        assert main(["run-online", "--config", str(config_file), "--run-dir", str(run_dir), "--seed", seed]) == 0
+    header, *lines = (run_dir / "report.csv").read_text(encoding="utf-8").splitlines()
+    assert [dict(zip(header.split(","), line.split(",")))["seeds"] for line in lines] == ["2"]
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(run_dir)]) == 0
+    assert "matches the stored report" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    ("name", "text", "message"),
+    [
+        ("multiclass_scratch_full_s1.csv", "step,rolling_success,eval_accuracy\n", "empty curve"),
+        ("notes.csv", "step,rolling_success,eval_accuracy\n100,0.500000,0.400000\n", "<task>_<init>_<regime>_s<seed>.csv"),
+    ],
+    ids=["header only", "stray name"],
+)
+@pytest.mark.parametrize("command", ["report", "run-online"])
+def test_cli_names_a_curve_file_it_cannot_summarise(name, text, message, command, config_file, tmp_path, capsys):
+    # a run killed before its first evaluation leaves a header-only curve file
+    run_dir = tmp_path / "run"
+    (run_dir / "curves").mkdir(parents=True)
+    (run_dir / "curves" / name).write_text(text, encoding="utf-8")
+    argv = ["--config", str(config_file), "--seed", "1"] if command == "run-online" else []
+    assert main([command, "--run-dir", str(run_dir), *argv]) == 1
+    err = capsys.readouterr().err
+    assert str(run_dir / "curves" / name) in err and message in err
 
 
 def test_cli_report_refuses_a_config_the_manifest_does_not_hash(tmp_path, capsys):

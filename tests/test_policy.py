@@ -297,13 +297,13 @@ def test_pretrain_zero_epochs_is_identity():
     agent = MulticlassPolicy(DIM, seed=5)
     before = agent_bytes(agent)
     examples = [(rand_state(np.random.default_rng(0)), 0)]
-    agent.pretrain(examples, 0)
+    agent.pretrain(examples, 0, rng=np.random.default_rng(0))
     assert agent_bytes(agent) == before
 
 
 def test_pretrain_requires_examples():
     with pytest.raises(ValueError):
-        MulticlassPolicy(DIM, seed=5).pretrain([], 1)
+        MulticlassPolicy(DIM, seed=5).pretrain([], 1, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         MulticlassPolicy(DIM, seed=5).evaluate([])
 

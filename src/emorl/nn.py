@@ -111,13 +111,17 @@ def _activate(z: np.ndarray, tag: str) -> np.ndarray:
     return z
 
 
-def _activate_grad(g: np.ndarray, z: np.ndarray, tag: str) -> np.ndarray:
-    "`g` times the activation's derivative at `z`: the products g * 1.0 and g * 0.0, in one call for relu."
+def _activate_grad(g: np.ndarray, z: np.ndarray, tag: str, out: np.ndarray | None) -> np.ndarray:
+    """`g` times the activation's derivative at `z`, written into `out` if
+    given: the products g * 1.0 and g * 0.0, in one call for relu."""
     if tag == "relu":
-        return np.multiply(g, z > 0.0)
+        return np.multiply(g, z > 0.0, out=out)
     if tag == "tanh":
-        return g * (1.0 - np.tanh(z) ** 2)
-    return g
+        return np.multiply(g, 1.0 - np.tanh(z) ** 2, out=out)
+    if out is None:
+        return g
+    out[...] = g
+    return out
 
 
 def softmax(u: np.ndarray) -> np.ndarray:
@@ -241,13 +245,16 @@ class Network:
         if x.ndim == 0 or x.shape[-1] != self.input_dim:
             raise ValueError(f"input of shape {x.shape} does not match network input dim {self.input_dim}")
         # one singleton axis per stack axis, so that batch axes lead the result
-        return self._pass(x, x.reshape(x.shape[:-1] + (1,) * len(self.stack_shape) + x.shape[-1:]))
+        h = x.reshape(x.shape[:-1] + (1,) * len(self.stack_shape) + x.shape[-1:])
+        first = self.layers[0]
+        return self._pass(x, np.matmul(first.w.values, h[..., None])[..., 0] + first.b.values)
 
-    def _pass(self, x: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        "`trace` of the checked float64 input `x`, also given as `h`: `x` with trace's singleton stack axes."
+    def _pass(self, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        "`trace` of the input `x`, given its first layer's pre-activation `z`."
         zs, hs = [], [x]
-        for layer in self.layers:
-            z = np.matmul(layer.w.values, h[..., None])[..., 0] + layer.b.values
+        for i, layer in enumerate(self.layers):
+            if i:
+                z = np.matmul(layer.w.values, h[..., None])[..., 0] + layer.b.values
             h = _activate(z, layer.activation)
             zs.append(z)
             hs.append(h)
@@ -261,26 +268,31 @@ class Network:
 
     # -- backward --------------------------------------------------------
 
-    def _backprop(self, g_head: np.ndarray, zs: list[np.ndarray], hs: list[np.ndarray], cols=None) -> list[GradEntry]:
-        """The parameter gradient of one input given dLoss/d(pre-head output),
-        one entry per tensor in `params()` order; `cols` are columns that
-        hold all of the input's nonzero entries, found here when not given."""
-        cols = np.flatnonzero(hs[0]) if cols is None else cols
-        grads = []
-        g = g_head
+    def _backprop(self, g: np.ndarray, zs, hs, out: Sequence[np.ndarray | None] | None = None) -> list:
+        """The float64 gradient of one input given dLoss/d(pre-head output)
+        `g` and its `zs` and `hs`: one array per tensor in `params()` order,
+        each written into the array of `out` in its place if one is given.
+        The first layer's weight, whose input is sparse, is left to the
+        caller (None, or `out[0]` unwritten): its gradient is the first
+        layer's bias gradient times the input."""
+        grads = [None] * (2 * len(self.layers)) if out is None else list(out)
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
-            gz = _activate_grad(g, zs[i], layer.activation)
-            grads.append((layer.b, ..., _float32(gz)))
-            if i > 0:
-                grads.append((layer.w, ..., _float32(gz[..., :, None] * hs[i][..., None, :])))
-                g = np.matmul(np.swapaxes(layer.w.values, -1, -2), gz[..., None])[..., 0]
-            else:
-                # the input is sparse and its zero columns get an exactly zero
-                # gradient, so the entry covers its nonzero columns only
-                grads.append((layer.w, (..., cols), _float32(gz[..., :, None] * hs[0][cols])))
-        grads.reverse()
+            g = grads[2 * i + 1] = _activate_grad(g, zs[i], layer.activation, grads[2 * i + 1])
+            if i:
+                grads[2 * i] = np.multiply(g[..., :, None], hs[i][..., None, :], out=grads[2 * i])
+                g = np.matmul(np.swapaxes(layer.w.values, -1, -2), g[..., None])[..., 0]
         return grads
+
+    def _entries(self, g_head: np.ndarray, zs, hs) -> list[GradEntry]:
+        "`_backprop`'s gradient as entries for `apply_update`, one per tensor in `params()` order."
+        grads = self._backprop(g_head, zs, hs)
+        # the input is sparse and its zero columns get an exactly zero
+        # gradient, so the first layer's entry covers its nonzero columns only
+        cols = np.flatnonzero(hs[0])
+        grads[0] = grads[1][..., :, None] * hs[0][cols]
+        index = [(..., cols)] + [...] * (len(grads) - 1)
+        return [(p, at, _float32(g)) for p, at, g in zip(self.params(), index, grads)]
 
     def _target(self, target) -> np.ndarray:
         "A one-hot vector for a softmax index, or the 0/1 bits shaped as one input's probabilities."
@@ -314,7 +326,7 @@ class Network:
         probs, zs, hs = trace if trace is not None else self.trace(np.ravel(x))
         # d(-R ln pi)/d(head input) = R * (p - target), identical in form for
         # the softmax-categorical and the factored-Bernoulli log-likelihood.
-        return self._backprop(reward * (probs - self._target(action)), zs, hs)
+        return self._entries(reward * (probs - self._target(action)), zs, hs)
 
     def supervised_backward(self, x: np.ndarray, label) -> tuple[list[GradEntry], np.ndarray]:
         """The cross-entropy gradient against a gold label, as entries for
@@ -324,7 +336,7 @@ class Network:
         Sigmoid head: summed per-unit binary cross-entropy with a bit vector.
         """
         probs, zs, hs = self.trace(np.ravel(x))
-        return self._backprop(probs - self._target(label), zs, hs), probs
+        return self._entries(probs - self._target(label), zs, hs), probs
 
 
 # -- optimizer -----------------------------------------------------------
@@ -389,31 +401,73 @@ class PackedRows:
         return x
 
 
+def _views(buf: np.ndarray, params: Sequence[ParamTensor]) -> list[np.ndarray]:
+    "Consecutive views of the flat array `buf`, one shaped as each of `params`."
+    ends = np.cumsum([p.values.size for p in params]).tolist()
+    return [buf[e - p.values.size : e].reshape(p.shape) for p, e in zip(params, ends)]
+
+
 def fit(net: Network, data: PackedRows, rows, epochs: int, opt: SGD, rng: np.random.Generator) -> None:
     """Supervised cross-entropy training: each epoch, the step of
     `supervised_backward` and `apply_update` on row `i` of `data` and its
     target for each `i` of `rng.permutation(rows)`; `rows` is an array of
-    row indices, or a count n for rows 0..n-1. The width and the targets are
-    checked before the first step. A step rebuilds its row in one buffer for
-    the dense forward pass, whose order of additions a product over the
-    gathered columns would change, and takes the first layer's gradient on
-    the row's packed columns: a -0.0 entry's is +0.0, which moves no weight.
-    A TrainingFault stops training with every tensor as the faulting step
-    found it.
+    row indices, or a count n for rows 0..n-1. The width, every index of
+    `rows` and every target are checked before the first step.
+
+    A step gathers the first layer's weights on the row's packed columns
+    once, from a copy of that weight held input column first: the block
+    times the packed values is the first layer's product, and the block
+    minus its step is written back; a -0.0 entry's gradient is +0.0, which
+    moves no weight. Every other tensor lives in one flat buffer while the
+    fit runs, its backward pass writes into one flat gradient, and one
+    subtraction and one finiteness check update them all. The tensors are
+    written back after the last step, or when a TrainingFault stops the fit
+    with every tensor as the faulting step found it; the fault names the
+    first tensor in `params()` order with a non-finite value, as
+    `apply_update` does. The first layer's product adds the nonzero terms
+    of `trace`'s dense product in another order, as a dense product on
+    another BLAS kernel does, and every update rounds to float32: the
+    golden tests and their run on several kernels pin the bytes.
     """
     if data.width != net.input_dim:
         raise ValueError(f"rows of width {data.width} do not match network input dim {net.input_dim}")
+    n = len(data.targets)
+    index = np.arange(rows) if np.ndim(rows) == 0 else np.asarray(rows)
+    outside = index[(index < 0) | (index >= n)]
+    if outside.size:
+        raise ValueError(f"row index {outside[0]} out of range for {n} rows")
     targets = np.array([net._target(t) for t in data.targets])
-    x = np.zeros(data.width)
-    h = x.reshape((1,) * len(net.stack_shape) + x.shape)
-    for _ in range(epochs):
-        for i in rng.permutation(rows):
-            a, b = data.bounds[i : i + 2].tolist()
-            at = data.cols[a:b].astype(np.intp)  # numpy would widen narrow indices on every use
-            x[at] = data.vals[a:b]
-            probs, zs, hs = net._pass(x, h)
-            apply_update(net._backprop(probs - targets[i], zs, hs, at), opt)
-            x[at] = 0.0
+    # numpy would widen narrow indices on every use, and slice bounds read from an array cost a conversion each
+    bounds, cols, vals = data.bounds.tolist(), data.cols.astype(np.intp), data.vals
+    params, lr = net.params(), opt.learning_rate
+    w0, rest = params[0].values, params[1:]
+    # the first layer's weights with the input column leading, so that a
+    # row's columns are whole rows of it: (width, every other axis flattened)
+    w0t = np.ascontiguousarray(np.moveaxis(w0, -1, 0)).reshape(data.width, -1)
+    flat = np.concatenate([p.values.ravel() for p in rest])
+    grad = np.empty_like(flat)
+    # the network on the flat buffer; its first layer's weight is not read
+    on_flat, out = net._relaid([w0, *_views(flat, rest)]), [None, *_views(grad, rest)]
+    b0 = on_flat.layers[0].b.values
+    try:
+        for _ in range(epochs):
+            for i in rng.permutation(rows).tolist():
+                at, x = cols[bounds[i] : bounds[i + 1]], vals[bounds[i] : bounds[i + 1]]
+                block = w0t[at]
+                probs, zs, hs = on_flat._pass(x, np.matmul(x, block).reshape(b0.shape) + b0)
+                gz = on_flat._backprop(probs - targets[i], zs, hs, out)[1]
+                new_block = np.subtract(block, lr * _float32(x[:, None] * gz.ravel()), dtype=np.float32)
+                new = np.subtract(flat, lr * _float32(grad), dtype=np.float32)
+                if not (np.isfinite(new_block).all() and np.isfinite(new).all()):
+                    steps = [new_block, *_views(new, rest)]
+                    bad = next(p for p, step in zip(params, steps) if not np.isfinite(step).all())
+                    raise TrainingFault(f"non-finite values in tensor {bad.name!r} after update")
+                w0t[at] = new_block
+                flat[...] = new
+    finally:
+        w0[...] = np.moveaxis(w0t.reshape(data.width, *w0.shape[:-1]), 0, -1)
+        for p, v in zip(rest, _views(flat, rest)):
+            p.values[...] = v
 
 
 def dense_grads(params: Sequence[ParamTensor], grads: Iterable[GradEntry]) -> list[np.ndarray]:

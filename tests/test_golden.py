@@ -9,7 +9,12 @@ and says why.
 """
 
 import hashlib
+import os
+import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,3 +136,53 @@ def test_learned_channel_bytes_match_golden_hashes(tmp_path):
         emotion_model=emotion_model,
     )
     assert file_hashes(tmp_path) == GOLDEN_LEARNED
+
+
+GOLDEN_TESTS = ("test_run_bytes_match_golden_hashes", "test_learned_channel_bytes_match_golden_hashes")
+
+
+def blas_kernel_skip_reason() -> str | None:
+    "Why `OPENBLAS_CORETYPE` cannot pick numpy's BLAS kernels on this machine, or None when it can."
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return f"OPENBLAS_CORETYPE names x86-64 kernels, and this machine is {platform.machine()}"
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return f"numpy {np.__version__} does not report its BLAS build"
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", "").split():
+        return f"numpy's BLAS ({blas.get('name')}) is not a DYNAMIC_ARCH OpenBLAS"
+    return None
+
+
+def test_golden_bytes_hold_on_every_blas_kernel():
+    # the three golden runs in fresh processes under the default kernel,
+    # the oldest x86-64 one (Prescott, SSE3) and Haswell (AVX2) where the
+    # machine has it: dense products add in a kernel's own order, so equal
+    # hashes show that no byte depends on which kernel ran them
+    reason = blas_kernel_skip_reason()
+    if reason:
+        pytest.skip(reason)
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+
+    cores = [None, "Prescott"] + (["Haswell"] if __cpu_features__.get("AVX2") else [])
+    root = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    args = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *(f"{__file__}::{t}" for t in GOLDEN_TESTS)]
+    runs = []
+    try:
+        for core in cores:
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            env.update(PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS="1")
+            if core:
+                env["OPENBLAS_CORETYPE"] = core
+            runs.append(subprocess.Popen(args, cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True))
+        for core, run in zip(cores, runs):
+            out, _ = run.communicate(timeout=300)
+            assert run.returncode == 0 and "3 passed" in out, f"OPENBLAS_CORETYPE={core}:\n{out}"
+    finally:
+        for run in runs:
+            run.kill()
+            run.wait()

@@ -7,6 +7,7 @@ differences of the oracle's loss provide the gradient reference.
 
 import contextlib
 import math
+import re
 import struct
 
 import numpy as np
@@ -526,19 +527,20 @@ def test_applied_entries_equal_a_dense_gradient_step(heads, seed, passes):
         assert [p.values.astype(np.float32).tobytes() for p in net.params()] == expected
 
 
-def per_step_fit(net, examples, order, opt) -> list[bytes]:
+def per_step_fit(net, examples, order, opt) -> tuple[list[bytes], str | None]:
     """`fit`'s reference: one `supervised_backward` and one `apply_update` on
     the example itself for each index of `order`. Returns the parameter bytes
-    from before the step that raised TrainingFault, or else at the end."""
+    from before the step that raised TrainingFault and its message, or else
+    the bytes at the end and None."""
     for i in order:
         before = values_bytes(net)
         state, label = examples[i]
         grads, _ = net.supervised_backward(state, label)
         try:
             apply_update(grads, opt)
-        except TrainingFault:
-            return before
-    return values_bytes(net)
+        except TrainingFault as fault:
+            return before, str(fault)
+    return values_bytes(net), None
 
 
 def _fit_case_net(kind: str, rng) -> Network:
@@ -567,7 +569,13 @@ def test_fit_steps_exactly_as_the_per_step_loop(kind, seed, bags, epochs, data):
     # where some weights are -0.0, which fit's gradient entries cover and
     # must leave -0.0) and one drawn row a NaN: fit on the packed rows must
     # leave every byte, and its generator, as the per-step loop does, and on
-    # a non-finite step raise with the tensors as the step found them
+    # a non-finite step raise as it does, with the tensors as the step found
+    # them. The entries are quarter counts and the weights float32 numbers,
+    # so every first-layer product is exact, and a sum of a few such
+    # products of like size has room in float64's 53 bits: fit's product
+    # over the packed columns adds the nonzero terms in another order than
+    # the dense product of the per-step loop, and the two still agree bit
+    # for bit
     rng = np.random.default_rng(seed)
     net = _fit_case_net(kind, rng)
     net.layers[0].w.values[..., ::2, 6:] = -0.0
@@ -587,16 +595,58 @@ def test_fit_steps_exactly_as_the_per_step_loop(kind, seed, bags, epochs, data):
 
     ref, ref_rng = net.copy(), np.random.default_rng([seed, 1])
     order = [i for _ in range(epochs) for i in ref_rng.permutation(rows)]
-    faults = poisoned in order
-    expected = per_step_fit(ref, examples, order, opt)
+    expected, fault = per_step_fit(ref, examples, order, opt)
+    assert (fault is not None) == (poisoned in order)
 
     states, labels = zip(*examples)
     fit_rng = np.random.default_rng([seed, 1])
-    with pytest.raises(TrainingFault) if faults else contextlib.nullcontext():
+    with pytest.raises(TrainingFault, match=re.escape(fault)) if fault else contextlib.nullcontext():
         fit(net, PackedRows(states, labels, 11), rows, epochs, opt, fit_rng)
     assert values_bytes(net) == expected
-    if not faults:
+    if not fault:
         assert fit_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "kind, fault, name",
+    [
+        ("linear", "nan", "L00.identity.W"),
+        ("softmax", "nan", "L00.relu.W"),
+        ("stack", "inf", "L00.relu.W"),
+        ("softmax", "overflow", "L01.identity.W"),
+        ("stack", "overflow", "L01.identity.W"),
+    ],
+)
+def test_fit_names_the_first_tensor_a_fault_reaches(kind, fault, name):
+    # row 1, which this generator's one-epoch order (2, 0, 1, 3) steps on
+    # third, holds a NaN or an infinity, or column 10, on which a live
+    # hidden unit's weights are near the float32 maximum: against the target
+    # its logits get most wrong after the first two steps, the second
+    # layer's weight step then overflows float32 while every earlier
+    # tensor's step stays small. fit must name
+    # the first tensor in params() order with a non-finite value, as
+    # apply_update names it, and leave every tensor as the faulting step
+    # found it
+    rng = np.random.default_rng(5)
+    net = _fit_case_net(kind, rng)
+    heads = net.stack_shape[0] if net.stack_shape else 0
+    states = [_bag(0), _bag(1, 10), _bag(2, 4), _bag(3, 6)]
+    labels = [_target(heads, rng) for _ in range(4)]
+    opt = SGD(learning_rate=10.0)
+    if fault == "overflow":
+        net.layers[0].w.values[..., 5, 10] = np.float32(3e38)
+        ahead = net.copy()
+        per_step_fit(ahead, list(zip(states, labels)), [2, 0], opt)
+        probs = ahead.forward(states[1])
+        labels[1] = int(np.argmin(probs)) if heads == 0 else (probs < 0.5).astype(int)
+    else:
+        states[1][10] = np.nan if fault == "nan" else np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected, message = per_step_fit(net.copy(), list(zip(states, labels)), [2, 0, 1], opt)
+        assert message == f"non-finite values in tensor {name!r} after update"
+        with pytest.raises(TrainingFault, match=re.escape(message)):
+            fit(net, PackedRows(states, labels, 11), 4, 1, opt, np.random.default_rng(0))
+    assert values_bytes(net) == expected
 
 
 @pytest.mark.parametrize(
@@ -615,6 +665,26 @@ def test_fit_refuses_a_bad_label_before_the_first_step(kind, bad):
     before = values_bytes(net)
     with pytest.raises(ValueError):
         fit(net, PackedRows(states, labels, 11), 4, 1, SGD(learning_rate=0.3), np.random.default_rng(0))
+    assert values_bytes(net) == before
+
+
+@pytest.mark.parametrize(
+    "kind, rows, bad",
+    [("softmax", [0, 1, 2, 5], 5), ("stack", [0, 1, 2, -1], -1), ("linear", [0, 1, 2, -2], -2), ("linear", 5, 4)],
+)
+def test_fit_refuses_a_row_index_outside_the_rows_before_the_first_step(kind, rows, bad):
+    # an index outside the 4 rows, which this generator's one-epoch order of
+    # `rows` steps on last, or a count of 5, whose row 4 it steps on second:
+    # a check made at the step would leave steps applied, and a negative
+    # index would train on another row; every tensor must be left unchanged
+    rng = np.random.default_rng(3)
+    net = _fit_case_net(kind, rng)
+    heads = net.stack_shape[0] if net.stack_shape else 0
+    states = [_bag(k, 2 * k) for k in range(4)]
+    labels = [_target(heads, rng) for _ in range(4)]
+    before = values_bytes(net)
+    with pytest.raises(ValueError, match=f"row index {bad} out of range for 4 rows"):
+        fit(net, PackedRows(states, labels, 11), rows, 1, SGD(learning_rate=0.3), np.random.default_rng(0))
     assert values_bytes(net) == before
 
 

@@ -23,6 +23,7 @@ from .harness import (
     ExperimentConfig,
     arguments_for,
     check_manifest,
+    check_reuse,
     grid_cells,
     load_config_file,
     rederive_report,
@@ -136,6 +137,16 @@ def _learned_models(args, config) -> dict:
     return {"scope_model": ScopeModel.load(args.scope, vocab), "emotion_model": EmotionModel.load(args.emotion, vocab)}
 
 
+def _claim(run_dir: Path, text: str, configs: list[ExperimentConfig]) -> None:
+    """Record a run of `configs` in run_dir's manifest; a directory it cannot
+    join (see check_reuse) is a usage error, raised before anything is written."""
+    try:
+        check_reuse(run_dir, text, configs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    write_manifest(run_dir, text, configs[0].seeds)
+
+
 def _print_rows(rows: list[dict]) -> None:
     for row in rows:
         print(f"{row['task']:<10} {row['init']:<10} {row['regime']:<14} final success {row['final_success_mean']:.4f}")
@@ -213,7 +224,7 @@ def cmd_run_online(args) -> int:
     config, text = _runner_config(args)
     models = _learned_models(args, config)
     run_dir = Path(args.run_dir)
-    write_manifest(run_dir, text, config.seeds)
+    _claim(run_dir, text, [config])
     for curve, info in run_cell(config, run_dir, **models):
         extra = f" (baseline {info['baseline_accuracy']:.4f})" if "baseline_accuracy" in info else ""
         print(f"seed {info['seed']}: final rolling success {curve.final_success:.4f}{extra}")
@@ -227,10 +238,9 @@ def cmd_run_grid(args) -> int:
     if config.channel != "oracle":
         # one pair of offline models is trained on one task's corpus, so it cannot serve both tasks
         raise ValueError("run-grid runs the oracle channel only; run a learned-channel cell with run-online")
-    # refuse a value some cell cannot take (an intent_prior fits one task only) before anything is written
-    grid_cells(config)
     run_dir = Path(args.run_dir)
-    write_manifest(run_dir, text, config.seeds)
+    # grid_cells refuses a value some cell cannot take (an intent_prior fits one task only) before anything is written
+    _claim(run_dir, text, grid_cells(config))
     rows = run_grid(config, run_dir)
     _print_rows(rows)
     print(f"report written to {run_dir / 'report.csv'}")

@@ -162,12 +162,7 @@ def train_emotion(
 
     # held-out labels follow classify_texts's rule, as the online loop's do
     preds = [LABEL_INDEX[_label(None if empty[i] else model.net.forward(data.row(i)))[0]] for i in hold_idx]
-    golds = [labels[i] for i in hold_idx]
-    return {
-        "accuracy": float(np.mean([p == g for p, g in zip(preds, golds)])),
-        "macro_f1": macro_f1(golds, preds, len(LABEL_ORDER)),
-        "holdout_size": len(hold_idx),
-    }
+    return {**_scores([labels[i] for i in hold_idx], preds), "holdout_size": len(hold_idx)}
 
 
 def evaluate_emotion(model: EmotionModel, corpus: Sequence, scoper: Callable | None = None) -> dict:
@@ -175,6 +170,11 @@ def evaluate_emotion(model: EmotionModel, corpus: Sequence, scoper: Callable | N
     scoper = scoper or gold_scope_texts
     golds = [LABEL_INDEX[m.gold_emotion] for m in corpus]
     preds = [LABEL_INDEX[model.classify_texts(scoper(m))[0]] for m in corpus]
+    return _scores(golds, preds)
+
+
+def _scores(golds: Sequence[int], preds: Sequence[int]) -> dict:
+    "Accuracy and macro-F1 of predicted label indices against gold ones."
     return {
         "accuracy": float(np.mean([p == g for p, g in zip(preds, golds)])),
         "macro_f1": macro_f1(golds, preds, len(LABEL_ORDER)),

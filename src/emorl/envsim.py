@@ -31,7 +31,7 @@ from .emotion import EmotionLabel, EmotionModel, classify_emotion, reward_of
 from .nn import replacing
 from .policy import DEFAULT_VALID_COMBOS, MULTICLASS_ACTIONS
 from .scope import ScopedMessage, ScopeModel, gold_scope_texts, in_gold_scope
-from .text import SPLIT_PUNCT, Vocabulary, build_vocab, count_features, known_ids, segment, tokenize
+from .text import SPLIT_PUNCT, UNK_ID, Vocabulary, build_vocab, count_features, segment, tokenize
 from .text import featurize_texts  # noqa: F401  the benchmark's span tracer wraps it at this name
 
 
@@ -173,7 +173,6 @@ class FeedbackRegime:
 class InteractionRecord:
     """One online turn; the unit the learning curve is computed from."""
 
-    step: int
     state: np.ndarray
     action: "int | tuple[int, ...]"
     gold: "int | tuple[int, ...]"
@@ -238,10 +237,9 @@ class GeneratorConfig:
         general = set(self.general_pos) | set(self.general_neg)
         if directed & general:
             raise ValueError("directed and general emotion lexicons must be disjoint")
-        for pool in self._all_template_pools():
-            for template in pool:
-                if not template or template[-1] not in SPLIT_PUNCT:
-                    raise ValueError(f"template must end with splitting punctuation: {template!r}")
+        for template in self.all_template_text():
+            if not template or template[-1] not in SPLIT_PUNCT:
+                raise ValueError(f"template must end with splitting punctuation: {template!r}")
         if self.max_distractors < 0:
             raise ValueError(f"max_distractors must be at least 0, got {self.max_distractors}")
         if self.vocab_size < 1:
@@ -263,7 +261,8 @@ class GeneratorConfig:
         "How many intents the task draws from: the multiclass intents, or the valid multilabel combinations."
         return len(self.multiclass_intents) if self.task == "multiclass" else len(self.valid_combos)
 
-    def _all_template_pools(self) -> list[list[str]]:
+    def all_template_text(self) -> list[str]:
+        "Every template of every pool, in pool order."
         pools = [self.intent_templates[n] for n in self.multiclass_intents if n in self.intent_templates]
         pools += list(self.bit_templates)
         pools += [
@@ -274,13 +273,7 @@ class GeneratorConfig:
             self.general_pos,
             self.general_neg,
         ]
-        return [p for p in pools if p]
-
-    def all_template_text(self) -> list[str]:
-        out: list[str] = []
-        for pool in self._all_template_pools():
-            out.extend(pool)
-        return out
+        return [template for pool in pools for template in pool]
 
 
 def default_config(task: str = "multiclass", **overrides) -> GeneratorConfig:
@@ -605,7 +598,6 @@ class Environment:
                 raise ValueError(f"the {name} model's vocabulary differs from the generator's (config_vocab)")
         self.rng = np.random.default_rng(seed)
         self._pending: tuple[EmailMessage, np.ndarray] | None = None
-        self._step = 0
         self._texts: dict[str, tuple[tuple[int, ...], np.ndarray | None]] = {}
         self._labels: dict[tuple[str, ...], EmotionLabel] = {}
         self._gold_ids: dict[Group, tuple[int, ...]] = {}
@@ -614,9 +606,9 @@ class Environment:
         "(in-vocabulary token ids, scope row or None on the oracle channel) of a sentence text."
         facts = self._texts.get(text)
         if facts is None:
-            learned = self.channel == "learned"
-            row = self.scope_model.sentence_matrix([self.vocab.ids(tokenize(text))])[0] if learned else None
-            facts = self._texts[text] = (known_ids(text, self.vocab), row)
+            ids = self.vocab.ids(tokenize(text))
+            row = self.scope_model.sentence_matrix([ids])[0] if self.channel == "learned" else None
+            facts = self._texts[text] = (tuple(i for i in ids if i != UNK_ID), row)
         return facts
 
     def _keep_mask(self, message: EmailMessage) -> list[bool]:
@@ -681,8 +673,7 @@ class Environment:
         taken = tuple(int(b) for b in action) if self.config.task == "multilabel" else int(action)
         reply = respond(self.config, self.rng, gold, taken)
         present, observed = apply_regime(self.regime, self.rng, self.emotion_of(reply))
-        record = InteractionRecord(
-            step=self._step,
+        return InteractionRecord(
             state=state,
             action=taken,
             gold=gold,
@@ -691,5 +682,3 @@ class Environment:
             reward=reward_of(observed),
             correct=taken == gold,
         )
-        self._step += 1
-        return record

@@ -15,8 +15,8 @@ import configparser
 import hashlib
 import inspect
 import json
+import os
 import re
-from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
@@ -195,8 +195,9 @@ def run_online(
 
     Returns (curve, agent, info). A curve row is appended every eval_every
     interactions: the rolling success over the trailing window of sampled
-    actions, and the argmax accuracy on a fixed eval set. When `curve_path`
-    is given rows are flushed to disk as they are produced.
+    actions, and the argmax accuracy on a fixed eval set. Rows are flushed
+    to `curve_path` as they are produced; without one they go to the null
+    device.
     """
     gen = config.generator
     env = Environment(
@@ -221,29 +222,21 @@ def run_online(
         info["baseline_accuracy"] = agent.evaluate(eval_set)
 
     curve = LearningCurve()
-    recent: deque = deque(maxlen=config.window)
     correct_flags: list[bool] = []
-    sink = open(curve_path, "w", encoding="utf-8", newline="\n") if curve_path else None
-    try:
-        if sink:
-            sink.write(CURVE_HEADER + "\n")
-            sink.flush()
+    with open(curve_path or os.devnull, "w", encoding="utf-8", newline="\n") as sink:
+        sink.write(CURVE_HEADER + "\n")
+        sink.flush()
         for t in range(1, config.interactions + 1):
             _, state = env.serve()
             action = agent.act(state)
             record = env.step(action)
             agent.learn(record)
-            recent.append(record.correct)
             correct_flags.append(record.correct)
             if t % config.eval_every == 0:
-                row = CurveRow(t, float(np.mean(recent)), agent.evaluate(eval_set))
+                row = CurveRow(t, float(np.mean(correct_flags[-config.window :])), agent.evaluate(eval_set))
                 curve.append(row)
-                if sink:
-                    sink.write(_format_row(row))
-                    sink.flush()
-    finally:
-        if sink:
-            sink.close()
+                sink.write(_format_row(row))
+                sink.flush()
     info["correct_flags"] = correct_flags
     if checkpoint_dir is not None:
         save_agent(agent, checkpoint_dir)
@@ -264,7 +257,7 @@ def run_cell(config: ExperimentConfig, run_dir, **models):
     run_dir = Path(run_dir)
     (run_dir / "curves").mkdir(parents=True, exist_ok=True)
     (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
-    cell = f"{config.task}_{config.init}_{config.regime.kind}"
+    cell = _cell_name(config)
     for seed in config.seeds:
         curve, _, info = run_online(
             config,
@@ -274,6 +267,11 @@ def run_cell(config: ExperimentConfig, run_dir, **models):
             **models,
         )
         yield curve, info
+
+
+def _cell_name(config: ExperimentConfig) -> str:
+    "The (task, init, regime) cell's name, which its curve files' names start with."
+    return f"{config.task}_{config.init}_{config.regime.kind}"
 
 
 def grid_cells(base: ExperimentConfig) -> list[ExperimentConfig]:
@@ -303,34 +301,51 @@ def run_grid(base: ExperimentConfig, run_dir) -> list[dict]:
 _CURVE_NAME = re.compile(rf"({'|'.join(TASKS)})_({'|'.join(INITS)})_({'|'.join(REGIME_NAMES)})_s\d+")
 
 
+def _read_curve(path: Path) -> tuple[tuple[str, ...], LearningCurve]:
+    """(cell, curve) of a curve file that can be summarised. One named
+    otherwise, or one without rows, as a run killed before its first
+    evaluation leaves it, raises ValueError naming it."""
+    name = _CURVE_NAME.fullmatch(path.stem)
+    try:
+        if name is None:
+            raise ValueError("its name is not of the form <task>_<init>_<regime>_s<seed>.csv")
+        curve = LearningCurve.from_csv(path)
+        if not curve.rows:
+            raise ValueError("empty curve has no final value")
+    except ValueError as exc:
+        raise ValueError(f"cannot summarise curve file {path}: {exc}") from None
+    return name.groups(), curve
+
+
 def rederive_report(run_dir) -> list[dict]:
     """The report rows, from the curve files alone: one per cell, from the
     final values of its curves, in the order of the cells' file names.
 
-    A curve file that cannot be summarised (one named otherwise, or one
-    without rows, as a run killed before its first evaluation leaves it)
-    raises ValueError naming it.
+    A curve file `_read_curve` refuses, or a cell whose curves end at
+    different steps, as runs of two budgets leave it, raises ValueError
+    naming the files.
     """
-    finals: dict[tuple[str, ...], list[tuple[float, float]]] = {}
+    cells: dict[tuple[str, ...], list[tuple[Path, LearningCurve]]] = {}
     for path in sorted((Path(run_dir) / "curves").glob("*.csv")):
-        name = _CURVE_NAME.fullmatch(path.stem)
-        try:
-            if name is None:
-                raise ValueError("its name is not of the form <task>_<init>_<regime>_s<seed>.csv")
-            curve = LearningCurve.from_csv(path)
-            finals.setdefault(name.groups(), []).append((curve.final_success, curve.final_eval))
-        except ValueError as exc:
-            raise ValueError(f"cannot summarise curve file {path}: {exc}") from None
+        cell, curve = _read_curve(path)
+        cells.setdefault(cell, []).append((path, curve))
+    for (first, head), *rest in cells.values():
+        for path, curve in rest:
+            if curve.rows[-1].step != head.rows[-1].step:
+                raise ValueError(
+                    f"cannot summarise a cell whose curves end at different steps: {first} ends at step "
+                    f"{head.rows[-1].step} and {path} at step {curve.rows[-1].step}"
+                )
     rows = [
         {
             "task": task,
             "init": init,
             "regime": regime,
             "seeds": len(cell),
-            "final_success_mean": float(np.mean([success for success, _ in cell])),
-            "final_eval_mean": float(np.mean([accuracy for _, accuracy in cell])),
+            "final_success_mean": float(np.mean([curve.final_success for _, curve in cell])),
+            "final_eval_mean": float(np.mean([curve.final_eval for _, curve in cell])),
         }
-        for (task, init, regime), cell in finals.items()
+        for (task, init, regime), cell in cells.items()
     ]
     # ordering check per (task, init) panel: full >= partial >= partial_noisy
     by_panel: dict[tuple[str, str], dict[str, float]] = {}
@@ -363,12 +378,46 @@ def write_report(path, rows: list[dict]) -> None:
 # -- manifests and config files -------------------------------------------------
 
 
+def _recorded(run_dir) -> dict:
+    "The run directory's manifest.json, or {} when it has none."
+    manifest = Path(run_dir) / "manifest.json"
+    return json.loads(manifest.read_text(encoding="utf-8")) if manifest.exists() else {}
+
+
+def check_reuse(run_dir, config_text: str, configs: Sequence[ExperimentConfig]) -> None:
+    """Raise ValueError if a run of `configs`, read from `config_text`, cannot
+    join the run directory: its manifest.json hashes another config, or a
+    curve file the run leaves in place ends at another step than the run's
+    own curves of that cell will. Reads only; the runners call it first."""
+    run_dir = Path(run_dir)
+    recorded = _recorded(run_dir).get("config_sha256")
+    if recorded not in (None, hashlib.sha256(config_text.encode("utf-8")).hexdigest()):
+        raise ValueError(f"{run_dir / 'manifest.json'} records a run of another config; use a new run directory")
+    for config in configs:
+        cell, end = _cell_name(config), config.interactions - config.interactions % config.eval_every
+        rewritten = {f"{cell}_s{seed}.csv" for seed in config.seeds}
+        for path in sorted((run_dir / "curves").glob(f"{cell}_s*.csv")):
+            if path.name in rewritten:
+                continue
+            last = _read_curve(path)[1].rows[-1].step
+            if last != end:
+                raise ValueError(
+                    f"{path} ends at step {last} and this run's curves of its cell would end at step {end}: "
+                    "a cell's curves must come from runs of one budget"
+                )
+
+
 def write_manifest(run_dir, config_text: str, seeds: Sequence[int]) -> None:
     """Write `config.ini` and the `manifest.json` that hashes it as a pair:
     both payloads are built first, and a failure before the two files are
-    moved into place replaces neither."""
+    moved into place replaces neither. The manifest's seeds are those it
+    already records for this config, followed by any new ones of `seeds`."""
     config = config_text.encode("utf-8")
-    manifest = {"config_sha256": hashlib.sha256(config).hexdigest(), "version": __version__, "seeds": list(seeds)}
+    digest = hashlib.sha256(config).hexdigest()
+    old = _recorded(run_dir)
+    recorded = old["seeds"] if old.get("config_sha256") == digest else []
+    seeds = [*recorded, *(seed for seed in seeds if seed not in recorded)]
+    manifest = {"config_sha256": digest, "version": __version__, "seeds": seeds}
     manifest_text = json.dumps(manifest, indent=2) + "\n"
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -383,7 +432,7 @@ def check_manifest(run_dir) -> None:
     write_manifest's two moves leaves them."""
     config, manifest = Path(run_dir) / "config.ini", Path(run_dir) / "manifest.json"
     if config.exists() and manifest.exists():
-        recorded = json.loads(manifest.read_text(encoding="utf-8")).get("config_sha256")
+        recorded = _recorded(run_dir).get("config_sha256")
         if recorded != hashlib.sha256(config.read_bytes()).hexdigest():
             raise ValueError(f"{config} does not match the config_sha256 recorded in {manifest}")
 

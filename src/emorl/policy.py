@@ -196,7 +196,7 @@ def save_agent(agent: PolicyAgent, out_dir) -> None:
     manifest = {
         "task": agent.task,
         "heads": heads,
-        "input_dim": agent.networks()[0].input_dim,
+        "input_dim": agent.net.input_dim,
         "valid_combos": [list(c) for c in getattr(agent, "valid_combos", ())],
     }
     with replacing(out / "agent.json", encoding="utf-8", newline="\n") as f:

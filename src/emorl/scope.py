@@ -139,10 +139,7 @@ class ScopeModel:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path) -> None:
-        write_tensors(
-            path,
-            {"embed": self.embed.values, "mix": self.mix.values, "bias": self.bias.values},
-        )
+        write_tensors(path, {p.name: p.values for p in self.params()})
 
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "ScopeModel":
@@ -161,9 +158,8 @@ class ScopeModel:
         if embed.shape[0] != vocab.size:
             raise ValueError(f"checkpoint vocab size {embed.shape[0]} != vocabulary {vocab.size}")
         model = cls(vocab, dim=embed.shape[1], window=(mix.shape[0] - 1) // 2)
-        model.embed.values[...] = embed
-        model.mix.values[...] = mix
-        model.bias.values[...] = bias
+        for p in model.params():
+            p.values[...] = tensors[p.name]
         return model
 
 

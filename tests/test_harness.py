@@ -198,7 +198,14 @@ def test_curve_rows_match_rolling_recomputation():
     assert len(curve) == cfg.interactions // cfg.eval_every
     for row in curve.rows:
         expected = float(np.mean(flags[max(0, row.step - cfg.window) : row.step]))
-        assert row.rolling_success == pytest.approx(expected)
+        assert row.rolling_success == expected
+
+
+def test_run_online_without_a_curve_path_writes_no_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    curve, _, _ = run_online(ExperimentConfig(**SMALL), seed=1)
+    assert len(curve) == 3
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("task", ["multiclass", "multilabel"])
@@ -627,6 +634,71 @@ def test_cli_report_covers_every_run_into_a_reused_directory(config_file, tmp_pa
     capsys.readouterr()
     assert main(["report", "--run-dir", str(run_dir)]) == 0
     assert "matches the stored report" in capsys.readouterr().out
+
+
+def _files(run_dir) -> dict:
+    return {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["run-online", "run-grid"])
+def test_cli_runners_refuse_a_directory_of_another_config_before_writing(command, config_file, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["run-online", "--config", str(config_file), "--run-dir", str(run_dir), "--seed", "1"]) == 0
+    before = _files(run_dir)
+    other = _bad_config(tmp_path, "lr = 0.05", "lr = 0.5")
+    capsys.readouterr()
+    assert main([command, "--config", str(other), "--run-dir", str(run_dir), "--seed", "2"]) == 2
+    assert "records a run of another config" in capsys.readouterr().err
+    assert _files(run_dir) == before
+
+
+@pytest.mark.parametrize(
+    ("command", "first", "second"),
+    [
+        ("run-online", ["--seed", "1"], ["--seed", "2", "--interactions", "100"]),
+        ("run-online", ["--seed", "1", "--interactions", "100"], ["--seed", "2"]),
+        ("run-grid", ["--seed", "1", "--interactions", "100"], ["--seed", "2"]),
+    ],
+)
+def test_cli_runners_refuse_to_mix_budgets_in_a_cell_before_writing(command, first, second, config_file, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["run-online", "--config", str(config_file), "--run-dir", str(run_dir), *first]) == 0
+    before = _files(run_dir)
+    capsys.readouterr()
+    assert main([command, "--config", str(config_file), "--run-dir", str(run_dir), *second]) == 2
+    err = capsys.readouterr().err
+    assert str(run_dir / "curves" / "multiclass_scratch_partial_noisy_s1.csv") in err and "one budget" in err
+    assert _files(run_dir) == before
+
+
+def test_cli_run_online_may_rerun_a_seed_on_another_budget(config_file, tmp_path):
+    # the rerun replaces the seed's only curve, so the cell keeps one budget
+    run_dir = tmp_path / "run"
+    assert main(["run-online", "--config", str(config_file), "--run-dir", str(run_dir), "--seed", "1"]) == 0
+    argv = ["run-online", "--config", str(config_file), "--run-dir", str(run_dir), "--seed", "1", "--interactions", "100"]
+    assert main(argv) == 0
+    assert [row["seeds"] for row in rederive_report(run_dir)] == [1]
+
+
+def test_cli_report_refuses_a_cell_whose_curves_end_at_different_steps(tmp_path, capsys):
+    # as runs into one directory on two budgets left it before the runners refused them
+    run_dir = tmp_path / "run"
+    (run_dir / "curves").mkdir(parents=True)
+    paths = [run_dir / "curves" / f"multiclass_scratch_full_s{seed}.csv" for seed in (1, 2)]
+    paths[0].write_text("step,rolling_success,eval_accuracy\n100,0.500000,0.400000\n200,0.310000,0.400000\n", encoding="utf-8")
+    paths[1].write_text("step,rolling_success,eval_accuracy\n100,0.420000,0.400000\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="end at different steps"):
+        rederive_report(run_dir)
+    assert main(["report", "--run-dir", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert str(paths[0]) in err and str(paths[1]) in err
+
+
+def test_cli_manifest_seeds_cover_every_run_into_a_reused_directory(config_file, tmp_path):
+    run_dir = tmp_path / "run"
+    for seed in ("2", "1", "2"):
+        assert main(["run-online", "--config", str(config_file), "--run-dir", str(run_dir), "--seed", seed]) == 0
+    assert json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["seeds"] == [2, 1]
 
 
 @pytest.mark.parametrize(

@@ -164,3 +164,26 @@ def test_example_config_shows_every_key_at_its_default(tmp_path, monkeypatch):
     bare.write_text("[online]\nseeds = 1\n", encoding="utf-8")
     assert cli.main(["gen-data", "--config", str(bare), "--out", str(tmp_path / "corpus.jsonl")]) == 0
     assert stages["data"] == {"n": sizes[0]}
+
+
+def test_the_example_config_runs_the_grid(tmp_path):
+    # configs/example.ini with only its budget cut down: the multilabel cells
+    # get its multiclass pretrain_intent_weights
+    from emorl.cli import main
+
+    budget = dict(interactions=40, eval_every=20, window=20, eval_size=10, seeds=1, pretrain_size=12, pretrain_epochs=2)
+    lines, section, cut = [], None, set()
+    for line in (ROOT / "configs" / "example.ini").read_text(encoding="utf-8").splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        key = line.split("=")[0].strip()
+        if section == "online" and key in budget:
+            line = f"{key} = {budget[key]}"
+            cut.add(key)
+        lines.append(line)
+    assert cut == set(budget)
+    config = tmp_path / "example.ini"
+    config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["run-grid", "--config", str(config), "--run-dir", str(tmp_path / "grid")]) == 0
+    header, *rows = (tmp_path / "grid" / "report.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 12

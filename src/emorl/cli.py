@@ -21,6 +21,7 @@ from .emotion import EmotionModel, all_texts, train_emotion
 from .envsim import build_offline_corpus, config_vocab, corpus_from_jsonl, corpus_to_jsonl
 from .harness import (
     ExperimentConfig,
+    UsageError,
     arguments_for,
     check_manifest,
     check_reuse,
@@ -36,10 +37,6 @@ from .harness import (
 )
 from .nn import replacing
 from .scope import ScopeModel, train_scope
-
-
-class UsageError(Exception):
-    "A bad command-line value; main exits 2 on it, as argparse does."
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,10 +103,10 @@ def _load(args) -> tuple[ExperimentConfig, dict, str]:
     return config, loaded["stages"], text
 
 
-def _runner_config(args) -> tuple[ExperimentConfig, str]:
-    """The config of run-online or run-grid, refused before anything is
-    written when no run of it could finish."""
-    config, _, text = _load(args)
+def _runner_config(args) -> tuple[ExperimentConfig, dict, str]:
+    """_load's triple for run-online or run-grid, the config refused before
+    anything is written when no run of it could finish."""
+    config, stages, text = _load(args)
     override = getattr(args, "interactions", None)
     try:
         if override is not None:
@@ -122,7 +119,7 @@ def _runner_config(args) -> tuple[ExperimentConfig, str]:
         if override is None:
             raise
         raise UsageError(str(exc)) from exc
-    return config, text
+    return config, stages, text
 
 
 def _learned_models(args, config) -> dict:
@@ -138,12 +135,8 @@ def _learned_models(args, config) -> dict:
 
 
 def _claim(run_dir: Path, text: str, configs: list[ExperimentConfig]) -> None:
-    """Record a run of `configs` in run_dir's manifest; a directory it cannot
-    join (see check_reuse) is a usage error, raised before anything is written."""
-    try:
-        check_reuse(run_dir, text, configs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    "Record a run of `configs` in run_dir's manifest, once check_reuse finds that it can join run_dir."
+    check_reuse(run_dir, text, configs)
     write_manifest(run_dir, text, configs[0].seeds)
 
 
@@ -221,28 +214,28 @@ def cmd_pretrain_intent(args) -> int:
 
 
 def cmd_run_online(args) -> int:
-    config, text = _runner_config(args)
+    config, _, text = _runner_config(args)
     models = _learned_models(args, config)
     run_dir = Path(args.run_dir)
     _claim(run_dir, text, [config])
     for curve, info in run_cell(config, run_dir, **models):
         extra = f" (baseline {info['baseline_accuracy']:.4f})" if "baseline_accuracy" in info else ""
         print(f"seed {info['seed']}: final rolling success {curve.final_success:.4f}{extra}")
-    write_report(run_dir / "report.csv", rederive_report(run_dir))
+    write_report(run_dir)
     print(f"run artifacts under {run_dir}")
     return 0
 
 
 def cmd_run_grid(args) -> int:
-    config, text = _runner_config(args)
+    config, stages, text = _runner_config(args)
     if config.channel != "oracle":
         # one pair of offline models is trained on one task's corpus, so it cannot serve both tasks
         raise ValueError("run-grid runs the oracle channel only; run a learned-channel cell with run-online")
     run_dir = Path(args.run_dir)
     # grid_cells refuses a value some cell cannot take (an intent_prior fits one task only) before anything is written
-    _claim(run_dir, text, grid_cells(config))
-    rows = run_grid(config, run_dir)
-    _print_rows(rows)
+    cells = grid_cells(config, stages.get("online", {}))
+    _claim(run_dir, text, cells)
+    _print_rows(run_grid(cells, run_dir))
     print(f"report written to {run_dir / 'report.csv'}")
     return 0
 

@@ -257,7 +257,7 @@ def run_cell(config: ExperimentConfig, run_dir, **models):
     run_dir = Path(run_dir)
     (run_dir / "curves").mkdir(parents=True, exist_ok=True)
     (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
-    cell = _cell_name(config)
+    cell = "_".join(_cell(config))
     for seed in config.seeds:
         curve, _, info = run_online(
             config,
@@ -269,66 +269,54 @@ def run_cell(config: ExperimentConfig, run_dir, **models):
         yield curve, info
 
 
-def _cell_name(config: ExperimentConfig) -> str:
-    "The (task, init, regime) cell's name, which its curve files' names start with."
-    return f"{config.task}_{config.init}_{config.regime.kind}"
+def _cell(config: ExperimentConfig) -> tuple[str, str, str]:
+    "The (task, init, regime) cell; its curve files' names start with these, joined by '_'."
+    return config.task, config.init, config.regime.kind
 
 
-def grid_cells(base: ExperimentConfig) -> list[ExperimentConfig]:
-    "Every (task, init, regime) cell's config; a value that some cell cannot take raises here, before any cell runs."
+def grid_cells(base: ExperimentConfig, online: dict) -> list[ExperimentConfig]:
+    """Every (task, init, regime) cell's config, its regime built by regime_of from the INI's [online]
+    section `online`; a value that some cell cannot take raises here, before any cell runs."""
     return [
-        replace(base, task=task, init=init, regime=getattr(FeedbackRegime, regime)())
+        replace(base, task=task, init=init, regime=regime_of(regime, online))
         for task, init, regime in product(TASKS, INITS, REGIME_NAMES)
     ]
 
 
-def run_grid(base: ExperimentConfig, run_dir) -> list[dict]:
-    """Run every (task, init, regime) cell at every seed and summarize.
-
-    Completed cells survive a later cell's failure. Returns the report rows
-    that are also written to run_dir/report.csv: rederive_report's, so they
-    cover every curve file in run_dir, an earlier run's included.
-    """
-    for cfg in grid_cells(base):
-        for _ in run_cell(cfg, run_dir):
+def run_grid(cells: Sequence[ExperimentConfig], run_dir) -> list[dict]:
+    """Run every seed of each of `cells` (grid_cells' configs), then return
+    write_report's rows. Completed cells survive a later cell's failure."""
+    for config in cells:
+        for _ in run_cell(config, run_dir):
             pass
-    rows = rederive_report(run_dir)
-    write_report(Path(run_dir) / "report.csv", rows)
-    return rows
+    return write_report(run_dir)
 
 
 # a curve file's name: <task>_<init>_<regime>_s<seed>.csv
 _CURVE_NAME = re.compile(rf"({'|'.join(TASKS)})_({'|'.join(INITS)})_({'|'.join(REGIME_NAMES)})_s\d+")
 
 
-def _read_curve(path: Path) -> tuple[tuple[str, ...], LearningCurve]:
-    """(cell, curve) of a curve file that can be summarised. One named
-    otherwise, or one without rows, as a run killed before its first
-    evaluation leaves it, raises ValueError naming it."""
-    name = _CURVE_NAME.fullmatch(path.stem)
-    try:
-        if name is None:
-            raise ValueError("its name is not of the form <task>_<init>_<regime>_s<seed>.csv")
-        curve = LearningCurve.from_csv(path)
-        if not curve.rows:
-            raise ValueError("empty curve has no final value")
-    except ValueError as exc:
-        raise ValueError(f"cannot summarise curve file {path}: {exc}") from None
-    return name.groups(), curve
-
-
-def rederive_report(run_dir) -> list[dict]:
-    """The report rows, from the curve files alone: one per cell, from the
-    final values of its curves, in the order of the cells' file names.
-
-    A curve file `_read_curve` refuses, or a cell whose curves end at
-    different steps, as runs of two budgets leave it, raises ValueError
-    naming the files.
-    """
+def read_curves(run_dir, skip=frozenset()) -> dict[tuple[str, ...], list[tuple[Path, LearningCurve]]]:
+    """The one reader of a run directory's curves: every curve file under
+    run_dir/curves but those named in `skip`, as (path, curve) pairs grouped
+    by cell, in the order of the files' names. A file not named as a curve
+    file, one without rows, as a run killed before its first evaluation
+    leaves it, or a cell whose curves end at different steps, as runs of two
+    budgets leave it, raises ValueError naming the files."""
     cells: dict[tuple[str, ...], list[tuple[Path, LearningCurve]]] = {}
     for path in sorted((Path(run_dir) / "curves").glob("*.csv")):
-        cell, curve = _read_curve(path)
-        cells.setdefault(cell, []).append((path, curve))
+        if path.name in skip:
+            continue
+        name = _CURVE_NAME.fullmatch(path.stem)
+        try:
+            if name is None:
+                raise ValueError("its name is not of the form <task>_<init>_<regime>_s<seed>.csv")
+            curve = LearningCurve.from_csv(path)
+            if not curve.rows:
+                raise ValueError("empty curve has no final value")
+        except ValueError as exc:
+            raise ValueError(f"cannot summarise curve file {path}: {exc}") from None
+        cells.setdefault(name.groups(), []).append((path, curve))
     for (first, head), *rest in cells.values():
         for path, curve in rest:
             if curve.rows[-1].step != head.rows[-1].step:
@@ -336,28 +324,23 @@ def rederive_report(run_dir) -> list[dict]:
                     f"cannot summarise a cell whose curves end at different steps: {first} ends at step "
                     f"{head.rows[-1].step} and {path} at step {curve.rows[-1].step}"
                 )
-    rows = [
-        {
-            "task": task,
-            "init": init,
-            "regime": regime,
-            "seeds": len(cell),
-            "final_success_mean": float(np.mean([curve.final_success for _, curve in cell])),
-            "final_eval_mean": float(np.mean([curve.final_eval for _, curve in cell])),
-        }
-        for (task, init, regime), cell in cells.items()
-    ]
-    # ordering check per (task, init) panel: full >= partial >= partial_noisy
-    by_panel: dict[tuple[str, str], dict[str, float]] = {}
-    for row in rows:
-        by_panel.setdefault((row["task"], row["init"]), {})[row["regime"]] = row["final_success_mean"]
-    for row in rows:
-        panel = by_panel[(row["task"], row["init"])]
-        if all(name in panel for name in REGIME_NAMES):
-            ok = panel["full"] >= panel["partial"] >= panel["partial_noisy"]
-            row["panel_order_ok"] = int(ok)
-        else:
-            row["panel_order_ok"] = ""
+    return cells
+
+
+def rederive_report(run_dir) -> list[dict]:
+    """The report rows, from the curve files alone (read_curves): one per
+    cell, from the final values of its curves, in the order of the cells'
+    file names."""
+    cells = read_curves(run_dir)
+    success = {cell: float(np.mean([curve.final_success for _, curve in curves])) for cell, curves in cells.items()}
+    rows = []
+    for (task, init, regime), curves in cells.items():
+        # full >= partial >= partial_noisy on the (task, init) panel, when all three are present
+        panel = [success.get((task, init, name)) for name in REGIME_NAMES]
+        order_ok = "" if None in panel else int(panel[0] >= panel[1] >= panel[2])
+        final_eval = float(np.mean([curve.final_eval for _, curve in curves]))
+        values = (task, init, regime, len(curves), success[task, init, regime], final_eval, order_ok)
+        rows.append(dict(zip(REPORT_COLUMNS, values)))
     return rows
 
 
@@ -370,12 +353,24 @@ def report_text(rows: list[dict]) -> str:
     return "".join(",".join(line) + "\n" for line in [REPORT_COLUMNS, *cells])
 
 
-def write_report(path, rows: list[dict]) -> None:
-    with replacing(path, encoding="utf-8", newline="\n") as f:
+def write_report(run_dir) -> list[dict]:
+    "Replace run_dir/report.csv with the report rederive_report derives from its curve files, and return the rows."
+    rows = rederive_report(run_dir)
+    with replacing(Path(run_dir) / "report.csv", encoding="utf-8", newline="\n") as f:
         f.write(report_text(rows))
+    return rows
 
 
 # -- manifests and config files -------------------------------------------------
+
+
+class UsageError(Exception):
+    "A command input no run can use, such as a --run-dir a run cannot join; the CLI exits 2 on it, as argparse does."
+
+
+def config_sha256(config: bytes) -> str:
+    "The config_sha256 a manifest records for a config file's bytes."
+    return hashlib.sha256(config).hexdigest()
 
 
 def _recorded(run_dir) -> dict:
@@ -385,24 +380,24 @@ def _recorded(run_dir) -> dict:
 
 
 def check_reuse(run_dir, config_text: str, configs: Sequence[ExperimentConfig]) -> None:
-    """Raise ValueError if a run of `configs`, read from `config_text`, cannot
-    join the run directory: its manifest.json hashes another config, or a
-    curve file the run leaves in place ends at another step than the run's
-    own curves of that cell will. Reads only; the runners call it first."""
+    """Raise if a run of `configs`, read from `config_text`, cannot join the
+    run directory. Reads only; the runners call it first. It reads every curve
+    file the run leaves in place (read_curves) and checks check_manifest, so
+    it refuses every directory `emorl report` refuses, with its ValueError;
+    then a manifest of another config, or a cell's curves left in place that
+    end at another step than the run's own will, raise UsageError."""
     run_dir = Path(run_dir)
-    recorded = _recorded(run_dir).get("config_sha256")
-    if recorded not in (None, hashlib.sha256(config_text.encode("utf-8")).hexdigest()):
-        raise ValueError(f"{run_dir / 'manifest.json'} records a run of another config; use a new run directory")
+    own = {f"{'_'.join(_cell(config))}_s{seed}.csv" for config in configs for seed in config.seeds}
+    cells = read_curves(run_dir, skip=own)
+    check_manifest(run_dir)
+    if _recorded(run_dir).get("config_sha256") not in (None, config_sha256(config_text.encode("utf-8"))):
+        raise UsageError(f"{run_dir / 'manifest.json'} records a run of another config; use a new run directory")
     for config in configs:
-        cell, end = _cell_name(config), config.interactions - config.interactions % config.eval_every
-        rewritten = {f"{cell}_s{seed}.csv" for seed in config.seeds}
-        for path in sorted((run_dir / "curves").glob(f"{cell}_s*.csv")):
-            if path.name in rewritten:
-                continue
-            last = _read_curve(path)[1].rows[-1].step
-            if last != end:
-                raise ValueError(
-                    f"{path} ends at step {last} and this run's curves of its cell would end at step {end}: "
+        end = config.interactions - config.interactions % config.eval_every
+        for path, curve in cells.get(_cell(config), []):
+            if curve.rows[-1].step != end:
+                raise UsageError(
+                    f"{path} ends at step {curve.rows[-1].step} and this run's curves of its cell would end at step {end}: "
                     "a cell's curves must come from runs of one budget"
                 )
 
@@ -413,7 +408,7 @@ def write_manifest(run_dir, config_text: str, seeds: Sequence[int]) -> None:
     moved into place replaces neither. The manifest's seeds are those it
     already records for this config, followed by any new ones of `seeds`."""
     config = config_text.encode("utf-8")
-    digest = hashlib.sha256(config).hexdigest()
+    digest = config_sha256(config)
     old = _recorded(run_dir)
     recorded = old["seeds"] if old.get("config_sha256") == digest else []
     seeds = [*recorded, *(seed for seed in seeds if seed not in recorded)]
@@ -432,8 +427,7 @@ def check_manifest(run_dir) -> None:
     write_manifest's two moves leaves them."""
     config, manifest = Path(run_dir) / "config.ini", Path(run_dir) / "manifest.json"
     if config.exists() and manifest.exists():
-        recorded = _recorded(run_dir).get("config_sha256")
-        if recorded != hashlib.sha256(config.read_bytes()).hexdigest():
+        if _recorded(run_dir).get("config_sha256") != config_sha256(config.read_bytes()):
             raise ValueError(f"{config} does not match the config_sha256 recorded in {manifest}")
 
 
@@ -486,6 +480,14 @@ def _cast(section: str, key: str, raw: str):
         raise ValueError(f"[{section}] {key} = {raw!r} is not a valid value: {exc}") from None
 
 
+def regime_of(name: str, online: dict) -> FeedbackRegime:
+    """The FeedbackRegime `name`, with the keys of the INI's [online] section
+    `online` that its factory takes: full takes none, partial only feedback_p."""
+    factory = getattr(FeedbackRegime, name)
+    args = {param: online[key] for key, param in _REGIME_ARGS.items() if key in online}
+    return factory(**arguments_for(factory, args))
+
+
 def load_config_file(path) -> dict:
     """Parse a run configuration: flat `key = value` sections, each key one of
     SECTIONS; an unknown section or key raises ValueError naming it.
@@ -505,13 +507,10 @@ def load_config_file(path) -> dict:
         if unknown:
             raise ValueError(f"unknown key(s) in [{name}]: {', '.join(unknown)}")
         stages[name] = {key: _cast(name, key, value) for key, value in parser[name].items()}
-    online = dict(stages.get("online", {}))
-    args = {param: online.pop(key) for key, param in _REGIME_ARGS.items() if key in online}
+    online = {key: value for key, value in stages.get("online", {}).items() if key not in _REGIME_ARGS}
     if "regime" in online:
         if online["regime"] not in REGIME_NAMES:
             raise ValueError(f"unknown regime {online['regime']!r}")
-        # full takes none of the regime arguments, partial only p
-        factory = getattr(FeedbackRegime, online["regime"])
-        online["regime"] = factory(**arguments_for(factory, args))
+        online["regime"] = regime_of(online["regime"], stages["online"])
     generator = default_config(online.get("task", ExperimentConfig.task), **stages.get("generator", {}))
     return {"experiment": ExperimentConfig(**online, generator=generator), "stages": stages}

@@ -349,8 +349,14 @@ class SGD:
     learning_rate: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < self.learning_rate < float("inf"):
+            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
+
+
+def _fault(steps: Iterable[tuple[ParamTensor, np.ndarray]]) -> TrainingFault:
+    "The TrainingFault naming the first tensor of the (tensor, updated values) pairs `steps` with a non-finite value."
+    bad = next(p for p, new in steps if not np.isfinite(new).all())
+    return TrainingFault(f"non-finite values in tensor {bad.name!r} after update")
 
 
 def apply_update(grads: Iterable[GradEntry], opt: SGD) -> None:
@@ -366,8 +372,7 @@ def apply_update(grads: Iterable[GradEntry], opt: SGD) -> None:
     steps = [(p, at, np.subtract(p.values[at], opt.learning_rate * g, dtype=np.float32)) for p, at, g in grads]
     # one check over every step; the tensor to name is looked for only on failure
     if steps and not np.isfinite(np.concatenate([new.ravel() for _, _, new in steps])).all():
-        bad = next(p for p, _, new in steps if not np.isfinite(new).all())
-        raise TrainingFault(f"non-finite values in tensor {bad.name!r} after update")
+        raise _fault((p, new) for p, _, new in steps)
     for p, at, new in steps:
         p.values[at] = new
 
@@ -459,9 +464,7 @@ def fit(net: Network, data: PackedRows, rows, epochs: int, opt: SGD, rng: np.ran
                 new_block = np.subtract(block, lr * _float32(x[:, None] * gz.ravel()), dtype=np.float32)
                 new = np.subtract(flat, lr * _float32(grad), dtype=np.float32)
                 if not (np.isfinite(new_block).all() and np.isfinite(new).all()):
-                    steps = [new_block, *_views(new, rest)]
-                    bad = next(p for p, step in zip(params, steps) if not np.isfinite(step).all())
-                    raise TrainingFault(f"non-finite values in tensor {bad.name!r} after update")
+                    raise _fault(zip(params, [new_block, *_views(new, rest)]))
                 w0t[at] = new_block
                 flat[...] = new
     finally:

@@ -53,6 +53,8 @@ class ScopeModel:
     ):
         if window < 0:
             raise ValueError("window must be non-negative")
+        if dim < 1:
+            raise ValueError(f"dim must be at least 1, got {dim}")
         rng = np.random.default_rng(seed)
         self.vocab = vocab
         self.dim = dim
@@ -151,7 +153,7 @@ class ScopeModel:
         embed, mix, bias = tensors["embed"], tensors["mix"], tensors["bias"]
         # one embedding row per token, 2 * window + 1 mixer rows as wide, one bias
         odd_mix = mix.ndim == 2 and mix.shape[0] % 2 == 1
-        if embed.ndim != 2 or not odd_mix or mix.shape[1] != embed.shape[1] or bias.shape != (1,):
+        if embed.ndim != 2 or embed.shape[1] < 1 or not odd_mix or mix.shape[1] != embed.shape[1] or bias.shape != (1,):
             raise CheckpointFormatError(
                 f"scope tensor shapes are inconsistent: embed {embed.shape}, mix {mix.shape}, bias {bias.shape}"
             )

@@ -19,6 +19,7 @@ from emorl.harness import (
     CurveRow,
     ExperimentConfig,
     LearningCurve,
+    grid_cells,
     load_config_file,
     rederive_report,
     report_text,
@@ -275,7 +276,7 @@ def tiny_grid(tmp_path_factory):
         pretrain_size=12,
         pretrain_epochs=2,
     )
-    rows = run_grid(base, run_dir)
+    rows = run_grid(grid_cells(base, {}), run_dir)
     return run_dir, base, rows
 
 
@@ -291,6 +292,16 @@ def test_grid_report_has_twelve_rows(tiny_grid):
     # one line per cell, in the order of the cells' curve file names
     names = sorted(path.name for path in (run_dir / "curves").glob("*.csv"))
     assert ["_".join(line.split(",")[:3]) + "_s1.csv" for line in lines] == names
+
+
+def test_grid_cells_take_their_regime_parameters_from_the_online_section():
+    cells = grid_cells(ExperimentConfig(), {"regime": "full", "feedback_p": 0.5, "wrong_frac": 0.1})
+    regimes = {cell.regime.kind: (cell.regime.p, cell.regime.wrong_frac) for cell in cells}
+    assert regimes == {"full": (1.0, 0.0), "partial": (0.5, 0.0), "partial_noisy": (0.5, 0.1)}
+    # without the keys each regime keeps its factory's defaults
+    assert [cell.regime for cell in grid_cells(ExperimentConfig(), {})][:3] == [
+        FeedbackRegime.full(), FeedbackRegime.partial(), FeedbackRegime.partial_noisy()
+    ]
 
 
 def test_grid_cell_equals_run_online(tiny_grid, tmp_path):
@@ -491,6 +502,7 @@ def test_cli_refuses_a_negative_or_malformed_seed_before_writing(seed, env, seed
         (["train-scope", "--data", "{data}", "--out", "{out}"], "epochs = 3", "epoch = 3", "in [scope]: epoch"),
         (["run-online", "--run-dir", "{out}"], "[data]", "[dataset]", "unknown section [dataset]"),
         (["gen-data", "--out", "{out}/corpus.jsonl"], "[data]", "[DEFAULT]", "unknown section [DEFAULT]"),
+        (["train-scope", "--data", "{data}", "--out", "{out}"], "epochs = 3", "epochs = 3\ndim = 0", "dim must be at least 1"),
     ],
 )
 def test_cli_refuses_an_unknown_key_or_section_before_writing(argv, old, new, message, tmp_path, capsys):
@@ -637,7 +649,8 @@ def test_cli_report_covers_every_run_into_a_reused_directory(config_file, tmp_pa
 
 
 def _files(run_dir) -> dict:
-    return {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+    "Every path under run_dir, with a file's bytes (None for a directory)."
+    return {p: p.read_bytes() if p.is_file() else None for p in run_dir.rglob("*")}
 
 
 @pytest.mark.parametrize("command", ["run-online", "run-grid"])
@@ -736,6 +749,44 @@ def test_cli_report_refuses_a_config_the_manifest_does_not_hash(tmp_path, capsys
     assert "config_sha256" in capsys.readouterr().err
 
 
+def _curve(run_dir, name, *steps):
+    "A curve file `name` under run_dir/curves with one row per step (none: header only)."
+    (run_dir / "curves").mkdir(parents=True, exist_ok=True)
+    rows = "".join(f"{step},0.500000,0.400000\n" for step in steps)
+    (run_dir / "curves" / name).write_text("step,rolling_success,eval_accuracy\n" + rows, encoding="utf-8")
+
+
+def _torn_pair(run_dir, text):
+    "config.ini and a manifest.json that hashes another config, as a kill between write_manifest's moves leaves them."
+    write_manifest(run_dir, "[online]\nseeds = 1\n", (1,))
+    (run_dir / "config.ini").write_text(text, encoding="utf-8")
+
+
+# starting states of a run directory: (set-up, exit code, part of the message), the
+# set-up called with the directory and the text of the config the runners run
+REFUSED_STATES = {
+    "header-only curve": (lambda d, text: _curve(d, "multiclass_scratch_full_s9.csv"), 1, "empty curve"),
+    "stray curve name": (lambda d, text: _curve(d, "notes.csv", 100), 1, "<task>_<init>_<regime>_s<seed>.csv"),
+    "torn config pair": (_torn_pair, 1, "does not match the config_sha256"),
+    "another config": (lambda d, text: write_manifest(d, text.replace("lr = 0.05", "lr = 0.5"), (1,)), 2, "another config"),
+    "mixed budgets": (lambda d, text: _curve(d, "multiclass_scratch_partial_noisy_s2.csv", 100), 2, "one budget"),
+}
+
+
+@pytest.mark.parametrize("state", sorted(REFUSED_STATES))
+@pytest.mark.parametrize("command", ["run-online", "run-grid"])
+def test_cli_runners_leave_a_directory_they_refuse_as_it_was(state, command, config_file, tmp_path, capsys):
+    # a runner refuses, before writing anything, every directory `emorl report` refuses
+    set_up, code, message = REFUSED_STATES[state]
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    set_up(run_dir, TEST_CONFIG)
+    before = _files(run_dir)
+    assert main([command, "--config", str(config_file), "--run-dir", str(run_dir), "--seed", "1"]) == code
+    assert message in capsys.readouterr().err
+    assert _files(run_dir) == before
+
+
 # -- crash-safe artefacts ---------------------------------------------------------
 
 
@@ -750,6 +801,12 @@ def _fail_agent_json(out):
     agent = MultilabelPolicy(6, hidden=(4,), seed=1)
     agent.valid_combos = (object(),)  # json cannot encode it, after every head is written
     save_agent(agent, out)
+
+
+def _fail_move(write, d):
+    "`write(d)` with every move of a finished temporary file onto its target failing."
+    with mock.patch.object(os, "replace", side_effect=OSError("no space left on device")):
+        write(d)
 
 
 def _corpus(text):
@@ -806,8 +863,8 @@ WRITERS = {
     ),
     "report.csv": (
         "report.csv",
-        lambda d: write_report(d / "report.csv", []),
-        lambda d: write_report(d / "report.csv", [{"task": "multiclass"}]),  # a row without its other cells
+        lambda d: write_report(d),
+        lambda d: _fail_move(write_report, d),
     ),
 }
 

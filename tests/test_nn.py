@@ -716,6 +716,9 @@ def test_optimizer_validation():
         SGD(learning_rate=0.0)
     with pytest.raises(ValueError):
         SGD(learning_rate=-0.1)
+    for lr in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SGD(learning_rate=lr)
 
 
 # -- checkpoints --------------------------------------------------------------

@@ -348,8 +348,9 @@ def test_scope_model_load_vocab_mismatch(tmp_path, trained_scope):
         {"embed": np.ones((3, 4)), "mix": np.ones((3, 4)), "bias": np.zeros(2)},
         {"embed": np.ones(12), "mix": np.ones((3, 4)), "bias": np.zeros(1)},
         {"embed": np.ones((3, 4)), "mix": np.ones((3, 4)), "bias": np.zeros(1), "extra": np.ones(1)},
+        {"embed": np.ones((3, 0)), "mix": np.ones((3, 0)), "bias": np.zeros(1)},
     ],
-    ids=["no_mix", "mix_width", "even_mix_rows", "bias_shape", "flat_embed", "extra_tensor"],
+    ids=["no_mix", "mix_width", "even_mix_rows", "bias_shape", "flat_embed", "extra_tensor", "zero_dim"],
 )
 def test_malformed_scope_checkpoint_is_format_error(tmp_path, tensors):
     path = tmp_path / "scope.ckpt"

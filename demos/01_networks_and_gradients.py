@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from emorl.nn import Network, SGD, apply_update, dense_grads, load_checkpoint, save_checkpoint
+from emorl.nn import Network, SGD, apply_update, load_checkpoint, save_checkpoint
 
 rng = np.random.default_rng(0)
 
@@ -34,17 +34,21 @@ def loss(target, scale):
 
 for mode, target, reward in (("reinforce", 1, +1.0), ("reinforce", 2, -1.0), ("supervised", 0, 1.0)):
     grads = net.reinforce_backward(x, target, reward) if mode == "reinforce" else net.supervised_backward(x, target)[0]
+    # each entry is (tensor, the index it covers, its gradient there); the gradient is zero elsewhere
+    dense = {p: np.zeros(p.shape) for p in net.params()}
+    for p, at, g in grads:
+        dense[p][at] += g
     worst = 0.0
-    for p, g in zip(net.params(), dense_grads(net.params(), grads)):
-        flat = p.values.reshape(-1)  # a view: writing an entry perturbs the network
-        for i in rng.choice(flat.size, 3, replace=False):
-            orig = flat[i]
-            flat[i] = orig + h
+    for p, g in dense.items():
+        for i in rng.choice(g.size, 3, replace=False):
+            at = np.unravel_index(i, g.shape)  # p.values is a view: writing an entry perturbs the network
+            orig = p.values[at]
+            p.values[at] = orig + h
             hi = loss(target, reward)
-            flat[i] = orig - h
+            p.values[at] = orig - h
             lo = loss(target, reward)
-            flat[i] = orig
-            fd, ana = (hi - lo) / (2 * h), float(g.flat[i])
+            p.values[at] = orig
+            fd, ana = (hi - lo) / (2 * h), float(g[at])
             worst = max(worst, abs(fd - ana) / max(abs(fd), abs(ana), 1e-6))
     print(f"{mode:11s} target={target} reward={reward:+.0f}: max rel error {worst:.2e} over 3 entries per tensor")
 

@@ -437,6 +437,14 @@ def _fraction(raw: str) -> float:
     return float(num) / float(den) if slash else float(raw)
 
 
+def _rate(raw: str) -> float:
+    "A learning rate: a float that is positive and finite."
+    rate = float(raw)
+    if not 0.0 < rate < float("inf"):
+        raise ValueError("lr must be positive and finite")
+    return rate
+
+
 def _tuple_of(cast):
     "The cast of a comma-separated list, parentheses optional, to a tuple of `cast`."
     return lambda raw: tuple(cast(p) for p in raw.replace("(", "").replace(")", "").split(",") if p.strip())
@@ -453,15 +461,15 @@ SECTIONS: dict[str, dict] = {
     "online": {
         "task": str, "init": str, "channel": str, "regime": str, **dict.fromkeys(_REGIME_ARGS, _fraction),
         "interactions": int, "eval_every": int, "window": int, "seeds": _tuple_of(int),
-        "lr": float, "hidden": _tuple_of(int), "init_scale": float,
+        "lr": _rate, "hidden": _tuple_of(int), "init_scale": float,
         "eval_size": int, "pretrain_size": int, "pretrain_epochs": int,
     },
     "generator": {
         **dict.fromkeys(RATE_FIELDS, _fraction), "max_distractors": int, "vocab_size": int,
         "pretrain_intent_weights": _tuple_of(float), "intent_prior": _tuple_of(float),
     },
-    "scope": {"dim": int, "window": int, "epochs": int, "lr": float},
-    "emotion": {"epochs": int, "lr": float},
+    "scope": {"dim": int, "window": int, "epochs": int, "lr": _rate},
+    "emotion": {"epochs": int, "lr": _rate},
     "data": {"n": int},
 }
 

@@ -1,25 +1,21 @@
 """Minimal dense-network substrate with hand-written gradients.
 
-Parameters hold float32 values in float64 arrays, so the forward and
-backward passes multiply float64 operands with no cast, and every update
-rounds its result back to float32; this keeps finite-difference checks of
-the analytic gradients stable and the checkpoints float32. Gradients are
-values, not tensor state: a backward pass returns its gradient as a list of
-(tensor, index, float32 block) entries, the first layer's on the input's
-nonzero columns only, and `apply_update` steps exactly those entries.
-Supported pieces: dense layers with relu/tanh/identity activations, a
-softmax or per-unit sigmoid output head, cross-entropy and policy-gradient
-(score-function) losses, plain SGD, one supervised training loop (`fit`),
-and a binary checkpoint format with a bit-exact round-trip guarantee,
-written through `replacing` so that an interrupted write leaves the old
-file whole. Tensors may carry a leading stack axis of heads that share no
-entry and run in one pass, each computing bit for bit what it computes
-alone; the forward pass also takes a batch of inputs.
+Parameters hold float32 values in float64 arrays: the passes multiply
+float64 operands with no cast, and every update rounds back to float32. A
+network keeps one parameter layout for life (see `Network`): `trace` takes
+the first layer's product on an input's nonzero columns only, and one fused
+step does backward pass and SGD update, online (`reinforce_step`) and in
+`fit`; the backward passes return the same gradient as entries for
+`apply_update`. Also here: relu/tanh/identity layers, softmax and per-unit
+sigmoid heads, and a bit-exact checkpoint format written through
+`replacing`. Tensors may carry a leading stack axis of heads that share no
+entry and run in one pass, each computing bit for bit what it computes alone.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import math
 import os
 import re
@@ -27,7 +23,7 @@ import struct
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,14 +45,10 @@ class TrainingFault(RuntimeError):
 
 
 class ParamTensor:
-    """Named parameter array.
-
-    `values` is a C-contiguous float64 array whose entries are all float32
-    numbers: other input is rounded through float32, and a float64 array
-    that already qualifies is kept as it is, so views stay views. Gradients
-    are not kept here: a backward pass returns them as entries for
-    `apply_update`.
-    """
+    """Named parameter array: `values` is a float64 array of float32 numbers,
+    input rounded through float32 into a C-contiguous array unless it is a
+    C-contiguous float64 array that qualifies. A `Network` seats it in its
+    layout, where the first layer's weight is not C-contiguous."""
 
     __slots__ = ("name", "values")
 
@@ -72,15 +64,26 @@ class ParamTensor:
         return self.values.shape
 
 
-# One entry of a backward pass's gradient: a tensor, the index into its
-# `values` that the gradient covers (`...` for all of it), and the float32
-# gradient on those entries. The gradient is zero everywhere else.
+# One entry of a backward pass's gradient: a tensor, the index into its `values`
+# that it covers (`...` for all), and the float32 gradient there; zero elsewhere.
 GradEntry = tuple[ParamTensor, object, np.ndarray]
 
 
 def _float32(g: np.ndarray) -> np.ndarray:
     "The float64 gradient `g` in float32, as adding it to a zero float32 array gives it, -0.0 included."
     return np.add(g, 0.0, out=np.empty(g.shape, dtype=np.float32), casting="same_kind")
+
+
+def _aligned(n: int) -> np.ndarray:
+    "A float64 array of `n` zeros whose data starts on a 64-byte boundary."
+    raw = np.zeros(n + 7)
+    return raw[-raw.ctypes.data % 64 // 8 :][:n]
+
+
+def _views(buf: np.ndarray, params: Sequence[ParamTensor]) -> list[np.ndarray]:
+    "Consecutive views of the flat array `buf`, one shaped as each of `params`."
+    ends = np.cumsum([p.values.size for p in params]).tolist()
+    return [buf[e - p.values.size : e].reshape(p.shape) for p, e in zip(params, ends)]
 
 
 @dataclass
@@ -94,14 +97,6 @@ class Layer:
         "Layer `i` of a network, its tensors named as its checkpoint stores them."
         return cls(ParamTensor(f"L{i:02d}.{activation}.W", w), ParamTensor(f"L{i:02d}.{activation}.b", b), activation)
 
-    @property
-    def out_dim(self) -> int:
-        return self.w.shape[-2]
-
-    @property
-    def in_dim(self) -> int:
-        return self.w.shape[-1]
-
 
 def _activate(z: np.ndarray, tag: str) -> np.ndarray:
     if tag == "relu":
@@ -111,15 +106,12 @@ def _activate(z: np.ndarray, tag: str) -> np.ndarray:
     return z
 
 
-def _activate_grad(g: np.ndarray, z: np.ndarray, tag: str, out: np.ndarray | None) -> np.ndarray:
-    """`g` times the activation's derivative at `z`, written into `out` if
-    given: the products g * 1.0 and g * 0.0, in one call for relu."""
+def _activate_grad(g: np.ndarray, z: np.ndarray, tag: str, out: np.ndarray) -> np.ndarray:
+    "`g` times the activation's derivative at `z`, written into `out`: the products g * 1.0 and g * 0.0, in one call for relu."
     if tag == "relu":
         return np.multiply(g, z > 0.0, out=out)
     if tag == "tanh":
         return np.multiply(g, 1.0 - np.tanh(z) ** 2, out=out)
-    if out is None:
-        return g
     out[...] = g
     return out
 
@@ -141,12 +133,25 @@ def sigmoid(u: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(np.where(u >= 0, 1.0 / d, e / d), 1e-12), 1.0 - 1e-12)
 
 
-class Network:
-    """Fully-connected network: dense layers followed by a probability head.
+class Trace(NamedTuple):
+    """`Network.trace` of one input: the head's probabilities, each layer's pre-activation and
+    input (the first's as the entries at `cols`), and the first layer's weights on `cols`."""
 
-    `head="softmax"` yields a distribution over output units; `head="sigmoid"`
-    yields an independent Bernoulli probability per unit.
-    """
+    probs: np.ndarray
+    zs: list
+    hs: list
+    cols: np.ndarray
+    block: np.ndarray  # (heads..., len(cols), out)
+
+
+class Network:
+    """Dense layers followed by a softmax head (a distribution over output
+    units) or a sigmoid head (a Bernoulli probability per unit). The
+    constructor copies the layers' values into a layout of its own, both
+    parts 64-byte aligned: the first layer's weight input column first,
+    `(heads..., in, out)`, and every other tensor a view into one flat
+    buffer. `params()` views it in the `(heads..., out, in)` shapes that
+    checkpoints store."""
 
     def __init__(self, layers: list[Layer], head: str):
         if head not in HEADS:
@@ -154,13 +159,29 @@ class Network:
         if not layers:
             raise ValueError("network needs at least one layer")
         for lo, hi in zip(layers, layers[1:]):
-            if lo.out_dim != hi.in_dim:
-                raise ValueError(f"layer dims do not chain: {lo.out_dim} -> {hi.in_dim}")
+            if lo.w.shape[-2] != hi.w.shape[-1]:
+                raise ValueError(f"layer dims do not chain: {lo.w.shape[-2]} -> {hi.w.shape[-1]}")
         for layer in layers:
             if layer.activation not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {layer.activation!r}")
-        self.layers = layers
+        # tensors of its own, so that no other network's tensor is re-seated
+        self.layers = [Layer(copy.copy(l.w), copy.copy(l.b), l.activation) for l in layers]
         self.head = head
+        first, *rest = self.params()
+        w = first.values
+        self._w0t = _aligned(w.size).reshape(*w.shape[:-2], w.shape[-1], w.shape[-2])
+        self._w0t[...] = np.swapaxes(w, -1, -2)
+        first.values = np.swapaxes(self._w0t, -1, -2)
+        size = sum(p.values.size for p in rest)
+        self._flat, self._grad = _aligned(size), np.empty(size)
+        for p, v in zip(rest, _views(self._flat, rest)):
+            v[...] = p.values
+            p.values = v
+        self._grads = [None, *_views(self._grad, rest)]  # where `_backprop` writes
+
+    def __reduce__(self):
+        "Pickling builds the network again from its layers, and so a layout of its own."
+        return Network, (self.layers, self.head)
 
     # -- construction ----------------------------------------------------
 
@@ -187,11 +208,9 @@ class Network:
         if len(activations) != n_layers:
             raise ValueError("one activation tag per layer required")
         layers = []
-        for i in range(n_layers):
-            fan_in, fan_out = dims[i], dims[i + 1]
-            shape = (fan_out, fan_in)
-            w = np.zeros(shape) if rng is None else rng.normal(0.0, init_scale / np.sqrt(fan_in), size=shape)
-            layers.append(Layer.named(i, activations[i], w, np.zeros(fan_out, dtype=np.float32)))
+        for i, shape in enumerate(zip(dims[1:], dims)):
+            w = np.zeros(shape) if rng is None else rng.normal(0.0, init_scale / np.sqrt(shape[1]), size=shape)
+            layers.append(Layer.named(i, activations[i], w, np.zeros(shape[0])))
         return cls(layers, head)
 
     @classmethod
@@ -203,30 +222,29 @@ class Network:
         return nets[0]._relaid(np.stack([p.values for p in ps]) for ps in zip(*(n.params() for n in nets)))
 
     def unstack(self) -> list["Network"]:
-        "The heads along the leading stack axis, as networks that view this one's arrays."
+        "The heads along the leading stack axis, each a copy in a network of its own."
         return [self._relaid(p.values[k] for p in self.params()) for k in range(self.stack_shape[0])]
 
-    def copy(self) -> "Network":
-        return self._relaid(p.values.copy() for p in self.params())
+    def copy(self, memo=None) -> "Network":
+        "A copy in a layout of its own; `copy.deepcopy` makes it too."
+        return Network(self.layers, self.head)
+
+    __deepcopy__ = copy
 
     def _relaid(self, arrays: Iterable[np.ndarray]) -> "Network":
-        "This network's layout around new value arrays, one per tensor in `params()` order."
+        "A network of this one's activations and head on `arrays`, one per tensor in `params()` order."
         arrays = iter(arrays)
-        layers = [
-            Layer(ParamTensor(l.w.name, next(arrays)), ParamTensor(l.b.name, next(arrays)), l.activation)
-            for l in self.layers
-        ]
-        return Network(layers, self.head)
+        return Network([Layer.named(i, l.activation, next(arrays), next(arrays)) for i, l in enumerate(self.layers)], self.head)
 
     # -- shape info ------------------------------------------------------
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].in_dim
+        return self.layers[0].w.shape[-1]
 
     @property
     def output_dim(self) -> int:
-        return self.layers[-1].out_dim
+        return self.layers[-1].w.shape[-2]
 
     @property
     def stack_shape(self) -> tuple[int, ...]:
@@ -238,19 +256,27 @@ class Network:
 
     # -- forward ---------------------------------------------------------
 
-    def trace(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        """The forward pass with what a backward pass needs: the head's
-        probabilities, each layer's pre-activation and each layer's input."""
+    def _input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 0 or x.shape[-1] != self.input_dim:
             raise ValueError(f"input of shape {x.shape} does not match network input dim {self.input_dim}")
-        # one singleton axis per stack axis, so that batch axes lead the result
-        h = x.reshape(x.shape[:-1] + (1,) * len(self.stack_shape) + x.shape[-1:])
-        first = self.layers[0]
-        return self._pass(x, np.matmul(first.w.values, h[..., None])[..., 0] + first.b.values)
+        return x
+
+    def trace(self, x: np.ndarray) -> Trace:
+        "The forward pass of the input vector `np.ravel(x)`, the first layer's product on its nonzero columns only."
+        x = self._input(np.ravel(x))
+        cols = np.flatnonzero(x)
+        return self._trace_at(cols, x[cols])
+
+    def _trace_at(self, cols: np.ndarray, vals: np.ndarray) -> Trace:
+        "`trace` of the input whose entries at columns `cols` are `vals`, every other entry zero."
+        # each head's rows contiguous, so that its product is the one it takes alone
+        block = self._w0t.take(cols, axis=-2)
+        probs, zs, hs = self._pass(vals, np.matmul(vals, block) + self.layers[0].b.values)
+        return Trace(probs, zs, hs, cols, block)
 
     def _pass(self, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        "`trace` of the input `x`, given its first layer's pre-activation `z`."
+        "The probabilities, pre-activations and inputs of the input `x`, given its first layer's pre-activation `z`."
         zs, hs = [], [x]
         for i, layer in enumerate(self.layers):
             if i:
@@ -262,37 +288,36 @@ class Network:
         return probs, zs, hs
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Map an input vector, or a batch along leading axes, to the head's probabilities."""
-        probs, _, _ = self.trace(x)
-        return probs
+        """Map an input vector, or a batch along leading axes, to the head's
+        probabilities. The first layer's product is dense, one per row (a 1 x
+        in matrix) and head, so a row of a batch gets the bytes it gets alone;
+        `trace`'s sparse product may differ in the last bits."""
+        x = self._input(x)
+        rows = x.reshape(x.shape[:-1] + (1,) * len(self.stack_shape) + (1, x.shape[-1]))
+        z = np.matmul(rows, self._w0t)[..., 0, :] + self.layers[0].b.values
+        return self._pass(x, z)[0]
 
     # -- backward --------------------------------------------------------
 
-    def _backprop(self, g: np.ndarray, zs, hs, out: Sequence[np.ndarray | None] | None = None) -> list:
-        """The float64 gradient of one input given dLoss/d(pre-head output)
-        `g` and its `zs` and `hs`: one array per tensor in `params()` order,
-        each written into the array of `out` in its place if one is given.
-        The first layer's weight, whose input is sparse, is left to the
-        caller (None, or `out[0]` unwritten): its gradient is the first
-        layer's bias gradient times the input."""
-        grads = [None] * (2 * len(self.layers)) if out is None else list(out)
+    def _backprop(self, g: np.ndarray, trace: Trace) -> np.ndarray:
+        """Write the float64 gradient at `trace` for dLoss/d(pre-head output) `g`
+        into the flat gradient buffer, and return the first layer's bias
+        gradient, which times the input is the first layer's weight's."""
         for i in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[i]
-            g = grads[2 * i + 1] = _activate_grad(g, zs[i], layer.activation, grads[2 * i + 1])
+            g = _activate_grad(g, trace.zs[i], self.layers[i].activation, self._grads[2 * i + 1])
             if i:
-                grads[2 * i] = np.multiply(g[..., :, None], hs[i][..., None, :], out=grads[2 * i])
-                g = np.matmul(np.swapaxes(layer.w.values, -1, -2), g[..., None])[..., 0]
-        return grads
+                np.multiply(g[..., :, None], trace.hs[i][..., None, :], out=self._grads[2 * i])
+                g = np.matmul(np.swapaxes(self.layers[i].w.values, -1, -2), g[..., None])[..., 0]
+        return g
 
-    def _entries(self, g_head: np.ndarray, zs, hs) -> list[GradEntry]:
+    def _entries(self, g_head: np.ndarray, trace: Trace) -> list[GradEntry]:
         "`_backprop`'s gradient as entries for `apply_update`, one per tensor in `params()` order."
-        grads = self._backprop(g_head, zs, hs)
-        # the input is sparse and its zero columns get an exactly zero
-        # gradient, so the first layer's entry covers its nonzero columns only
-        cols = np.flatnonzero(hs[0])
-        grads[0] = grads[1][..., :, None] * hs[0][cols]
-        index = [(..., cols)] + [...] * (len(grads) - 1)
-        return [(p, at, _float32(g)) for p, at, g in zip(self.params(), index, grads)]
+        gz = self._backprop(g_head, trace)
+        first, *rest = self.params()
+        # the input's zero columns get an exactly zero gradient, so the
+        # first layer's entry covers the trace's columns only
+        w0 = (first, (..., trace.cols), _float32(gz[..., :, None] * trace.hs[0]))
+        return [w0, *((p, ..., g) for p, g in zip(rest, _views(_float32(self._grad), rest)))]
 
     def _target(self, target) -> np.ndarray:
         "A one-hot vector for a softmax index, or the 0/1 bits shaped as one input's probabilities."
@@ -307,26 +332,33 @@ class Network:
         bits = np.asarray(target, dtype=np.float64)
         if bits.size != math.prod(shape):
             raise ValueError(f"target length {bits.size} != output size {math.prod(shape)}")
-        if not np.all((bits == 0.0) | (bits == 1.0)):
+        if not ((bits == 0.0) | (bits == 1.0)).all():
             raise ValueError("sigmoid-head target must be a 0/1 vector")
         return bits.reshape(shape)
 
-    def reinforce_backward(self, x: np.ndarray, action, reward: float, trace=None) -> list[GradEntry]:
+    def reinforce_backward(self, x: np.ndarray, action, reward: float, trace: Trace | None = None) -> list[GradEntry]:
         """The gradient of -reward * ln pi(action | x), as entries for `apply_update`.
 
         For the softmax head `action` is a class index; for the sigmoid head
         it is a 0/1 vector and ln pi sums the per-unit Bernoulli log-probs.
-        A zero reward has no gradient: it returns no entries.
-        `trace`, if given, must be `self.trace(np.ravel(x))` on the current
-        parameters, as the caller computed it to sample `action`; without
-        it the forward pass runs here.
+        A zero reward has no gradient: it returns no entries. `trace`, if
+        given, must be `self.trace(x)` on the current parameters, as the
+        caller computed it to sample `action`.
         """
         if reward == 0.0:
             return []
-        probs, zs, hs = trace if trace is not None else self.trace(np.ravel(x))
+        trace = trace if trace is not None else self.trace(x)
         # d(-R ln pi)/d(head input) = R * (p - target), identical in form for
         # the softmax-categorical and the factored-Bernoulli log-likelihood.
-        return self._entries(reward * (probs - self._target(action)), zs, hs)
+        return self._entries(reward * (trace.probs - self._target(action)), trace)
+
+    def reinforce_step(self, x: np.ndarray, action, reward: float, opt: SGD, trace: Trace | None = None) -> None:
+        """`apply_update(self.reinforce_backward(x, action, reward, trace), opt)`
+        as one fused `_step`: the same bytes and the same TrainingFault."""
+        if reward == 0.0:
+            return
+        trace = trace if trace is not None else self.trace(x)
+        self._step(trace, reward * (trace.probs - self._target(action)), opt.learning_rate)
 
     def supervised_backward(self, x: np.ndarray, label) -> tuple[list[GradEntry], np.ndarray]:
         """The cross-entropy gradient against a gold label, as entries for
@@ -335,8 +367,23 @@ class Network:
         Softmax head: categorical cross-entropy with an index label.
         Sigmoid head: summed per-unit binary cross-entropy with a bit vector.
         """
-        probs, zs, hs = self.trace(np.ravel(x))
-        return self._entries(probs - self._target(label), zs, hs), probs
+        trace = self.trace(x)
+        return self._entries(trace.probs - self._target(label), trace), trace.probs
+
+    def _step(self, trace: Trace, g_head: np.ndarray, lr: float) -> None:
+        """One SGD step at rate `lr` for dLoss/d(pre-head output) `g_head` at
+        `trace` of the current parameters: one float32 rounding, one check
+        before any write, which raises `apply_update`'s TrainingFault, and one
+        write each of the block and the flat buffer. A -0.0 input entry's
+        gradient is +0.0, which moves no weight."""
+        gz = self._backprop(g_head, trace)
+        new_block = np.subtract(trace.block, lr * _float32(trace.hs[0][:, None] * gz[..., None, :]), dtype=np.float32)
+        new = np.subtract(self._flat, lr * _float32(self._grad), dtype=np.float32)
+        if not (np.isfinite(new_block).all() and np.isfinite(new).all()):
+            first, *rest = self.params()
+            raise _fault([(first, new_block), *zip(rest, _views(new, rest))])
+        self._w0t[..., trace.cols, :] = new_block
+        self._flat[...] = new
 
 
 # -- optimizer -----------------------------------------------------------
@@ -406,12 +453,6 @@ class PackedRows:
         return x
 
 
-def _views(buf: np.ndarray, params: Sequence[ParamTensor]) -> list[np.ndarray]:
-    "Consecutive views of the flat array `buf`, one shaped as each of `params`."
-    ends = np.cumsum([p.values.size for p in params]).tolist()
-    return [buf[e - p.values.size : e].reshape(p.shape) for p, e in zip(params, ends)]
-
-
 def fit(net: Network, data: PackedRows, rows, epochs: int, opt: SGD, rng: np.random.Generator) -> None:
     """Supervised cross-entropy training: each epoch, the step of
     `supervised_backward` and `apply_update` on row `i` of `data` and its
@@ -419,20 +460,9 @@ def fit(net: Network, data: PackedRows, rows, epochs: int, opt: SGD, rng: np.ran
     row indices, or a count n for rows 0..n-1. The width, every index of
     `rows` and every target are checked before the first step.
 
-    A step gathers the first layer's weights on the row's packed columns
-    once, from a copy of that weight held input column first: the block
-    times the packed values is the first layer's product, and the block
-    minus its step is written back; a -0.0 entry's gradient is +0.0, which
-    moves no weight. Every other tensor lives in one flat buffer while the
-    fit runs, its backward pass writes into one flat gradient, and one
-    subtraction and one finiteness check update them all. The tensors are
-    written back after the last step, or when a TrainingFault stops the fit
-    with every tensor as the faulting step found it; the fault names the
-    first tensor in `params()` order with a non-finite value, as
-    `apply_update` does. The first layer's product adds the nonzero terms
-    of `trace`'s dense product in another order, as a dense product on
-    another BLAS kernel does, and every update rounds to float32: the
-    golden tests and their run on several kernels pin the bytes.
+    Each step is the network's fused `_step` on the row's packed entries,
+    -0.0 ones included; a TrainingFault stops the fit with every tensor as
+    the faulting step found it.
     """
     if data.width != net.input_dim:
         raise ValueError(f"rows of width {data.width} do not match network input dim {net.input_dim}")
@@ -444,41 +474,10 @@ def fit(net: Network, data: PackedRows, rows, epochs: int, opt: SGD, rng: np.ran
     targets = np.array([net._target(t) for t in data.targets])
     # numpy would widen narrow indices on every use, and slice bounds read from an array cost a conversion each
     bounds, cols, vals = data.bounds.tolist(), data.cols.astype(np.intp), data.vals
-    params, lr = net.params(), opt.learning_rate
-    w0, rest = params[0].values, params[1:]
-    # the first layer's weights with the input column leading, so that a
-    # row's columns are whole rows of it: (width, every other axis flattened)
-    w0t = np.ascontiguousarray(np.moveaxis(w0, -1, 0)).reshape(data.width, -1)
-    flat = np.concatenate([p.values.ravel() for p in rest])
-    grad = np.empty_like(flat)
-    # the network on the flat buffer; its first layer's weight is not read
-    on_flat, out = net._relaid([w0, *_views(flat, rest)]), [None, *_views(grad, rest)]
-    b0 = on_flat.layers[0].b.values
-    try:
-        for _ in range(epochs):
-            for i in rng.permutation(rows).tolist():
-                at, x = cols[bounds[i] : bounds[i + 1]], vals[bounds[i] : bounds[i + 1]]
-                block = w0t[at]
-                probs, zs, hs = on_flat._pass(x, np.matmul(x, block).reshape(b0.shape) + b0)
-                gz = on_flat._backprop(probs - targets[i], zs, hs, out)[1]
-                new_block = np.subtract(block, lr * _float32(x[:, None] * gz.ravel()), dtype=np.float32)
-                new = np.subtract(flat, lr * _float32(grad), dtype=np.float32)
-                if not (np.isfinite(new_block).all() and np.isfinite(new).all()):
-                    raise _fault(zip(params, [new_block, *_views(new, rest)]))
-                w0t[at] = new_block
-                flat[...] = new
-    finally:
-        w0[...] = np.moveaxis(w0t.reshape(data.width, *w0.shape[:-1]), 0, -1)
-        for p, v in zip(rest, _views(flat, rest)):
-            p.values[...] = v
-
-
-def dense_grads(params: Sequence[ParamTensor], grads: Iterable[GradEntry]) -> list[np.ndarray]:
-    "The whole float32 gradient of each of `params`: the sum of `grads`' entries on a zero array."
-    dense = {p: np.zeros(p.shape, dtype=np.float32) for p in params}
-    for p, at, g in grads:
-        dense[p][at] += g
-    return list(dense.values())
+    for _ in range(epochs):
+        for i in rng.permutation(rows).tolist():
+            trace = net._trace_at(cols[bounds[i] : bounds[i + 1]], vals[bounds[i] : bounds[i + 1]])
+            net._step(trace, trace.probs - targets[i], opt.learning_rate)
 
 
 # -- checkpoint format ---------------------------------------------------

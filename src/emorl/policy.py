@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .nn import SGD, CheckpointFormatError, Network, PackedRows, apply_update, fit, load_checkpoint, replacing, save_checkpoint
+from .nn import SGD, CheckpointFormatError, Network, PackedRows, fit, load_checkpoint, replacing, save_checkpoint
+from .nn import apply_update  # noqa: F401  the benchmark's span tracer wraps it at this name
 
 # an action is a class index (multiclass) or a 6-bit tuple (multilabel)
 IntentAction = int | tuple[int, ...]
@@ -40,7 +41,7 @@ def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
 
 
 class _Policy:
-    "Learning shared by both agents: one backward pass and one update of `net` per step."
+    "Learning shared by both agents: one fused backward pass and update of `net` per step."
 
     # (net, state, trace) of the last `act`, until the next `learn` or
     # `pretrain` takes it: an update makes the trace stale
@@ -48,9 +49,9 @@ class _Policy:
 
     def _act_probs(self, state: np.ndarray) -> np.ndarray:
         "The head's probabilities for `state`, keeping their forward pass for `learn`."
-        trace = self.net.trace(np.ravel(state))
+        trace = self.net.trace(state)
         self._acted = (self.net, state, trace)
-        return trace[0]
+        return trace.probs
 
     def learn(self, record) -> None:
         """One REINFORCE step from an interaction record.
@@ -68,7 +69,7 @@ class _Policy:
         trace = None
         if acted is not None and acted[0] is self.net and acted[1] is record.state:
             trace = acted[2]
-        apply_update(self.net.reinforce_backward(record.state, record.action, record.reward, trace), self.opt)
+        self.net.reinforce_step(record.state, record.action, record.reward, self.opt, trace)
 
     def pretrain(
         self,
@@ -177,7 +178,7 @@ class MultilabelPolicy(_Policy):
         return int(hits.sum()) / len(examples)
 
     def networks(self) -> list[Network]:
-        "One network per head, viewing the stacked arrays; for `save_agent`."
+        "One network per head, a copy of its slice of the stacked arrays; for `save_agent`."
         return self.net.unstack()
 
 

@@ -210,22 +210,22 @@ def test_run_online_without_a_curve_path_writes_no_file(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("task", ["multiclass", "multilabel"])
-def test_one_reinforce_backward_per_informative_record(task, monkeypatch):
-    # the benchmark counts policy updates as `Network.reinforce_backward`
-    # calls inside `learn`, patched at the class: there must be exactly one
-    # per record with feedback present and a nonzero reward
+def test_one_reinforce_step_per_informative_record(task, monkeypatch):
+    # `learn` updates the policy through the fused `Network.reinforce_step`,
+    # patched at the class: there must be exactly one call per record with
+    # feedback present and a nonzero reward
     calls, records = [], []
-    backward, step = Network.reinforce_backward, Environment.step
+    update, step = Network.reinforce_step, Environment.step
 
-    def counted_backward(self, *args, **kwargs):
+    def counted_update(self, *args, **kwargs):
         calls.append(1)
-        return backward(self, *args, **kwargs)
+        return update(self, *args, **kwargs)
 
     def recorded_step(self, action):
         records.append(step(self, action))
         return records[-1]
 
-    monkeypatch.setattr(Network, "reinforce_backward", counted_backward)
+    monkeypatch.setattr(Network, "reinforce_step", counted_update)
     monkeypatch.setattr(Environment, "step", recorded_step)
     run_online(ExperimentConfig(task=task, regime=FeedbackRegime.full(), **SMALL), seed=2)
     informative = sum(r.feedback_present and r.reward != 0.0 for r in records)
@@ -533,6 +533,25 @@ def test_cli_refuses_a_value_its_key_cannot_take_naming_the_key(old, new, messag
     assert main(["run-online", "--config", str(path), "--run-dir", str(run_dir)]) == 1
     assert message in capsys.readouterr().err
     assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf", "0", "-0.5"])
+@pytest.mark.parametrize(
+    ("argv", "old", "section"),
+    [
+        (["train-scope", "--data", "{data}", "--out", "{out}"], "epochs = 3\nlr = 0.5", "scope"),
+        (["train-emotion", "--data", "{data}", "--out", "{out}"], "epochs = 6\nlr = 0.5", "emotion"),
+        (["run-online", "--run-dir", "{out}"], "lr = 0.05", "online"),
+    ],
+)
+def test_cli_refuses_a_learning_rate_naming_its_key_before_writing(argv, old, section, rate, tmp_path, capsys):
+    # each section's lr is refused at config load, before the corpus is read
+    path = _bad_config(tmp_path, old, old.replace(old.rpartition("= ")[2], rate))
+    data, out = tmp_path / "corpus.jsonl", tmp_path / "out"
+    data.write_text("", encoding="utf-8")
+    assert main([*(a.format(data=data, out=out) for a in argv), "--config", str(path)]) == 1
+    assert f"[{section}] lr = {rate!r} is not a valid value" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ini", "corpus.jsonl"]
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,9 @@ differences of the oracle's loss provide the gradient reference.
 """
 
 import contextlib
+import copy
 import math
+import pickle
 import re
 import struct
 
@@ -23,7 +25,6 @@ from emorl.nn import (
     ParamTensor,
     TrainingFault,
     apply_update,
-    dense_grads,
     fit,
     load_checkpoint,
     read_tensors,
@@ -106,6 +107,14 @@ def fd_oracle_grads(net, x, mode, target, reward, h=1e-4):
             gb[i] = (hi - lo) / (2.0 * h)
         grads.append((np.array(gw), np.array(gb)))
     return grads
+
+
+def dense_grads(params, grads) -> list:
+    "The whole float32 gradient of each of `params`: the sum of a backward pass's entries `grads` on a zero array."
+    dense = {p: np.zeros(p.shape, dtype=np.float32) for p in params}
+    for p, at, g in grads:
+        dense[p][at] += g
+    return list(dense.values())
 
 
 def max_rel_error(net, grads, oracle_grads):
@@ -348,15 +357,18 @@ def test_param_tensor_holds_float32_values_in_float64():
     assert ParamTensor("k", t.values).values is t.values
 
 
-def test_unstack_views_the_stacked_arrays():
+def test_unstack_copies_each_head_into_a_layout_of_its_own():
+    # every network owns its layout, so a head of a stack is a copy: its
+    # bytes are the stack's slice, and a write to it leaves the stack as it was
     heads = [Network.build([5, 3, 2], head="sigmoid", rng=np.random.default_rng(s)) for s in (33, 34, 35)]
     stacked = Network.stack(heads)
     for k, head in enumerate(stacked.unstack()):
-        for a, b in zip(head.params(), stacked.params()):
-            assert np.shares_memory(a.values, b.values)
-            assert a.values.tobytes() == b.values[k].tobytes()
+        for a, b, c in zip(head.params(), stacked.params(), heads[k].params(), strict=True):
+            assert not np.shares_memory(a.values, b.values)
+            assert a.values.tobytes() == np.ascontiguousarray(b.values[k]).tobytes() == c.values.tobytes()
+    before = values_bytes(stacked)
     stacked.unstack()[1].layers[0].w.values[0, 0] = 0.5
-    assert stacked.layers[0].w.values[1, 0, 0] == 0.5
+    assert values_bytes(stacked) == before
 
 
 def test_stack_rejects_mismatched_networks():
@@ -525,6 +537,65 @@ def test_applied_entries_equal_a_dense_gradient_step(heads, seed, passes):
         ]
         apply_update(grads, opt)
         assert [p.values.astype(np.float32).tobytes() for p in net.params()] == expected
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    heads=st.sampled_from([0, 2, 6]),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 10), max_size=5),
+            st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1e30]),
+            st.sampled_from([None, np.nan, np.inf]),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_reinforce_step_equals_backward_and_apply_update(heads, seed, steps):
+    # the fused online step against `reinforce_backward` + `apply_update` on
+    # a copy, on a softmax net or a stack of sigmoid heads whose first layer
+    # holds -0.0 weights: every byte and every TrainingFault message agree,
+    # with the trace handed in or not; an input entry of NaN or infinity, or
+    # a reward so large that the float32 gradient overflows, must fault
+    # before any write, and a zero reward changes nothing
+    rng = np.random.default_rng(seed)
+    net = _sparse_case_net(heads, rng)
+    net.layers[0].w.values[..., :3, ::2] = -0.0
+    ref, opt = net.copy(), SGD(learning_rate=0.3)
+    for cols, reward, poison, handed in steps:
+        x, target = _bag(*cols), _target(heads, rng)
+        if poison is not None:
+            x[cols[0] if cols else 0] = poison
+        before = values_bytes(net)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                apply_update(ref.reinforce_backward(x, target, reward), opt)
+                fault = None
+            except TrainingFault as exc:
+                fault = str(exc)
+            with pytest.raises(TrainingFault, match=re.escape(fault)) if fault else contextlib.nullcontext():
+                net.reinforce_step(x, target, reward, opt, net.trace(x) if handed else None)
+        assert values_bytes(net) == values_bytes(ref)
+        if fault or reward == 0.0:
+            assert values_bytes(net) == before
+        if fault:
+            return
+
+
+def test_a_networks_buffers_start_on_64_byte_boundaries(tmp_path):
+    # the first layer's weight and the flat buffer of the other tensors,
+    # whose first view is the first layer's bias, as every constructor and
+    # copy lays them out
+    net = Network.build([11, 7, 3], head="softmax", rng=np.random.default_rng(60))
+    stacked = Network.stack([Network.build([11, 7, 2], head="sigmoid", rng=np.random.default_rng(s)) for s in (61, 62, 63)])
+    save_checkpoint(net, tmp_path / "n.ckpt")
+    nets = [net, stacked, net.copy(), *stacked.unstack(), load_checkpoint(tmp_path / "n.ckpt")]
+    nets += [copy.deepcopy(net), pickle.loads(pickle.dumps(stacked))]
+    for n in nets:
+        assert [p.values.ctypes.data % 64 for p in n.params()[:2]] == [0, 0]
 
 
 def per_step_fit(net, examples, order, opt) -> tuple[list[bytes], str | None]:

@@ -1,4 +1,6 @@
 import contextlib
+import copy
+import pickle
 from collections import Counter
 from types import SimpleNamespace
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emorl.nn import SGD, CheckpointFormatError, Network, apply_update, dense_grads, save_checkpoint
+from emorl.nn import SGD, CheckpointFormatError, Network, apply_update, save_checkpoint
 from emorl.policy import (
     DEFAULT_VALID_COMBOS,
     MulticlassPolicy,
@@ -15,6 +17,7 @@ from emorl.policy import (
     load_agent,
     save_agent,
 )
+from test_nn import dense_grads
 
 DIM = 12
 
@@ -198,16 +201,16 @@ def param_bytes(agent):
 
 @contextlib.contextmanager
 def traces_handed():
-    "Per `Network.reinforce_backward` call, whether it was handed a trace; patched at the class."
+    "Per `Network.reinforce_step` call, whether it was handed a trace; patched at the class."
     handed = []
-    backward = Network.reinforce_backward
+    step = Network.reinforce_step
 
-    def spy(self, x, action, reward, trace=None):
+    def spy(self, x, action, reward, opt, trace=None):
         handed.append(trace is not None)
-        return backward(self, x, action, reward, trace)
+        return step(self, x, action, reward, opt, trace)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Network, "reinforce_backward", spy)
+        patch.setattr(Network, "reinforce_step", spy)
         yield handed
 
 
@@ -373,6 +376,32 @@ def test_random_agent_on_balanced_set_is_chance():
 
 
 # -- persistence --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("task", sorted(AGENTS))
+def test_copies_of_a_pretrained_agent_learn_into_the_same_checkpoints(task, tmp_path):
+    # the benchmark replays a deep copy of the agent's attributes, and a
+    # process pool would pickle the agent: each copy must own a layout of
+    # its own, so that its updates reach the tensors its checkpoints read
+    rng = np.random.default_rng(41)
+    labels = range(3) if task == "multiclass" else DEFAULT_VALID_COMBOS
+    agent = AGENTS[task](DIM, seed=6)
+    agent.pretrain([(sparse_state(rng), label) for label in labels for _ in range(4)], 3, rng=np.random.default_rng(1))
+    replayed = AGENTS[task](DIM, seed=6)
+    replayed.__dict__.update(copy.deepcopy(copy.deepcopy(agent.__dict__)))
+    agents = [agent, replayed, copy.deepcopy(agent), pickle.loads(pickle.dumps(agent))]
+    assert not any(np.shares_memory(each.net.params()[0].values, agent.net.params()[0].values) for each in agents[1:])
+    states = [sparse_state(rng) for _ in range(200)]
+    for k, each in enumerate(agents):
+        for state in states:
+            action = each.act(state)
+            correct = action == (0 if task == "multiclass" else DEFAULT_VALID_COMBOS[0])
+            each.learn(record(state, action, 1.0 if correct else -1.0))
+        save_agent(each, tmp_path / str(k))
+    assert agent_bytes(agent) != agent_bytes(AGENTS[task](DIM, seed=6))
+    for k in range(1, len(agents)):
+        for f in sorted((tmp_path / "0").iterdir()):
+            assert (tmp_path / str(k) / f.name).read_bytes() == f.read_bytes()
 
 
 def test_save_load_multiclass_round_trip(tmp_path):

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .nn import Network, PackedRows, SGD, fit, load_checkpoint, save_checkpoint
+from .nn import CheckpointFormatError, Network, PackedRows, SGD, fit, load_checkpoint, save_checkpoint
 from .nn import apply_update  # noqa: F401  the benchmark's span tracer wraps it at this name
 from .scope import gold_scope_texts
 from .text import Vocabulary, featurize_texts
@@ -69,7 +69,15 @@ class EmotionModel:
 
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "EmotionModel":
+        """Inverse of save; raises CheckpointFormatError on a malformed file or
+        a network that is not a softmax over the labels, and ValueError on one
+        made for another vocabulary size."""
         net = load_checkpoint(path)
+        if net.head != "softmax" or net.output_dim != len(LABEL_ORDER):
+            raise CheckpointFormatError(
+                f"{path} is not an emotion model: a {net.head} head over {net.output_dim} outputs, "
+                f"where an emotion model is a softmax over {len(LABEL_ORDER)}"
+            )
         if net.input_dim != vocab.size:
             raise ValueError(f"checkpoint input dim {net.input_dim} != vocabulary {vocab.size}")
         model = cls(vocab)

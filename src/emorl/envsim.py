@@ -561,13 +561,16 @@ class Environment:
     and returns the interaction record.
 
     Per distinct sentence text it keeps the in-vocabulary token ids and, on
-    the learned channel, the scope filter's row; per template group, the ids
+    the learned channel, the scope filter's row and its logit terms, from
+    which `ScopeModel.certified_keep` decides a message's keep mask; where
+    the certificate fails, the rows are stacked for `ScopeModel.keep`, the
+    rule `ScopeModel.scope` applies. Per template group it keeps the ids
     of its gold-scope sentences, from which the oracle state of a generated
     message is counted without rendering it; per tuple of kept reply texts,
     the emotion label: about 100 entries under a trained filter, up to one
     per reply (about 200 B each) under one that keeps everything.
-    Both assume the scope and emotion models do not change while the
-    environment uses them: after retraining either, build a new Environment.
+    These tables assume the scope and emotion models do not change while
+    the environment uses them: after retraining either, build a new Environment.
     """
 
     def __init__(
@@ -598,25 +601,32 @@ class Environment:
                 raise ValueError(f"the {name} model's vocabulary differs from the generator's (config_vocab)")
         self.rng = np.random.default_rng(seed)
         self._pending: tuple[EmailMessage, np.ndarray] | None = None
-        self._texts: dict[str, tuple[tuple[int, ...], np.ndarray | None]] = {}
+        self._texts: dict[str, tuple[tuple[int, ...], np.ndarray | None, tuple[float, ...] | None]] = {}
         self._labels: dict[tuple[str, ...], EmotionLabel] = {}
         self._gold_ids: dict[Group, tuple[int, ...]] = {}
 
-    def _facts(self, text: str) -> tuple[tuple[int, ...], np.ndarray | None]:
-        "(in-vocabulary token ids, scope row or None on the oracle channel) of a sentence text."
+    def _facts(self, text: str) -> tuple[tuple[int, ...], np.ndarray | None, tuple[float, ...] | None]:
+        """(in-vocabulary token ids, scope row, the row's `logit_terms`) of a
+        sentence text; the row and terms are None on the oracle channel."""
         facts = self._texts.get(text)
         if facts is None:
             ids = self.vocab.ids(tokenize(text))
-            row = self.scope_model.sentence_matrix([ids])[0] if self.channel == "learned" else None
-            facts = self._texts[text] = (tuple(i for i in ids if i != UNK_ID), row)
+            row = terms = None
+            if self.channel == "learned":
+                row = self.scope_model.sentence_matrix([ids])[0]
+                terms = self.scope_model.logit_terms(row)
+            facts = self._texts[text] = (tuple(i for i in ids if i != UNK_ID), row, terms)
         return facts
 
     def _keep_mask(self, message: EmailMessage) -> list[bool]:
-        "The learned filter's keep decisions, as `ScopeModel.scope` makes them, from the texts' rows."
-        if not message.sentences:
-            return []
-        # np.array stacks the rows as np.stack does, at a third of its cost
-        return self.scope_model.keep(np.array([self._facts(s.text)[1] for s in message.sentences])).tolist()
+        """The learned filter's keep decisions, as `ScopeModel.scope` makes
+        them: certified from the texts' logit terms, else from their rows."""
+        facts = self._facts
+        keep = self.scope_model.certified_keep([facts(s.text)[2] for s in message.sentences])
+        if keep is None:
+            # np.array stacks the rows as np.stack does, at a third of its cost
+            keep = self.scope_model.keep(np.array([facts(s.text)[1] for s in message.sentences])).tolist()
+        return keep
 
     def scoped_texts(self, message: EmailMessage) -> list[str]:
         if self.channel == "oracle":

@@ -572,9 +572,9 @@ def load_checkpoint(path) -> Network:
     tensors = read_tensors(path)
     if "head" not in tensors:
         raise CheckpointFormatError("missing head marker tensor")
-    head_code = int(tensors.pop("head").ravel()[0])
-    if head_code not in (0, 1):
-        raise CheckpointFormatError(f"bad head code {head_code}")
+    head = tensors.pop("head")
+    if head.shape != (1,) or head[0] not in (0.0, 1.0):
+        raise CheckpointFormatError(f"head marker must be one value, 0.0 or 1.0, not {head.tolist()}")
     by_index: dict[int, dict[str, np.ndarray]] = {}
     acts: dict[int, str] = {}
     for name, arr in tensors.items():
@@ -582,8 +582,9 @@ def load_checkpoint(path) -> Network:
         if m is None:
             raise CheckpointFormatError(f"unrecognized tensor name {name!r}")
         idx, act, kind = int(m.group(1)), m.group(2), m.group(3)
+        if acts.setdefault(idx, act) != act:
+            raise CheckpointFormatError(f"layer {idx} mixes activation tags {acts[idx]!r} and {act!r}")
         by_index.setdefault(idx, {})[kind] = arr
-        acts[idx] = act
     if not by_index or sorted(by_index) != list(range(len(by_index))):
         raise CheckpointFormatError("layer indices are not contiguous from zero")
     layers = []
@@ -596,6 +597,6 @@ def load_checkpoint(path) -> Network:
             raise CheckpointFormatError(f"layer {idx} tensor shapes are inconsistent")
         layers.append(Layer.named(idx, acts[idx], w, b))
     try:
-        return Network(layers, HEADS[head_code])
+        return Network(layers, HEADS[int(head[0])])
     except ValueError as exc:
         raise CheckpointFormatError(str(exc)) from exc

@@ -128,6 +128,50 @@ class ScopeModel:
         """
         return sigmoid(self._logits(sent_vecs)) >= 0.5
 
+    def logit_terms(self, row: np.ndarray) -> tuple[float, ...]:
+        """A `sentence_matrix` row's terms for `certified_keep`: `mix[j] @ row`
+        for each mixer row j, then `|mix[j]| @ |row|` for each."""
+        mix = self.mix.values
+        return (*(mix @ row).tolist(), *(np.abs(mix) @ np.abs(row)).tolist())
+
+    def certified_keep(self, terms: Sequence[tuple[float, ...]]) -> list[bool] | None:
+        """`keep`'s mask of a message from its sentences' `logit_terms`, or
+        None where this cannot prove it equal.
+
+        Sentence i's logit l_i is the bias b plus the term c_j of each
+        neighbour that `_offsets` gives, added in j order as `_logits` adds
+        them, and m_i = |b| + sum of their a_j = |mix[j]| @ |row|. Let
+        n = dim + 2 * window + 1 and u = 2**-53. A dot product of length dim
+        in any order is within gamma_dim * (|x| @ |y|) of its real value
+        (gamma_k = k * u / (1 - k * u); Higham, Accuracy and Stability of
+        Numerical Algorithms, ch. 3), and adding at most 2 * window + 1
+        terms to b costs gamma_(2 * window + 1) more, so this l_i and the
+        one `_logits` computes with its own matrix products each lie within
+        gamma_n * m_i of the real logit; the computed m_i, the margin and
+        its product round by a few u more. If |l_i| > (n + 2) * 2**-50 *
+        (1 + m_i), the two logits therefore differ by less than half the
+        margin: `_logits`' logit has l_i's sign and is at least
+        1.5 * 2**-50 (about 1.3e-15) from zero. A positive logit scores at
+        least 0.5; a logit below -1.3e-15 scores below 0.5, as its exp
+        lies an ulp or more below 1. So keep_i is l_i > 0. A NaN or
+        infinity among the values a sentence mixes in makes its m_i NaN or
+        infinite, and the comparison fails.
+        """
+        n, width = len(terms), 2 * self.window + 1
+        bias = float(self.bias.values[0])
+        logits, sizes = [bias] * n, [abs(bias)] * n
+        for j, rows, nbrs in self._offsets(self.window, n):
+            for i, t in zip(range(n)[rows], terms[nbrs]):
+                logits[i] += t[j]
+                sizes[i] += t[width + j]
+        margin = (self.dim + width + 2) * 2.0**-50
+        keep = []
+        for logit, size in zip(logits, sizes):
+            if not abs(logit) > margin * (1.0 + size):
+                return None
+            keep.append(logit > 0.0)
+        return keep
+
     def scope(self, sentences: Iterable[Sentence]) -> ScopedMessage:
         """Apply the filter: keep sentences whose score is at least 0.5.
 

@@ -17,6 +17,8 @@ from emorl.emotion import (
     train_emotion,
 )
 from emorl.envsim import EmailMessage, LabeledSentence, build_offline_corpus, gold_scope_texts
+from emorl.nn import CheckpointFormatError, Network, save_checkpoint
+from emorl.policy import MultilabelPolicy, save_agent
 from emorl.scope import ScopedMessage
 from emorl.text import build_vocab
 
@@ -232,6 +234,18 @@ def test_model_save_load_round_trip(tmp_path, vocab, trained_emotion):
     loaded = EmotionModel.load(path, vocab)
     texts = ["thanks, that works great for me."]
     assert np.array_equal(loaded.distribution(texts), trained_emotion.distribution(texts))
+
+
+@pytest.mark.parametrize("kind", ["multilabel_head", "softmax_over_four"])
+def test_model_load_refuses_a_network_of_another_kind_naming_the_file(tmp_path, vocab, kind):
+    if kind == "multilabel_head":
+        save_agent(MultilabelPolicy(vocab.size, seed=0), tmp_path)
+        path = tmp_path / "head0.ckpt"
+    else:
+        path = tmp_path / "four.ckpt"
+        save_checkpoint(Network.build([vocab.size, 4], head="softmax"), path)
+    with pytest.raises(CheckpointFormatError, match=f"{path.name} is not an emotion model"):
+        EmotionModel.load(path, vocab)
 
 
 def test_model_load_vocab_mismatch(tmp_path, trained_emotion):

@@ -3,6 +3,7 @@ import functools
 import warnings
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -750,8 +751,8 @@ def test_tables_fill_once_and_a_retrained_model_needs_a_new_environment(
 
 def test_a_reply_is_scoped_once_whether_its_label_is_new_or_memoised(gen_config, trained_scope, trained_emotion, monkeypatch):
     keeps = []
-    real_keep = ScopeModel.keep
-    monkeypatch.setattr(ScopeModel, "keep", lambda self, vecs: keeps.append(1) or real_keep(self, vecs))
+    real_keep = ScopeModel.certified_keep
+    monkeypatch.setattr(ScopeModel, "certified_keep", lambda self, terms: keeps.append(1) or real_keep(self, terms))
     env = Environment(gen_config, channel="learned", scope_model=trained_scope, emotion_model=trained_emotion)
     rng = np.random.default_rng(6)
     replies = [respond(gen_config, rng, 0, int(rng.integers(3))) for _ in range(30)]
@@ -761,3 +762,59 @@ def test_a_reply_is_scoped_once_whether_its_label_is_new_or_memoised(gen_config,
         assert env.emotion_of(reply) is expected
         assert len(keeps) - before == 1, f"{len(env._labels) - labels} new label(s)"
     assert 1 < len(env._labels) < len(replies)
+
+
+def _spying_on_keep(calls: list):
+    "A patch of ScopeModel.keep that notes each call in `calls`."
+    real_keep = ScopeModel.keep
+    return mock.patch.object(ScopeModel, "keep", lambda self, vecs: calls.append(1) or real_keep(self, vecs))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_the_environments_keep_mask_is_scopes_and_the_boundary_takes_the_exact_rule(gen_config, vocab, data):
+    words = [*vocab.id_to_token[1:60], "unheard-of"]
+    model = ScopeModel(vocab, dim=data.draw(st.integers(1, 32)), window=data.draw(st.integers(0, 2)), seed=data.draw(st.integers(0, 99)))
+    texts = st.lists(st.sampled_from(words), max_size=5).map(" ".join)
+    message = EmailMessage(
+        [LabeledSentence(t, False) for t in data.draw(st.lists(texts, min_size=1, max_size=7))], 0, EmotionLabel.NEUTRAL
+    )
+    sents = model.sentences(message)
+    model.bias.values[0] = data.draw(st.floats(-0.05, 0.05))
+    boundary = data.draw(st.sampled_from([None, "zero", "ulp_up", "ulp_down", "just_below"]))
+    if boundary:
+        # the bias that cancels one sentence's mixed terms as `_logits` adds them: its logit is zero,
+        # or within an ulp or two of it; with window 0 exactly zero, one ulp off or -1e-17
+        i = data.draw(st.integers(0, len(sents) - 1))
+        model.bias.values[0] = 0.0
+        cancel = -model._logits(model.sentence_matrix([s.token_ids for s in sents]))[i]
+        shifted = {"zero": cancel, "ulp_up": np.nextafter(cancel, np.inf), "ulp_down": np.nextafter(cancel, -np.inf)}
+        model.bias.values[0] = shifted.get(boundary, cancel - 1e-17)
+    bad = data.draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    if bad is not None:
+        # the centre mixer row, which every sentence mixes in
+        model.mix.values[model.window, data.draw(st.integers(0, model.dim - 1))] = bad
+    env = Environment(gen_config, channel="learned", scope_model=model, emotion_model=EmotionModel(vocab))
+    exact = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = model.scope(sents).keep_mask
+        with _spying_on_keep(exact):
+            assert env._keep_mask(message) == expected
+    if boundary or bad is not None:
+        assert exact == [1]
+
+
+def test_a_seeded_learned_run_decides_every_keep_mask_by_certificate(trained_scope, trained_emotion):
+    # the golden learned run's online config: a change that sends messages down
+    # the exact rule, losing the certificate's speed, fails here
+    config = ExperimentConfig(
+        task="multiclass", init="pretrained", channel="learned", interactions=300, eval_every=100, window=100, eval_size=60
+    )
+    certified, exact = [], []
+    real_certified = ScopeModel.certified_keep
+    with _spying_on_keep(exact), mock.patch.object(
+        ScopeModel, "certified_keep", lambda self, terms: certified.append(1) or real_certified(self, terms)
+    ):
+        run_online(config, 3, scope_model=trained_scope, emotion_model=trained_emotion)
+    assert len(certified) >= 2 * config.interactions
+    assert exact == []

@@ -12,7 +12,7 @@ import pytest
 from emorl import cli
 from emorl.cli import main
 from emorl.emotion import EmotionLabel
-from emorl.envsim import EmailMessage, Environment, FeedbackRegime, LabeledSentence, corpus_to_jsonl
+from emorl.envsim import EmailMessage, Environment, FeedbackRegime, LabeledSentence, config_vocab, corpus_to_jsonl
 from emorl.harness import (
     REPORT_COLUMNS,
     SECTIONS,
@@ -30,6 +30,7 @@ from emorl.harness import (
 )
 from emorl.nn import Network, write_tensors
 from emorl.policy import MultilabelPolicy, save_agent
+from emorl.scope import ScopeModel
 from emorl.text import Vocabulary
 
 SMALL = dict(interactions=300, eval_every=100, window=100, eval_size=30, seeds=(1,))
@@ -599,6 +600,19 @@ def test_cli_run_online_learned_channel_without_models_is_a_usage_error(given, t
     run_dir = tmp_path / "run"
     assert main(["run-online", "--config", str(path), "--run-dir", str(run_dir), *given]) == 2
     assert "channel=learned requires" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+def test_cli_run_online_refuses_an_emotion_checkpoint_of_another_kind_before_writing(tmp_path, capsys):
+    # a multilabel agent's head is a network checkpoint, but no emotion model
+    path = _bad_config(tmp_path, "channel = oracle", "channel = learned")
+    vocab = config_vocab(load_config_file(path)["experiment"].generator)
+    ScopeModel(vocab).save(tmp_path / "scope.ckpt")
+    save_agent(MultilabelPolicy(vocab.size, seed=0), tmp_path / "agent")
+    head, run_dir = tmp_path / "agent" / "head0.ckpt", tmp_path / "run"
+    models = ["--scope", str(tmp_path / "scope.ckpt"), "--emotion", str(head)]
+    assert main(["run-online", "--config", str(path), "--run-dir", str(run_dir), *models]) == 1
+    assert f"{head} is not an emotion model" in capsys.readouterr().err
     assert not run_dir.exists()
 
 

@@ -835,6 +835,32 @@ def test_bad_magic_and_version(tmp_path):
         load_checkpoint(bad)
 
 
+def _layer(idx: int, act: str, w_act: str | None = None) -> dict:
+    "Layer idx's W (tagged w_act, else act) and b tensors, 2 x 3."
+    return {f"L{idx:02d}.{w_act or act}.W": np.ones((2, 3)), f"L{idx:02d}.{act}.b": np.zeros(2)}
+
+
+@pytest.mark.parametrize(
+    ("tensors", "message"),
+    [
+        ({**_layer(0, "tanh", "relu"), **_layer(1, "identity"), "head": np.zeros(1)}, "layer 0 mixes activation tags"),
+        ({**_layer(0, "identity"), "head": np.array([0.7])}, "head marker"),
+        ({**_layer(0, "identity"), "head": np.array([1.0, 5.0])}, "head marker"),
+        ({**_layer(0, "identity"), "head": np.array([2.0])}, "head marker"),
+        ({**_layer(0, "identity"), "head": np.zeros((1, 1))}, "head marker"),
+        (_layer(0, "identity"), "missing head"),
+        ({**_layer(1, "identity"), "head": np.zeros(1)}, "contiguous"),
+        ({"L00.identity.W": np.ones((2, 3)), "head": np.zeros(1)}, "exactly W and b"),
+    ],
+    ids=["mixed_tags", "head_fraction", "head_two_values", "head_two", "head_matrix", "no_head", "no_layer_0", "no_b"],
+)
+def test_malformed_network_checkpoint_is_format_error(tmp_path, tensors, message):
+    path = tmp_path / "net.ckpt"
+    write_tensors(path, tensors)
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_checkpoint(path)
+
+
 def test_checkpoint_layout_is_little_endian(tmp_path):
     # parse the container byte by byte against the documented layout
     tensors = {"alpha": np.arange(6, dtype=np.float32).reshape(2, 3)}

@@ -31,8 +31,7 @@ from .emotion import EmotionLabel, EmotionModel, classify_emotion, reward_of
 from .nn import replacing
 from .policy import DEFAULT_VALID_COMBOS, MULTICLASS_ACTIONS
 from .scope import ScopedMessage, ScopeModel, gold_scope_texts, in_gold_scope
-from .text import SPLIT_PUNCT, UNK_ID, Vocabulary, build_vocab, count_features, segment, tokenize
-from .text import featurize_texts  # noqa: F401  the benchmark's span tracer wraps it at this name
+from .text import SPLIT_PUNCT, Vocabulary, build_vocab, count_features, featurize_texts, segment
 
 
 class ProtocolError(RuntimeError):
@@ -140,6 +139,12 @@ class EmailMessage:
         return " ".join(s.text for s in self.sentences)
 
 
+# the tasks, feedback regime kinds and emotion channels a run may name
+TASKS = ("multiclass", "multilabel")
+REGIME_KINDS = ("full", "partial", "partial_noisy")
+CHANNELS = ("oracle", "learned")
+
+
 @dataclass(frozen=True)
 class FeedbackRegime:
     """Availability/quality model of the implicit feedback signal."""
@@ -149,7 +154,7 @@ class FeedbackRegime:
     wrong_frac: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("full", "partial", "partial_noisy"):
+        if self.kind not in REGIME_KINDS:
             raise ValueError(f"unknown regime kind {self.kind!r}")
         if not 0.0 < self.p <= 1.0:
             raise ValueError("feedback probability must lie in (0, 1]")
@@ -227,7 +232,7 @@ class GeneratorConfig:
     pretrain_intent_weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.task not in ("multiclass", "multilabel"):
+        if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         for name in RATE_FIELDS:
             v = getattr(self, name)
@@ -560,17 +565,15 @@ class Environment:
     extracts the (oracle or learned) emotion, applies the feedback regime,
     and returns the interaction record.
 
-    Per distinct sentence text it keeps the in-vocabulary token ids and, on
-    the learned channel, the scope filter's row and its logit terms, from
-    which `ScopeModel.certified_keep` decides a message's keep mask; where
-    the certificate fails, the rows are stacked for `ScopeModel.keep`, the
-    rule `ScopeModel.scope` applies. Per template group it keeps the ids
-    of its gold-scope sentences, from which the oracle state of a generated
-    message is counted without rendering it; per tuple of kept reply texts,
-    the emotion label: about 100 entries under a trained filter, up to one
-    per reply (about 200 B each) under one that keeps everything.
-    These tables assume the scope and emotion models do not change while
-    the environment uses them: after retraining either, build a new Environment.
+    On the learned channel a message's keep mask is the scope model's
+    `keep_mask` of its sentence texts, as `ScopeModel.scope` decides it.
+    Per template group the environment keeps the in-vocabulary ids of the
+    group's gold-scope sentences, from which the oracle state of a
+    generated message is counted without rendering it; per tuple of kept
+    reply texts, the emotion label: about 100 entries under a trained
+    filter, up to one per reply (about 200 B each) under one that keeps
+    everything. The labels assume the emotion model does not change while
+    the environment uses it: after retraining it, build a new Environment.
     """
 
     def __init__(
@@ -582,7 +585,7 @@ class Environment:
         scope_model: ScopeModel | None = None,
         emotion_model: EmotionModel | None = None,
     ):
-        if channel not in ("oracle", "learned"):
+        if channel not in CHANNELS:
             raise ValueError(f"unknown emotion channel {channel!r}")
         if channel == "learned":
             if scope_model is None:
@@ -601,49 +604,26 @@ class Environment:
                 raise ValueError(f"the {name} model's vocabulary differs from the generator's (config_vocab)")
         self.rng = np.random.default_rng(seed)
         self._pending: tuple[EmailMessage, np.ndarray] | None = None
-        self._texts: dict[str, tuple[tuple[int, ...], np.ndarray | None, tuple[float, ...] | None]] = {}
         self._labels: dict[tuple[str, ...], EmotionLabel] = {}
         self._gold_ids: dict[Group, tuple[int, ...]] = {}
-
-    def _facts(self, text: str) -> tuple[tuple[int, ...], np.ndarray | None, tuple[float, ...] | None]:
-        """(in-vocabulary token ids, scope row, the row's `logit_terms`) of a
-        sentence text; the row and terms are None on the oracle channel."""
-        facts = self._texts.get(text)
-        if facts is None:
-            ids = self.vocab.ids(tokenize(text))
-            row = terms = None
-            if self.channel == "learned":
-                row = self.scope_model.sentence_matrix([ids])[0]
-                terms = self.scope_model.logit_terms(row)
-            facts = self._texts[text] = (tuple(i for i in ids if i != UNK_ID), row, terms)
-        return facts
-
-    def _keep_mask(self, message: EmailMessage) -> list[bool]:
-        """The learned filter's keep decisions, as `ScopeModel.scope` makes
-        them: certified from the texts' logit terms, else from their rows."""
-        facts = self._facts
-        keep = self.scope_model.certified_keep([facts(s.text)[2] for s in message.sentences])
-        if keep is None:
-            # np.array stacks the rows as np.stack does, at a third of its cost
-            keep = self.scope_model.keep(np.array([facts(s.text)[1] for s in message.sentences])).tolist()
-        return keep
 
     def scoped_texts(self, message: EmailMessage) -> list[str]:
         if self.channel == "oracle":
             return gold_scope_texts(message)
-        return [s.text for s, keep in zip(message.sentences, self._keep_mask(message)) if keep]
+        texts = [s.text for s in message.sentences]
+        return [t for t, keep in zip(texts, self.scope_model.keep_mask(texts)) if keep]
 
     def _group_ids(self, group: Group) -> tuple[int, ...]:
         "The in-vocabulary token ids of a group's gold-scope sentences."
         ids = self._gold_ids.get(group)
         if ids is None:
             ids = self._gold_ids[group] = tuple(
-                i for s in group.sentences if in_gold_scope(s) for i in self._facts(s.text)[0]
+                i for s in group.sentences if in_gold_scope(s) for i in self.vocab.counted_ids(s.text)
             )
         return ids
 
     def featurize_email(self, message: EmailMessage) -> np.ndarray:
-        "`featurize_texts(self.scoped_texts(message), self.vocab)`, from cached token ids."
+        "`featurize_texts(self.scoped_texts(message), self.vocab)`, on the oracle channel from the groups' ids."
         if self.channel == "oracle" and message.groups is not None:
             # the gold scope of a generated message is its groups' gold-scope
             # sentences, and counts do not depend on the order they are taken in
@@ -652,15 +632,15 @@ class Environment:
             if message.inserts or message.picks:
                 groups = [*groups, *(g for _, g in message.inserts), *(p[1] for p in message.picks)]
             return count_features([i for g in groups for i in group_ids(g)], self.vocab.size)
-        facts = self._facts
-        return count_features([i for text in self.scoped_texts(message) for i in facts(text)[0]], self.vocab.size)
+        return featurize_texts(self.scoped_texts(message), self.vocab)
 
     def emotion_of(self, reply: EmailMessage) -> EmotionLabel:
         "The reply's true emotion: its gold label, or on the learned channel the classifier's label of its scope."
         if self.channel == "oracle":
             return reply.gold_emotion
-        mask = self._keep_mask(reply)
-        kept = tuple(s.text for s, keep in zip(reply.sentences, mask) if keep)
+        texts = [s.text for s in reply.sentences]
+        mask = self.scope_model.keep_mask(texts)
+        kept = tuple(t for t, keep in zip(texts, mask) if keep)
         label = self._labels.get(kept)
         if label is None:
             scoped = ScopedMessage(self.scope_model.sentences(reply), mask)

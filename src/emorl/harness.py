@@ -27,7 +27,10 @@ import numpy as np
 from . import __version__
 from .emotion import EmotionModel
 from .envsim import (
+    CHANNELS,
     RATE_FIELDS,
+    REGIME_KINDS,
+    TASKS,
     Environment,
     FeedbackRegime,
     GeneratorConfig,
@@ -36,15 +39,13 @@ from .envsim import (
     draw_pretrain_set,
     generate_email,
 )
-from .nn import replacing
+from .nn import SGD, replacing
 from .policy import MulticlassPolicy, MultilabelPolicy, save_agent
 from .scope import ScopeModel
 
 CURVE_HEADER = "step,rolling_success,eval_accuracy"
 
-TASKS = ("multiclass", "multilabel")
 INITS = ("scratch", "pretrained")
-REGIME_NAMES = ("full", "partial", "partial_noisy")
 
 
 @dataclass
@@ -66,11 +67,9 @@ class ExperimentConfig:
     generator: GeneratorConfig = field(default_factory=default_config)
 
     def __post_init__(self) -> None:
-        if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}")
         if self.init not in INITS:
             raise ValueError(f"unknown init {self.init!r}")
-        if self.channel not in ("oracle", "learned"):
+        if self.channel not in CHANNELS:
             raise ValueError(f"unknown channel {self.channel!r}")
         if self.interactions < 0:
             raise ValueError("interactions must be non-negative")
@@ -86,8 +85,7 @@ class ExperimentConfig:
             raise ValueError(f"seeds must be non-negative, got {', '.join(map(str, self.seeds))}")
         if self.eval_size < 1:
             raise ValueError(f"eval_size must be at least 1, got {self.eval_size}")
-        if not 0.0 < self.lr < float("inf"):
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        SGD(self.lr)  # refuses a rate that no step can take
         if not 0.0 <= self.init_scale < float("inf"):
             raise ValueError(f"init_scale must be non-negative and finite, got {self.init_scale}")
         if any(width < 1 for width in self.hidden):
@@ -279,7 +277,7 @@ def grid_cells(base: ExperimentConfig, online: dict) -> list[ExperimentConfig]:
     section `online`; a value that some cell cannot take raises here, before any cell runs."""
     return [
         replace(base, task=task, init=init, regime=regime_of(regime, online))
-        for task, init, regime in product(TASKS, INITS, REGIME_NAMES)
+        for task, init, regime in product(TASKS, INITS, REGIME_KINDS)
     ]
 
 
@@ -293,7 +291,7 @@ def run_grid(cells: Sequence[ExperimentConfig], run_dir) -> list[dict]:
 
 
 # a curve file's name: <task>_<init>_<regime>_s<seed>.csv
-_CURVE_NAME = re.compile(rf"({'|'.join(TASKS)})_({'|'.join(INITS)})_({'|'.join(REGIME_NAMES)})_s\d+")
+_CURVE_NAME = re.compile(rf"({'|'.join(TASKS)})_({'|'.join(INITS)})_({'|'.join(REGIME_KINDS)})_s\d+")
 
 
 def read_curves(run_dir, skip=frozenset()) -> dict[tuple[str, ...], list[tuple[Path, LearningCurve]]]:
@@ -336,7 +334,7 @@ def rederive_report(run_dir) -> list[dict]:
     rows = []
     for (task, init, regime), curves in cells.items():
         # full >= partial >= partial_noisy on the (task, init) panel, when all three are present
-        panel = [success.get((task, init, name)) for name in REGIME_NAMES]
+        panel = [success.get((task, init, name)) for name in REGIME_KINDS]
         order_ok = "" if None in panel else int(panel[0] >= panel[1] >= panel[2])
         final_eval = float(np.mean([curve.final_eval for _, curve in curves]))
         values = (task, init, regime, len(curves), success[task, init, regime], final_eval, order_ok)
@@ -438,11 +436,8 @@ def _fraction(raw: str) -> float:
 
 
 def _rate(raw: str) -> float:
-    "A learning rate: a float that is positive and finite."
-    rate = float(raw)
-    if not 0.0 < rate < float("inf"):
-        raise ValueError("lr must be positive and finite")
-    return rate
+    "A learning rate: a float that `SGD` takes."
+    return SGD(float(raw)).learning_rate
 
 
 def _tuple_of(cast):
@@ -517,7 +512,7 @@ def load_config_file(path) -> dict:
         stages[name] = {key: _cast(name, key, value) for key, value in parser[name].items()}
     online = {key: value for key, value in stages.get("online", {}).items() if key not in _REGIME_ARGS}
     if "regime" in online:
-        if online["regime"] not in REGIME_NAMES:
+        if online["regime"] not in REGIME_KINDS:
             raise ValueError(f"unknown regime {online['regime']!r}")
         online["regime"] = regime_of(online["regime"], stages["online"])
     generator = default_config(online.get("task", ExperimentConfig.task), **stages.get("generator", {}))

@@ -397,7 +397,7 @@ class SGD:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.learning_rate < float("inf"):
-            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
+            raise ValueError(f"lr must be positive and finite, got {self.learning_rate}")
 
 
 def _fault(steps: Iterable[tuple[ParamTensor, np.ndarray]]) -> TrainingFault:
@@ -542,6 +542,8 @@ def read_tensors(path) -> dict[str, np.ndarray]:
                 name = _read_exact(f, name_len).decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CheckpointFormatError(f"tensor name is not UTF-8: {exc}") from None
+            if name in tensors:
+                raise CheckpointFormatError(f"tensor {name!r} appears twice")
             (rank,) = struct.unpack("<I", _read_exact(f, 4))
             if rank > 8:
                 raise CheckpointFormatError(f"implausible tensor rank {rank}")
@@ -584,7 +586,9 @@ def load_checkpoint(path) -> Network:
         idx, act, kind = int(m.group(1)), m.group(2), m.group(3)
         if acts.setdefault(idx, act) != act:
             raise CheckpointFormatError(f"layer {idx} mixes activation tags {acts[idx]!r} and {act!r}")
-        by_index.setdefault(idx, {})[kind] = arr
+        if kind in by_index.setdefault(idx, {}):
+            raise CheckpointFormatError(f"layer {idx} has two {kind} tensors")
+        by_index[idx][kind] = arr
     if not by_index or sorted(by_index) != list(range(len(by_index))):
         raise CheckpointFormatError("layer indices are not contiguous from zero")
     layers = []

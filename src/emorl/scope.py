@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .nn import SGD, CheckpointFormatError, ParamTensor, apply_update, read_tensors, sigmoid, write_tensors
-from .text import Sentence, Vocabulary, tokenize
+from .text import Sentence, Vocabulary
 
 
 @dataclass
@@ -62,8 +62,9 @@ class ScopeModel:
         self.embed = ParamTensor("embed", rng.normal(0.0, 0.1, (vocab.size, dim)))
         self.mix = ParamTensor("mix", rng.normal(0.0, 0.1, (2 * window + 1, dim)))
         self.bias = ParamTensor("bias", np.zeros(1, dtype=np.float32))
-        # token ids depend on the vocabulary alone, so training leaves this table valid
-        self._token_ids: dict[str, tuple[int, ...]] = {}
+        # sentence text -> `_row(text)`, from embed and mix as they were when
+        # the text was first met; train_scope empties it
+        self._rows: dict[str, tuple[np.ndarray, tuple[float, ...]]] = {}
 
     def params(self) -> list[ParamTensor]:
         return [self.embed, self.mix, self.bias]
@@ -72,7 +73,7 @@ class ScopeModel:
 
     def sentences(self, message) -> list[Sentence]:
         """`segment(message.text, self.vocab)`, built from the message's own
-        labeled sentences, each distinct sentence text tokenized once.
+        labeled sentences.
 
         Equal because each labeled sentence is a stripped segment of a
         template ending with splitting punctuation, and the text joins them
@@ -80,11 +81,8 @@ class ScopeModel:
         """
         out, start = [], 0
         for s in message.sentences:
-            ids = self._token_ids.get(s.text)
-            if ids is None:
-                ids = self._token_ids[s.text] = self.vocab.ids(tokenize(s.text))
             end = start + len(s.text)
-            out.append(Sentence(text=s.text, token_ids=ids, span=(start, end)))
+            out.append(Sentence(text=s.text, token_ids=self.vocab.text_ids(s.text), span=(start, end)))
             start = end + 1
         return out
 
@@ -114,12 +112,6 @@ class ScopeModel:
             logits[rows] += sent_vecs[nbrs] @ mix[j]
         return logits
 
-    def scores(self, token_ids: Sequence[Sequence[int]]) -> np.ndarray:
-        "Keep probability per sentence."
-        if not token_ids:
-            return np.zeros(0, dtype=np.float64)
-        return sigmoid(self._logits(self.sentence_matrix(token_ids)))
-
     def keep(self, sent_vecs: np.ndarray) -> np.ndarray:
         """Keep mask of a message's `sentence_matrix`: a score of at least 0.5.
 
@@ -128,15 +120,30 @@ class ScopeModel:
         """
         return sigmoid(self._logits(sent_vecs)) >= 0.5
 
-    def logit_terms(self, row: np.ndarray) -> tuple[float, ...]:
-        """A `sentence_matrix` row's terms for `certified_keep`: `mix[j] @ row`
-        for each mixer row j, then `|mix[j]| @ |row|` for each."""
-        mix = self.mix.values
-        return (*(mix @ row).tolist(), *(np.abs(mix) @ np.abs(row)).tolist())
+    def keep_mask(self, texts: Sequence[str]) -> list[bool]:
+        """`keep`'s mask of the message whose sentence texts are `texts`, each
+        tokenized with this model's vocabulary: by `_certified_keep` from the
+        texts' logit terms, else by `keep` on their rows. Both are kept per
+        text: after the first call, only `train_scope` may change embed or mix."""
+        facts = [self._rows.get(t) or self._row(t) for t in texts]
+        keep = self._certified_keep([terms for _, terms in facts])
+        if keep is None:
+            # np.array stacks the rows as np.stack does, at a third of its cost
+            keep = self.keep(np.array([row for row, _ in facts])).tolist()
+        return keep
 
-    def certified_keep(self, terms: Sequence[tuple[float, ...]]) -> list[bool] | None:
-        """`keep`'s mask of a message from its sentences' `logit_terms`, or
-        None where this cannot prove it equal.
+    def _row(self, text: str) -> tuple[np.ndarray, tuple[float, ...]]:
+        """A sentence text's `sentence_matrix` row and the row's terms for
+        `_certified_keep`: `mix[j] @ row` for each mixer row j, then
+        `|mix[j]| @ |row|` for each."""
+        row = self.sentence_matrix([self.vocab.text_ids(text)])[0]
+        mix = self.mix.values
+        self._rows[text] = facts = (row, (*(mix @ row).tolist(), *(np.abs(mix) @ np.abs(row)).tolist()))
+        return facts
+
+    def _certified_keep(self, terms: Sequence[tuple[float, ...]]) -> list[bool] | None:
+        """`keep`'s mask of a message from its sentences' logit terms (`_row`),
+        or None where this cannot prove it equal.
 
         Sentence i's logit l_i is the bias b plus the term c_j of each
         neighbour that `_offsets` gives, added in j order as `_logits` adds
@@ -175,12 +182,12 @@ class ScopeModel:
     def scope(self, sentences: Iterable[Sentence]) -> ScopedMessage:
         """Apply the filter: keep sentences whose score is at least 0.5.
 
-        Deterministic for a fixed model; original sentence order is kept.
+        Decided from each sentence's text, tokenized with this model's
+        vocabulary (`keep_mask`). Deterministic for a fixed model; original
+        sentence order is kept.
         """
         sents = list(sentences)
-        if not sents:
-            return ScopedMessage([], [])
-        return ScopedMessage(sents, self.keep(self.sentence_matrix([s.token_ids for s in sents])).tolist())
+        return ScopedMessage(sents, self.keep_mask([s.text for s in sents]))
 
     # -- persistence ---------------------------------------------------------
 
@@ -306,6 +313,7 @@ def train_scope(
     if not corpus:
         raise ValueError("cannot train the scope filter on an empty corpus")
     packs = _Packs(model, corpus)
+    model._rows.clear()  # the steps move embed and mix
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(corpus))
     # round(0.2 * n) < n for every n >= 1, so some message is always trained on

@@ -62,13 +62,14 @@ def segment(text: str, vocab: "Vocabulary | None" = None) -> list[Sentence]:
             continue
         lead = len(raw) - len(raw.lstrip())
         begin = offset + lead
-        ids = vocab.ids(tokenize(stripped)) if vocab is not None else ()
+        ids = vocab.text_ids(stripped) if vocab is not None else ()
         out.append(Sentence(text=stripped, token_ids=ids, span=(begin, begin + len(stripped))))
     return out
 
 
 class Vocabulary:
-    """Frequency-ranked token table with a reserved unknown id 0."""
+    """Frequency-ranked token table with a reserved unknown id 0. It never
+    changes, so it keeps each distinct text's token ids once computed."""
 
     def __init__(self, tokens: Sequence[str]):
         if not tokens or tokens[0] != UNK_TOKEN:
@@ -77,6 +78,8 @@ class Vocabulary:
             raise ValueError("vocabulary tokens must be unique")
         self.id_to_token: list[str] = list(tokens)
         self.token_to_id: dict[str, int] = {t: i for i, t in enumerate(tokens)}
+        # text -> (its token ids, its in-vocabulary token ids)
+        self._memo: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     @property
     def size(self) -> int:
@@ -87,6 +90,19 @@ class Vocabulary:
 
     def ids(self, tokens: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.token_to_id.get(t, UNK_ID) for t in tokens)
+
+    def text_ids(self, text: str) -> tuple[int, ...]:
+        "`ids(tokenize(text))`, computed once per distinct text."
+        entry = self._memo.get(text)
+        if entry is None:
+            ids = self.ids(tokenize(text))
+            entry = self._memo[text] = (ids, tuple(i for i in ids if i != UNK_ID))
+        return entry[0]
+
+    def counted_ids(self, text: str) -> tuple[int, ...]:
+        "The ids of `text_ids(text)` but the unknown id, in order: those `count_features` counts."
+        self.text_ids(text)
+        return self._memo[text][1]
 
     def save(self, path) -> None:
         "Persist as lexicographically sorted `token<TAB>id` UTF-8 lines, replacing `path` whole."
@@ -122,11 +138,6 @@ def build_vocab(corpus: Iterable[str], max_size: int = 2048) -> Vocabulary:
     return Vocabulary([UNK_TOKEN] + kept)
 
 
-def known_ids(text: str, vocab: Vocabulary) -> tuple[int, ...]:
-    "The in-vocabulary token ids of `text`, in order; unknown tokens are dropped."
-    return tuple(i for i in vocab.ids(tokenize(text)) if i != UNK_ID)
-
-
 def count_features(ids: Sequence[int], size: int) -> np.ndarray:
     """L1-normalized counts of in-vocabulary token ids over `size` slots, or
     the zero vector for none: small integer counts, exact in float64."""
@@ -142,4 +153,4 @@ def featurize_texts(texts: Iterable[str], vocab: Vocabulary) -> np.ndarray:
     Order-invariant over texts and tokens; an empty or fully
     out-of-vocabulary input yields the zero vector.
     """
-    return count_features([i for text in texts for i in known_ids(text, vocab)], vocab.size)
+    return count_features([i for text in texts for i in vocab.counted_ids(text)], vocab.size)

@@ -1,4 +1,3 @@
-import copy
 import functools
 import warnings
 from collections import Counter
@@ -32,7 +31,7 @@ from emorl.envsim import (
 from emorl.harness import ExperimentConfig, run_online
 from emorl.policy import MulticlassPolicy
 from emorl.scope import ScopeModel, gold_scope_texts, train_scope
-from emorl.text import Vocabulary, featurize_texts, insertion_positions, segment
+from emorl.text import Vocabulary, featurize_texts, insertion_positions, segment, tokenize
 
 
 # -- configuration ------------------------------------------------------------
@@ -130,7 +129,7 @@ def test_intent_distribution_matches_prior(gen_config):
 
 @functools.cache
 def _task_env(task):
-    "One environment and scope model per task, so the model's token-id table is shared across examples."
+    "One environment and scope model per task, so the vocabulary's token-id table is shared across examples."
     env = Environment(default_config(task), seed=0)
     return env, ScopeModel(env.vocab)
 
@@ -696,23 +695,26 @@ def test_environment_tables_match_the_direct_path(seed, task, trained, unknown, 
         assert small.featurize_email(m).tobytes() == featurize_texts(gold_scope_texts(m), small.vocab).tobytes()
 
 
-def test_tables_fill_once_and_a_retrained_model_needs_a_new_environment(
-    gen_config, vocab, trained_scope, trained_emotion, corpus3000, monkeypatch
+def test_an_environment_follows_its_scope_model_through_retraining_and_tokenizes_each_text_once(
+    gen_config, corpus3000, monkeypatch
 ):
-    scope_model = copy.deepcopy(trained_scope)
-    learned = dict(channel="learned", scope_model=scope_model, emotion_model=trained_emotion)
+    # the environment and both models share one fresh vocabulary, so its table starts empty
+    vocab = config_vocab(gen_config)
+    monkeypatch.setattr(envsim, "config_vocab", lambda config: vocab)
+    tokenized = []
+    monkeypatch.setattr("emorl.text.tokenize", lambda t: tokenized.append(t) or tokenize(t))
+    scope_model = ScopeModel(vocab, seed=4)
+    env = Environment(gen_config, seed=11, channel="learned", scope_model=scope_model, emotion_model=EmotionModel(vocab, seed=4))
     probe = build_offline_corpus(gen_config, np.random.default_rng(9), 40)
-    stale = Environment(gen_config, seed=8, **learned)
-    for m in probe:
-        stale.scoped_texts(m)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        train_scope(scope_model, corpus3000[:300], epochs=1, seed=1)
-    # the old environment keeps the rows of the model it first saw; a new one reads the retrained model
-    fresh = Environment(gen_config, seed=8, **learned)
-    assert [fresh.scoped_texts(m) for m in probe] == [scope_model.scope(scope_model.sentences(m)).kept_texts for m in probe]
-    text = probe[0].sentences[0].text
-    assert not np.array_equal(fresh._facts(text)[1], stale._facts(text)[1])
+
+    def exact_kept():
+        "Each probe message's texts that the exact rule keeps, from the model's weights as they are now."
+        out = []
+        for m in probe:
+            sents = scope_model.sentences(m)
+            mask = scope_model.keep(scope_model.sentence_matrix([s.token_ids for s in sents]))
+            out.append([s.text for s, keep in zip(sents, mask) if keep])
+        return out
 
     scope_calls, classified, seen = [], [], set()
     real_scope, real_classify = ScopeModel.scope, envsim.classify_emotion
@@ -732,7 +734,6 @@ def test_tables_fill_once_and_a_retrained_model_needs_a_new_environment(
     monkeypatch.setattr(
         envsim, "classify_emotion", lambda model, scoped: classified.append(tuple(scoped.kept_texts)) or real_classify(model, scoped)
     )
-    env = Environment(gen_config, seed=11, **learned)
     rng = np.random.default_rng(12)
 
     def loop():
@@ -741,25 +742,37 @@ def test_tables_fill_once_and_a_retrained_model_needs_a_new_environment(
             env.step(int(rng.integers(3)))
         return len(classified)
 
-    first = loop()
-    second = loop() - first
+    untrained = exact_kept()
+    assert [env.scoped_texts(m) for m in probe] == untrained
+    before = loop()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        train_scope(scope_model, corpus3000[:300], epochs=1, seed=1)
+    # retrained in place: the environment built before reads the new weights
+    retrained = exact_kept()
+    assert retrained != untrained
+    assert [env.scoped_texts(m) for m in probe] == retrained
+    first = loop() - before
+    second = loop() - before - first
     assert scope_calls == []
     assert len(classified) == len(set(classified)) == len(env._labels)
     assert second < first  # the second loop mostly hits the memo
-    assert set(env._texts) == seen
+    # every text the loop met was tokenized, once, whichever of the environment or the models met it first
+    assert seen <= set(tokenized)
+    assert len(tokenized) == len(set(tokenized))
 
 
 def test_a_reply_is_scoped_once_whether_its_label_is_new_or_memoised(gen_config, trained_scope, trained_emotion, monkeypatch):
-    keeps = []
-    real_keep = ScopeModel.certified_keep
-    monkeypatch.setattr(ScopeModel, "certified_keep", lambda self, terms: keeps.append(1) or real_keep(self, terms))
     env = Environment(gen_config, channel="learned", scope_model=trained_scope, emotion_model=trained_emotion)
     rng = np.random.default_rng(6)
     replies = [respond(gen_config, rng, 0, int(rng.integers(3))) for _ in range(30)]
-    for reply in replies + replies:  # the second pass hits the label memo
-        expected = classify_emotion(trained_emotion, trained_scope.scope(trained_scope.sentences(reply)))[0]
+    expected = [classify_emotion(trained_emotion, trained_scope.scope(trained_scope.sentences(r)))[0] for r in replies]
+    keeps = []
+    real_keep = ScopeModel.keep_mask
+    monkeypatch.setattr(ScopeModel, "keep_mask", lambda self, texts: keeps.append(1) or real_keep(self, texts))
+    for reply, label in zip(replies + replies, expected + expected):  # the second pass hits the label memo
         before, labels = len(keeps), len(env._labels)
-        assert env.emotion_of(reply) is expected
+        assert env.emotion_of(reply) is label
         assert len(keeps) - before == 1, f"{len(env._labels) - labels} new label(s)"
     assert 1 < len(env._labels) < len(replies)
 
@@ -797,11 +810,12 @@ def test_the_environments_keep_mask_is_scopes_and_the_boundary_takes_the_exact_r
     env = Environment(gen_config, channel="learned", scope_model=model, emotion_model=EmotionModel(vocab))
     exact = []
     with np.errstate(invalid="ignore", over="ignore"):
-        expected = model.scope(sents).keep_mask
+        expected = model.keep(model.sentence_matrix([s.token_ids for s in sents])).tolist()
         with _spying_on_keep(exact):
-            assert env._keep_mask(message) == expected
+            assert model.scope(sents).keep_mask == expected
+            assert env.scoped_texts(message) == [s.text for s, keep in zip(sents, expected) if keep]
     if boundary or bad is not None:
-        assert exact == [1]
+        assert exact == [1, 1]
 
 
 def test_a_seeded_learned_run_decides_every_keep_mask_by_certificate(trained_scope, trained_emotion):
@@ -811,9 +825,9 @@ def test_a_seeded_learned_run_decides_every_keep_mask_by_certificate(trained_sco
         task="multiclass", init="pretrained", channel="learned", interactions=300, eval_every=100, window=100, eval_size=60
     )
     certified, exact = [], []
-    real_certified = ScopeModel.certified_keep
+    real_certified = ScopeModel._certified_keep
     with _spying_on_keep(exact), mock.patch.object(
-        ScopeModel, "certified_keep", lambda self, terms: certified.append(1) or real_certified(self, terms)
+        ScopeModel, "_certified_keep", lambda self, terms: certified.append(1) or real_certified(self, terms)
     ):
         run_online(config, 3, scope_model=trained_scope, emotion_model=trained_emotion)
     assert len(certified) >= 2 * config.interactions

@@ -851,8 +851,13 @@ def _layer(idx: int, act: str, w_act: str | None = None) -> dict:
         (_layer(0, "identity"), "missing head"),
         ({**_layer(1, "identity"), "head": np.zeros(1)}, "contiguous"),
         ({"L00.identity.W": np.ones((2, 3)), "head": np.zeros(1)}, "exactly W and b"),
+        # two names for one slot: index 0 written with and without its leading zero
+        ({**_layer(0, "identity"), "L0.identity.W": np.full((2, 3), 5.0), "head": np.zeros(1)}, "layer 0 has two W"),
     ],
-    ids=["mixed_tags", "head_fraction", "head_two_values", "head_two", "head_matrix", "no_head", "no_layer_0", "no_b"],
+    ids=[
+        "mixed_tags", "head_fraction", "head_two_values", "head_two", "head_matrix", "no_head", "no_layer_0", "no_b",
+        "one_slot_two_names",
+    ],
 )
 def test_malformed_network_checkpoint_is_format_error(tmp_path, tensors, message):
     path = tmp_path / "net.ckpt"
@@ -898,6 +903,17 @@ def test_handcrafted_little_endian_file_loads(tmp_path):
     assert np.array_equal(net.layers[0].w.values, w)
     p = net.forward(np.array([1.0, 1.0]))
     assert p.shape == (3,)
+
+
+def test_read_tensors_rejects_a_repeated_tensor_name(tmp_path):
+    # write_tensors takes a dict, so the container is built with struct
+    blob = b"NARL" + struct.pack("<II", 1, 2)
+    for value in (1.0, 5.0):
+        blob += struct.pack("<I", 1) + b"a" + struct.pack("<IQ", 1, 1) + struct.pack("<f", value)
+    path = tmp_path / "t.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointFormatError, match="'a' appears twice"):
+        read_tensors(path)
 
 
 def test_read_tensors_rejects_non_finite_values(tmp_path):

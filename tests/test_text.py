@@ -240,6 +240,27 @@ def _per_token_loop(texts, vocab):
     return vec
 
 
+# texts mostly of words outside the vocabulary, some only in case or trailing punctuation
+_MOSTLY_UNKNOWN = st.lists(
+    st.lists(st.sampled_from(["zorp", "Quux", "blee.", "x9,", "?", _KNOWN[0], _KNOWN[1] + ".", _KNOWN[2].upper()]), max_size=8).map(
+        " ".join
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(texts=_MOSTLY_UNKNOWN)
+def test_text_ids_and_features_match_the_tokenizer_on_mostly_unknown_words(texts):
+    for featurize_first in (True, False):
+        vocab = Vocabulary(_INVARIANT_VOCAB.id_to_token)
+        for _ in range(2):  # the second pass reads the per-text table the first filled
+            if featurize_first:
+                assert featurize_texts(texts, vocab).tobytes() == _per_token_loop(texts, vocab).tobytes()
+            assert [vocab.text_ids(t) for t in texts] == [vocab.ids(tokenize(t)) for t in texts]
+            assert featurize_texts(texts, vocab).tobytes() == _per_token_loop(texts, vocab).tobytes()
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(texts=_TEXTS, data=st.data())
 def test_featurize_invariants(texts, data):

@@ -44,13 +44,13 @@ with warnings.catch_warnings():
 print(f"\nscope filter: holdout F1 {metrics['holdout_f1']:.3f}, "
       f"accuracy {metrics['holdout_accuracy']:.3f}")
 
-scoped = scope.scope(scope.sentences(sample))
+scoped = scope.scope(sample.sentences)
 print("kept sentences:", scoped.kept_texts)
 
 # ------------------------------------------------------------------
 # 3. Emotion classifier on scoped inputs vs full text
 # ------------------------------------------------------------------
-learned_scoper = lambda m: scope.scope(scope.sentences(m)).kept_texts
+learned_scoper = lambda m: scope.scope(m.sentences).kept_texts
 scoped_model = EmotionModel(vocab, seed=0)
 m1 = train_emotion(scoped_model, corpus, epochs=12, lr=0.5, seed=0, scoper=learned_scoper)
 full_model = EmotionModel(vocab, seed=0)

@@ -43,21 +43,22 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="emorl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, run, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="path to the INI config file")
         p.add_argument("--seed", type=int, default=None, help="global seed override")
         return p
 
-    p = add("gen-data", "generate a labeled offline corpus (JSONL)")
+    p = add("gen-data", cmd_gen_data, "generate a labeled offline corpus (JSONL)")
     p.add_argument("--out", required=True, help="output corpus path")
     p.add_argument("--n", type=int, default=None, help="number of records")
 
-    p = add("train-scope", "train the sentence scope filter")
+    p = add("train-scope", cmd_train_scope, "train the sentence scope filter")
     p.add_argument("--data", required=True, help="corpus JSONL from gen-data")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = add("train-emotion", "train the emotion classifier")
+    p = add("train-emotion", cmd_train_emotion, "train the emotion classifier")
     p.add_argument("--data", required=True, help="corpus JSONL from gen-data")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--scope", default=None, help="scope checkpoint; filters inputs when given")
@@ -68,19 +69,20 @@ def _build_parser() -> argparse.ArgumentParser:
         help="input filtering: trained scope model, gold flags, or full text",
     )
 
-    p = add("pretrain-intent", "supervised pretraining on the skewed subset")
+    p = add("pretrain-intent", cmd_pretrain_intent, "supervised pretraining on the skewed subset")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = add("run-online", "online learning run(s) for the configured cell")
+    p = add("run-online", cmd_run_online, "online learning run(s) for the configured cell")
     p.add_argument("--run-dir", required=True, help="run directory for curves and checkpoints")
     p.add_argument("--interactions", type=int, default=None, help="override the interaction budget")
     p.add_argument("--scope", default=None, help="scope checkpoint (learned channel)")
     p.add_argument("--emotion", default=None, help="emotion checkpoint (learned channel)")
 
-    p = add("run-grid", "the full task x init x regime grid")
+    p = add("run-grid", cmd_run_grid, "the full task x init x regime grid")
     p.add_argument("--run-dir", required=True)
 
     p = sub.add_parser("report", help="re-derive the summary from a run directory")
+    p.set_defaults(run=cmd_report)
     p.add_argument("--run-dir", required=True)
     return parser
 
@@ -186,7 +188,7 @@ def cmd_train_emotion(args) -> int:
     model = EmotionModel(vocab, seed=config.seeds[0])
     if mode == "scope":
         scope_model = ScopeModel.load(args.scope, vocab)
-        scoper = lambda m: scope_model.scope(scope_model.sentences(m)).kept_texts
+        scoper = lambda m: scope_model.scope(m.sentences).kept_texts
     elif mode == "none":
         scoper = all_texts
     else:
@@ -256,21 +258,10 @@ def cmd_report(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "train-scope": cmd_train_scope,
-    "train-emotion": cmd_train_emotion,
-    "pretrain-intent": cmd_pretrain_intent,
-    "run-online": cmd_run_online,
-    "run-grid": cmd_run_grid,
-    "report": cmd_report,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except Exception as exc:  # runtime faults exit 1; usage errors exit 2, as argparse's do
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1

@@ -202,6 +202,9 @@ RATE_FIELDS = (
     "pretrain_template_frac",
 )
 
+# the GeneratorConfig fields that are one pool of phrase templates each
+_PHRASE_POOLS = ("distractor_templates", "followup_templates", "directed_pos", "directed_neg", "general_pos", "general_neg")
+
 
 @dataclass
 class GeneratorConfig:
@@ -269,15 +272,7 @@ class GeneratorConfig:
     def all_template_text(self) -> list[str]:
         "Every template of every pool, in pool order."
         pools = [self.intent_templates[n] for n in self.multiclass_intents if n in self.intent_templates]
-        pools += list(self.bit_templates)
-        pools += [
-            self.distractor_templates,
-            self.followup_templates,
-            self.directed_pos,
-            self.directed_neg,
-            self.general_pos,
-            self.general_neg,
-        ]
+        pools += [*self.bit_templates, *(getattr(self, name) for name in _PHRASE_POOLS)]
         return [template for pool in pools for template in pool]
 
 
@@ -289,15 +284,8 @@ def default_config(task: str = "multiclass", **overrides) -> GeneratorConfig:
         overrides.setdefault("pretrain_intent_weights", (0.55, 0.35, 0.10))
     cfg = GeneratorConfig(
         task=task,
-        intent_templates=raw["intent_templates"],
         multiclass_intents=tuple(raw["multiclass_intents"]),
-        bit_templates=raw["bit_templates"],
-        distractor_templates=raw["distractor_templates"],
-        followup_templates=raw["followup_templates"],
-        directed_pos=raw["directed_pos"],
-        directed_neg=raw["directed_neg"],
-        general_pos=raw["general_pos"],
-        general_neg=raw["general_neg"],
+        **{name: raw[name] for name in ("intent_templates", "bit_templates", *_PHRASE_POOLS)},
     )
     return replace(cfg, **overrides)
 
@@ -542,16 +530,30 @@ def corpus_to_jsonl(corpus: list[EmailMessage], path) -> None:
 
 
 def corpus_from_jsonl(path) -> list[EmailMessage]:
+    """Inverse of corpus_to_jsonl. A record it cannot read (bad JSON, a
+    missing or unknown field, an unknown emotion) raises ValueError naming
+    `path` and the record's line."""
     out = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            sentences = [LabeledSentence(**s) for s in rec["sentences"]]
-            intent = tuple(rec["intent"]) if isinstance(rec["intent"], list) else rec["intent"]
-            out.append(EmailMessage(sentences, intent, EmotionLabel[rec["emotion"].upper()]))
+        for n, line in enumerate(f, 1):
+            if line.strip():
+                try:
+                    out.append(_message(json.loads(line)))
+                except (ValueError, TypeError) as exc:  # json's JSONDecodeError is a ValueError
+                    raise ValueError(f"{path}:{n}: {exc}") from None
     return out
+
+
+def _message(rec) -> EmailMessage:
+    "A corpus_to_jsonl record's message; LabeledSentence raises TypeError on a sentence's missing or unknown field."
+    fields = sorted(rec) if isinstance(rec, dict) else rec
+    if fields != ["emotion", "intent", "sentences", "text"]:
+        raise ValueError(f"record fields must be ['emotion', 'intent', 'sentences', 'text'], got {fields!r}")
+    emotion = EmotionLabel.__members__.get(str(rec["emotion"]).upper())
+    if emotion is None:
+        raise ValueError(f"unknown emotion {rec['emotion']!r}")
+    intent = tuple(rec["intent"]) if isinstance(rec["intent"], list) else rec["intent"]
+    return EmailMessage([LabeledSentence(**s) for s in rec["sentences"]], intent, emotion)
 
 
 # -- the environment ----------------------------------------------------------
@@ -567,6 +569,10 @@ class Environment:
 
     On the learned channel a message's keep mask is the scope model's
     `keep_mask` of its sentence texts, as `ScopeModel.scope` decides it.
+    Given a scope model, the environment's `vocab` is that model's
+    `Vocabulary` object, once checked id for id against `config_vocab`, so
+    the state, the filter and an emotion model built on the same object
+    share one token table.
     Per template group the environment keeps the in-vocabulary ids of the
     group's gold-scope sentences, from which the oracle state of a
     generated message is counted without rendering it; per tuple of kept
@@ -597,11 +603,12 @@ class Environment:
         self.channel = channel
         self.scope_model = scope_model
         self.emotion_model = emotion_model
-        self.vocab = config_vocab(config)
+        vocab = config_vocab(config)
         for name, model in (("scope", scope_model), ("emotion", emotion_model)):
             # token ids index the models' weights, so the tables must agree id for id
-            if model is not None and model.vocab.id_to_token != self.vocab.id_to_token:
+            if model is not None and model.vocab.id_to_token != vocab.id_to_token:
                 raise ValueError(f"the {name} model's vocabulary differs from the generator's (config_vocab)")
+        self.vocab = scope_model.vocab if scope_model is not None else vocab
         self.rng = np.random.default_rng(seed)
         self._pending: tuple[EmailMessage, np.ndarray] | None = None
         self._labels: dict[tuple[str, ...], EmotionLabel] = {}
@@ -643,7 +650,7 @@ class Environment:
         kept = tuple(t for t, keep in zip(texts, mask) if keep)
         label = self._labels.get(kept)
         if label is None:
-            scoped = ScopedMessage(self.scope_model.sentences(reply), mask)
+            scoped = ScopedMessage(reply.sentences, mask)
             label = self._labels[kept] = classify_emotion(self.emotion_model, scoped)[0]
         return label
 

@@ -255,21 +255,26 @@ def run_cell(config: ExperimentConfig, run_dir, **models):
     run_dir = Path(run_dir)
     (run_dir / "curves").mkdir(parents=True, exist_ok=True)
     (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
-    cell = "_".join(_cell(config))
     for seed in config.seeds:
+        name = _run_name(config, seed)
         curve, _, info = run_online(
             config,
             seed,
-            curve_path=run_dir / "curves" / f"{cell}_s{seed}.csv",
-            checkpoint_dir=run_dir / "checkpoints" / f"{cell}_s{seed}",
+            curve_path=run_dir / "curves" / f"{name}.csv",
+            checkpoint_dir=run_dir / "checkpoints" / name,
             **models,
         )
         yield curve, info
 
 
 def _cell(config: ExperimentConfig) -> tuple[str, str, str]:
-    "The (task, init, regime) cell; its curve files' names start with these, joined by '_'."
+    "The (task, init, regime) cell."
     return config.task, config.init, config.regime.kind
+
+
+def _run_name(config: ExperimentConfig, seed: int) -> str:
+    "A (cell, seed) run's name, <task>_<init>_<regime>_s<seed>: its curve file's stem and its checkpoint directory."
+    return f"{'_'.join(_cell(config))}_s{seed}"
 
 
 def grid_cells(base: ExperimentConfig, online: dict) -> list[ExperimentConfig]:
@@ -290,7 +295,7 @@ def run_grid(cells: Sequence[ExperimentConfig], run_dir) -> list[dict]:
     return write_report(run_dir)
 
 
-# a curve file's name: <task>_<init>_<regime>_s<seed>.csv
+# a curve file's stem, as _run_name writes it
 _CURVE_NAME = re.compile(rf"({'|'.join(TASKS)})_({'|'.join(INITS)})_({'|'.join(REGIME_KINDS)})_s\d+")
 
 
@@ -385,7 +390,7 @@ def check_reuse(run_dir, config_text: str, configs: Sequence[ExperimentConfig]) 
     then a manifest of another config, or a cell's curves left in place that
     end at another step than the run's own will, raise UsageError."""
     run_dir = Path(run_dir)
-    own = {f"{'_'.join(_cell(config))}_s{seed}.csv" for config in configs for seed in config.seeds}
+    own = {f"{_run_name(config, seed)}.csv" for config in configs for seed in config.seeds}
     cells = read_curves(run_dir, skip=own)
     check_manifest(run_dir)
     if _recorded(run_dir).get("config_sha256") not in (None, config_sha256(config_text.encode("utf-8"))):

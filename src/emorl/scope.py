@@ -18,14 +18,18 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .nn import SGD, CheckpointFormatError, ParamTensor, apply_update, read_tensors, sigmoid, write_tensors
-from .text import Sentence, Vocabulary
+from .text import Vocabulary
 
 
 @dataclass
 class ScopedMessage:
-    """A message's sentences together with the filter's keep decisions."""
+    """A message's sentences together with the filter's keep decisions.
 
-    sentences: list[Sentence]
+    A sentence is any record with a `text`: `segment`'s `Sentence` or a
+    message's own `LabeledSentence`.
+    """
+
+    sentences: list
     keep_mask: list[bool]
 
     def __post_init__(self) -> None:
@@ -33,7 +37,7 @@ class ScopedMessage:
             raise ValueError("keep_mask length must equal sentence count")
 
     @property
-    def kept_sentences(self) -> list[Sentence]:
+    def kept_sentences(self) -> list:
         return [s for s, keep in zip(self.sentences, self.keep_mask) if keep]
 
     @property
@@ -70,21 +74,6 @@ class ScopeModel:
         return [self.embed, self.mix, self.bias]
 
     # -- inference ---------------------------------------------------------
-
-    def sentences(self, message) -> list[Sentence]:
-        """`segment(message.text, self.vocab)`, built from the message's own
-        labeled sentences.
-
-        Equal because each labeled sentence is a stripped segment of a
-        template ending with splitting punctuation, and the text joins them
-        with single spaces.
-        """
-        out, start = [], 0
-        for s in message.sentences:
-            end = start + len(s.text)
-            out.append(Sentence(text=s.text, token_ids=self.vocab.text_ids(s.text), span=(start, end)))
-            start = end + 1
-        return out
 
     def sentence_matrix(self, token_ids: Sequence[Sequence[int]]) -> np.ndarray:
         "Stack of mean token embeddings, one row per sentence; an empty sentence's row is zero."
@@ -179,12 +168,13 @@ class ScopeModel:
             keep.append(logit > 0.0)
         return keep
 
-    def scope(self, sentences: Iterable[Sentence]) -> ScopedMessage:
+    def scope(self, sentences: Iterable) -> ScopedMessage:
         """Apply the filter: keep sentences whose score is at least 0.5.
 
-        Decided from each sentence's text, tokenized with this model's
-        vocabulary (`keep_mask`). Deterministic for a fixed model; original
-        sentence order is kept.
+        A sentence is any record with a `text`, such as `segment`'s
+        `Sentence` or a message's own `LabeledSentence`. Decided from each
+        text, tokenized with this model's vocabulary (`keep_mask`).
+        Deterministic for a fixed model; original sentence order is kept.
         """
         sents = list(sentences)
         return ScopedMessage(sents, self.keep_mask([s.text for s in sents]))
@@ -262,7 +252,7 @@ class _Packs:
 
     def __init__(self, model: ScopeModel, corpus: Sequence):
         flat = itertools.chain.from_iterable
-        token_ids = [[s.token_ids for s in model.sentences(m)] for m in corpus]
+        token_ids = [[model.vocab.text_ids(s.text) for s in m.sentences] for m in corpus]
         counts, sizes = [len(t) for t in token_ids], [sum(map(len, t)) for t in token_ids]
         touched = [len(set(flat(t))) for t in token_ids]
         narrow = np.int16 if max([model.vocab.size, *counts, *sizes]) <= np.iinfo(np.int16).max else np.intp

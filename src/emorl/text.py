@@ -112,6 +112,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        "Inverse of save; raises ValueError, naming `path`, on an id listed twice or ids not contiguous from zero."
         entries: dict[int, str] = {}
         with open(path, encoding="utf-8") as f:
             for line in f:
@@ -119,9 +120,12 @@ class Vocabulary:
                 if not line:
                     continue
                 tok, _, id_str = line.rpartition("\t")
-                entries[int(id_str)] = tok
+                i = int(id_str)
+                if i in entries:
+                    raise ValueError(f"{path}: vocabulary id {i} is listed twice")
+                entries[i] = tok
         if sorted(entries) != list(range(len(entries))):
-            raise ValueError("vocabulary ids must be contiguous from zero")
+            raise ValueError(f"{path}: vocabulary ids must be contiguous from zero")
         return cls([entries[i] for i in range(len(entries))])
 
 

@@ -1,7 +1,9 @@
 import functools
+import tempfile
 import warnings
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -137,16 +139,21 @@ def _task_env(task):
 @settings(max_examples=60, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), task=st.sampled_from(["multiclass", "multilabel"]))
 def test_labeled_segments_match_resegmentation(seed, task):
-    # the learned channel scopes these sentences in place of segment(m.text, vocab)
+    # the learned channel scopes a message's own sentences in place of segment(m.text, vocab)
     env, scope_model = _task_env(task)
     rng = np.random.default_rng(seed)
     email = generate_email(env.config, rng, draw_intent(env.config, rng))
     taken = draw_intent(env.config, rng)
     messages = [email, respond(env.config, rng, email.gold_intent, taken)]
     messages += build_offline_corpus(env.config, rng, 3)
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_to_jsonl(messages, Path(tmp) / "corpus.jsonl")
+        messages += corpus_from_jsonl(Path(tmp) / "corpus.jsonl")
     for m in messages:
         assert [s.text for s in segment(m.text, env.vocab)] == [s.text for s in m.sentences]
-        assert scope_model.sentences(m) == segment(m.text, env.vocab)
+        own, resegmented = scope_model.scope(m.sentences), scope_model.scope(segment(m.text, env.vocab))
+        assert own.keep_mask == resegmented.keep_mask
+        assert own.kept_texts == resegmented.kept_texts
 
 
 _LEADING_DRAWS = st.lists(st.sampled_from(["random", "integers"]), max_size=4)
@@ -553,8 +560,9 @@ def _learned_env(gen_config, scope_vocab, emotion_vocab):
 
 
 def test_scope_model_vocabulary_must_match(gen_config, vocab):
-    # an equal table in another object is accepted
-    _learned_env(gen_config, Vocabulary(vocab.id_to_token), vocab)
+    # an equal table in another object is accepted, and the environment reads its tokens through that object
+    scope_vocab = Vocabulary(vocab.id_to_token)
+    assert _learned_env(gen_config, scope_vocab, vocab).vocab is scope_vocab
     for other in (_reordered(vocab), Vocabulary(vocab.id_to_token[:-1])):
         with pytest.raises(ValueError, match="scope model's vocabulary"):
             _learned_env(gen_config, other, vocab)
@@ -683,7 +691,7 @@ def test_environment_tables_match_the_direct_path(seed, task, trained, unknown, 
     for channel in ("oracle", "learned"):
         env = _shared_env(task, channel, scope_model, emotion_model)
         for m in messages:
-            scoped = scope_model.scope(scope_model.sentences(m))
+            scoped = scope_model.scope(m.sentences)
             kept = gold_scope_texts(m) if channel == "oracle" else scoped.kept_texts
             assert env.scoped_texts(m) == kept
             assert env.featurize_email(m).tobytes() == featurize_texts(kept, vocab).tobytes()
@@ -698,22 +706,23 @@ def test_environment_tables_match_the_direct_path(seed, task, trained, unknown, 
 def test_an_environment_follows_its_scope_model_through_retraining_and_tokenizes_each_text_once(
     gen_config, corpus3000, monkeypatch
 ):
-    # the environment and both models share one fresh vocabulary, so its table starts empty
+    # both models share one fresh vocabulary, whose table starts empty, and the environment takes it as its own
     vocab = config_vocab(gen_config)
-    monkeypatch.setattr(envsim, "config_vocab", lambda config: vocab)
-    tokenized = []
-    monkeypatch.setattr("emorl.text.tokenize", lambda t: tokenized.append(t) or tokenize(t))
     scope_model = ScopeModel(vocab, seed=4)
     env = Environment(gen_config, seed=11, channel="learned", scope_model=scope_model, emotion_model=EmotionModel(vocab, seed=4))
+    assert env.vocab is scope_model.vocab
+    # counted from here, past the environment's own config_vocab check
+    tokenized = []
+    monkeypatch.setattr("emorl.text.tokenize", lambda t: tokenized.append(t) or tokenize(t))
     probe = build_offline_corpus(gen_config, np.random.default_rng(9), 40)
 
     def exact_kept():
         "Each probe message's texts that the exact rule keeps, from the model's weights as they are now."
         out = []
         for m in probe:
-            sents = scope_model.sentences(m)
-            mask = scope_model.keep(scope_model.sentence_matrix([s.token_ids for s in sents]))
-            out.append([s.text for s, keep in zip(sents, mask) if keep])
+            texts = [s.text for s in m.sentences]
+            mask = scope_model.keep(scope_model.sentence_matrix([vocab.text_ids(t) for t in texts]))
+            out.append([t for t, keep in zip(texts, mask) if keep])
         return out
 
     scope_calls, classified, seen = [], [], set()
@@ -766,7 +775,7 @@ def test_a_reply_is_scoped_once_whether_its_label_is_new_or_memoised(gen_config,
     env = Environment(gen_config, channel="learned", scope_model=trained_scope, emotion_model=trained_emotion)
     rng = np.random.default_rng(6)
     replies = [respond(gen_config, rng, 0, int(rng.integers(3))) for _ in range(30)]
-    expected = [classify_emotion(trained_emotion, trained_scope.scope(trained_scope.sentences(r)))[0] for r in replies]
+    expected = [classify_emotion(trained_emotion, trained_scope.scope(r.sentences))[0] for r in replies]
     keeps = []
     real_keep = ScopeModel.keep_mask
     monkeypatch.setattr(ScopeModel, "keep_mask", lambda self, texts: keeps.append(1) or real_keep(self, texts))
@@ -792,7 +801,8 @@ def test_the_environments_keep_mask_is_scopes_and_the_boundary_takes_the_exact_r
     message = EmailMessage(
         [LabeledSentence(t, False) for t in data.draw(st.lists(texts, min_size=1, max_size=7))], 0, EmotionLabel.NEUTRAL
     )
-    sents = model.sentences(message)
+    sents = message.sentences
+    token_ids = [vocab.text_ids(s.text) for s in sents]
     model.bias.values[0] = data.draw(st.floats(-0.05, 0.05))
     boundary = data.draw(st.sampled_from([None, "zero", "ulp_up", "ulp_down", "just_below"]))
     if boundary:
@@ -800,7 +810,7 @@ def test_the_environments_keep_mask_is_scopes_and_the_boundary_takes_the_exact_r
         # or within an ulp or two of it; with window 0 exactly zero, one ulp off or -1e-17
         i = data.draw(st.integers(0, len(sents) - 1))
         model.bias.values[0] = 0.0
-        cancel = -model._logits(model.sentence_matrix([s.token_ids for s in sents]))[i]
+        cancel = -model._logits(model.sentence_matrix(token_ids))[i]
         shifted = {"zero": cancel, "ulp_up": np.nextafter(cancel, np.inf), "ulp_down": np.nextafter(cancel, -np.inf)}
         model.bias.values[0] = shifted.get(boundary, cancel - 1e-17)
     bad = data.draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
@@ -810,7 +820,7 @@ def test_the_environments_keep_mask_is_scopes_and_the_boundary_takes_the_exact_r
     env = Environment(gen_config, channel="learned", scope_model=model, emotion_model=EmotionModel(vocab))
     exact = []
     with np.errstate(invalid="ignore", over="ignore"):
-        expected = model.keep(model.sentence_matrix([s.token_ids for s in sents])).tolist()
+        expected = model.keep(model.sentence_matrix(token_ids)).tolist()
         with _spying_on_keep(exact):
             assert model.scope(sents).keep_mask == expected
             assert env.scoped_texts(message) == [s.text for s, keep in zip(sents, expected) if keep]

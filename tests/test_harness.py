@@ -536,6 +536,33 @@ def test_cli_refuses_a_value_its_key_cannot_take_naming_the_key(old, new, messag
     assert not run_dir.exists()
 
 
+_SENTENCE = {"text": "Hi.", "task_relevant": True, "directed": "none", "general": "none"}
+_RECORD = {"text": "Hi.", "sentences": [_SENTENCE], "intent": 0, "emotion": "neutral"}
+
+
+@pytest.mark.parametrize("command", ["train-scope", "train-emotion"])
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        ('{"text": "Hi.", "sentences": [', "Expecting value"),
+        (json.dumps({**_RECORD, "sentences": [{"text": "Hi."}]}), "missing 1 required positional argument: 'task_relevant'"),
+        (json.dumps({**_RECORD, "sentences": [{**_SENTENCE, "tone": "dry"}]}), "unexpected keyword argument 'tone'"),
+        (json.dumps({k: v for k, v in _RECORD.items() if k != "emotion"}), "record fields must be"),
+        (json.dumps({**_RECORD, "source": "mail"}), "'source'"),
+        (json.dumps({**_RECORD, "emotion": "joyful"}), "unknown emotion 'joyful'"),
+        ("[1, 2]", "record fields must be"),
+    ],
+    ids=["bad_json", "missing_sentence_field", "unknown_sentence_field", "missing_field", "unknown_field", "emotion", "not_an_object"],
+)
+def test_cli_names_the_file_and_line_of_a_corpus_record_it_cannot_read(command, line, message, config_file, tmp_path, capsys):
+    data, out = tmp_path / "corpus.jsonl", tmp_path / "out"
+    data.write_text(json.dumps(_RECORD) + "\n" + line + "\n", encoding="utf-8")
+    assert main([command, "--config", str(config_file), "--data", str(data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{data}:2: " in err and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rate", ["nan", "inf", "0", "-0.5"])
 @pytest.mark.parametrize(
     ("argv", "old", "section"),

@@ -166,7 +166,7 @@ def _loop_sentence_matrix(model, token_ids):
 def _dense_train_scope(model, corpus, epochs, lr, seed):
     data = []
     for message in corpus:
-        ids = [s.token_ids for s in model.sentences(message)]
+        ids = [model.vocab.text_ids(s.text) for s in message.sentences]
         data.append((ids, np.array(keep_labels(message), dtype=np.float64)))
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(data))

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -168,7 +169,15 @@ def test_vocab_save_load_round_trip(tmp_path):
 def test_vocab_rejects_gapped_ids(tmp_path):
     path = tmp_path / "vocab.tsv"
     path.write_text("<unk>\t0\nfoo\t2\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: vocabulary ids must be contiguous"):
+        Vocabulary.load(path)
+
+
+def test_vocab_rejects_an_id_listed_twice(tmp_path):
+    # keeping the last line would load ['<unk>', 'b'] and drop 'a' without a word
+    path = tmp_path / "vocab.tsv"
+    path.write_text("<unk>\t0\na\t1\nb\t1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: vocabulary id 1 is listed twice"):
         Vocabulary.load(path)
 
 

@@ -135,6 +135,25 @@ def test_readme_names_exactly_the_cli_subcommands():
     assert named == set(sub.choices)
 
 
+def test_every_emorl_name_the_readme_dots_resolves():
+    # `module.name` or `Class.name` in backticks, where module is an emorl
+    # module or Class an emorl class: a rename or a deletion must take the note with it
+    import inspect
+    import pkgutil
+    import re
+
+    owners = {m.name: importlib.import_module(f"emorl.{m.name}") for m in pkgutil.iter_modules(emorl.__path__)}
+    for module in list(owners.values()):
+        owners.update(
+            (name, obj) for name, obj in vars(module).items() if inspect.isclass(obj) and obj.__module__.startswith("emorl.")
+        )
+    prose = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)
+    spans = re.findall(r"`([^`]+)`", prose)
+    dotted = {m.groups() for span in spans if (m := re.match(r"([A-Za-z_]\w*)\.([A-Za-z_]\w*)", span)) and m[1] in owners}
+    assert len(dotted) >= 5
+    assert not sorted(f"{owner}.{name}" for owner, name in dotted if not hasattr(owners[owner], name))
+
+
 def test_example_config_shows_every_key_at_its_default(tmp_path, monkeypatch):
     import configparser
     import inspect

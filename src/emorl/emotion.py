@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .nn import CheckpointFormatError, Network, PackedRows, SGD, fit, load_checkpoint, save_checkpoint
+from .nn import CheckpointFormatError, Network, PackedRows, SGD, fit, holdout_split, load_checkpoint, save_checkpoint
 from .nn import apply_update  # noqa: F401  the benchmark's span tracer wraps it at this name
 from .scope import gold_scope_texts
 from .text import Vocabulary, featurize_texts
@@ -62,7 +62,14 @@ class EmotionModel:
         safest outcome for the learner), then follow label order.
         """
         texts = [t for t in texts if t.strip()]
-        return _label(self.distribution(texts) if texts else None)
+        if not texts:
+            probs = np.zeros(len(LABEL_ORDER))
+            probs[_NEUTRAL_IDX] = 1.0
+            return EmotionLabel.NEUTRAL, probs
+        probs = self.distribution(texts)
+        top = probs.max()
+        tied = [i for i in range(len(LABEL_ORDER)) if probs[i] == top]
+        return LABEL_ORDER[_NEUTRAL_IDX if _NEUTRAL_IDX in tied else tied[0]], probs
 
     def save(self, path) -> None:
         save_checkpoint(self.net, path)
@@ -83,18 +90,6 @@ class EmotionModel:
         model = cls(vocab)
         model.net = net
         return model
-
-
-def _label(probs: np.ndarray | None) -> tuple[EmotionLabel, np.ndarray]:
-    "classify_texts's label of a class distribution; None stands for an empty scope, which is Neutral."
-    if probs is None:
-        probs = np.zeros(len(LABEL_ORDER))
-        probs[_NEUTRAL_IDX] = 1.0
-        return EmotionLabel.NEUTRAL, probs
-    top = probs.max()
-    tied = [i for i in range(len(LABEL_ORDER)) if probs[i] == top]
-    idx = _NEUTRAL_IDX if _NEUTRAL_IDX in tied else tied[0]
-    return LABEL_ORDER[idx], probs
 
 
 def classify_emotion(model: EmotionModel, scoped) -> tuple[EmotionLabel, np.ndarray]:
@@ -138,9 +133,10 @@ def train_emotion(
 
     `scoper` maps a corpus message to the sentence texts the classifier
     should see; the default uses the gold relevance flags. Raises if any
-    emotion class is absent (macro-F1 would be undefined). A fifth of the
-    corpus is held out; the rest trains the model for `epochs` passes of
-    `nn.fit`. Returns the held-out accuracy, macro-F1 and size.
+    emotion class is absent (macro-F1 would be undefined). `nn.holdout_split`
+    holds a fifth of the corpus out; the rest trains the model for `epochs`
+    passes of `nn.fit`. Returns `evaluate_emotion`'s accuracy and macro-F1
+    on the held-out messages, and their count.
     """
     if not corpus:
         raise ValueError("cannot train the emotion model on an empty corpus")
@@ -151,26 +147,14 @@ def train_emotion(
         missing = [LABEL_ORDER[i].name for i in range(len(LABEL_ORDER)) if i not in present]
         raise ValueError(f"corpus is missing emotion classes: {', '.join(missing)}")
 
-    empty = []
-
-    def featurized():
-        for m in corpus:
-            texts = [t for t in scoper(m) if t.strip()]  # the texts classify_texts classifies
-            empty.append(not texts)
-            yield featurize_texts(texts, model.vocab)
-
-    data = PackedRows(featurized(), labels, model.vocab.size)  # packed as featurized: no dense corpus matrix
+    # packed as featurized: no dense corpus matrix. Whitespace-only texts have
+    # no tokens, so these are the vectors classify_texts reads
+    data = PackedRows((featurize_texts(scoper(m), model.vocab) for m in corpus), labels, model.vocab.size)
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(corpus))
-    # all three classes make n >= 3, so 1 <= round(0.2 * n) < n: both splits are non-empty
-    n_hold = int(round(0.2 * len(corpus)))
-    hold_idx, train_idx = order[:n_hold], order[n_hold:]
-
+    # all three classes make n >= 3, so both splits are non-empty
+    hold_idx, train_idx = holdout_split(len(corpus), rng)
     fit(model.net, data, train_idx, epochs, SGD(learning_rate=lr), rng)
-
-    # held-out labels follow classify_texts's rule, as the online loop's do
-    preds = [LABEL_INDEX[_label(None if empty[i] else model.net.forward(data.row(i)))[0]] for i in hold_idx]
-    return {**_scores([labels[i] for i in hold_idx], preds), "holdout_size": len(hold_idx)}
+    return {**evaluate_emotion(model, [corpus[i] for i in hold_idx], scoper), "holdout_size": len(hold_idx)}
 
 
 def evaluate_emotion(model: EmotionModel, corpus: Sequence, scoper: Callable | None = None) -> dict:
@@ -178,11 +162,6 @@ def evaluate_emotion(model: EmotionModel, corpus: Sequence, scoper: Callable | N
     scoper = scoper or gold_scope_texts
     golds = [LABEL_INDEX[m.gold_emotion] for m in corpus]
     preds = [LABEL_INDEX[model.classify_texts(scoper(m))[0]] for m in corpus]
-    return _scores(golds, preds)
-
-
-def _scores(golds: Sequence[int], preds: Sequence[int]) -> dict:
-    "Accuracy and macro-F1 of predicted label indices against gold ones."
     return {
         "accuracy": float(np.mean([p == g for p, g in zip(preds, golds)])),
         "macro_f1": macro_f1(golds, preds, len(LABEL_ORDER)),

@@ -30,7 +30,7 @@ import numpy as np
 from .emotion import EmotionLabel, EmotionModel, classify_emotion, reward_of
 from .nn import replacing
 from .policy import DEFAULT_VALID_COMBOS, MULTICLASS_ACTIONS
-from .scope import ScopedMessage, ScopeModel, gold_scope_texts, in_gold_scope
+from .scope import ScopeModel, gold_scope_texts, in_gold_scope
 from .text import SPLIT_PUNCT, Vocabulary, build_vocab, count_features, featurize_texts, segment
 
 
@@ -531,8 +531,9 @@ def corpus_to_jsonl(corpus: list[EmailMessage], path) -> None:
 
 def corpus_from_jsonl(path) -> list[EmailMessage]:
     """Inverse of corpus_to_jsonl. A record it cannot read (bad JSON, a
-    missing or unknown field, an unknown emotion) raises ValueError naming
-    `path` and the record's line."""
+    missing or unknown field, a value corpus_to_jsonl does not write, a
+    `text` other than its sentences' texts joined by single spaces) raises
+    ValueError naming `path` and the record's line."""
     out = []
     with open(path, encoding="utf-8") as f:
         for n, line in enumerate(f, 1):
@@ -552,8 +553,22 @@ def _message(rec) -> EmailMessage:
     emotion = EmotionLabel.__members__.get(str(rec["emotion"]).upper())
     if emotion is None:
         raise ValueError(f"unknown emotion {rec['emotion']!r}")
-    intent = tuple(rec["intent"]) if isinstance(rec["intent"], list) else rec["intent"]
-    return EmailMessage([LabeledSentence(**s) for s in rec["sentences"]], intent, emotion)
+    sentences = [LabeledSentence(**s) for s in rec["sentences"]]
+    for s in sentences:
+        if type(s.task_relevant) is not bool:
+            raise ValueError(f"task_relevant must be true or false, got {s.task_relevant!r}")
+        for name, value in (("directed", s.directed), ("general", s.general)):
+            if not (isinstance(value, str) and value in _POLARITY_LABEL):
+                raise ValueError(f"{name} must be one of {list(_POLARITY_LABEL)}, got {value!r}")
+    intent = rec["intent"]
+    if isinstance(intent, list) and all(type(b) is int and b in (0, 1) for b in intent):
+        intent = tuple(intent)
+    elif not (type(intent) is int and intent >= 0):
+        raise ValueError(f"intent must be a non-negative int or a list of 0/1 ints, got {intent!r}")
+    text = " ".join(s.text for s in sentences)
+    if rec["text"] != text:
+        raise ValueError(f"text {rec['text']!r} is not its sentences' texts joined by single spaces, {text!r}")
+    return EmailMessage(sentences, intent, emotion)
 
 
 # -- the environment ----------------------------------------------------------
@@ -567,8 +582,8 @@ class Environment:
     extracts the (oracle or learned) emotion, applies the feedback regime,
     and returns the interaction record.
 
-    On the learned channel a message's keep mask is the scope model's
-    `keep_mask` of its sentence texts, as `ScopeModel.scope` decides it.
+    On the learned channel each message is scored once, by the scope
+    model's `scope` of its own sentences.
     Given a scope model, the environment's `vocab` is that model's
     `Vocabulary` object, once checked id for id against `config_vocab`, so
     the state, the filter and an emotion model built on the same object
@@ -617,8 +632,7 @@ class Environment:
     def scoped_texts(self, message: EmailMessage) -> list[str]:
         if self.channel == "oracle":
             return gold_scope_texts(message)
-        texts = [s.text for s in message.sentences]
-        return [t for t, keep in zip(texts, self.scope_model.keep_mask(texts)) if keep]
+        return self.scope_model.scope(message.sentences).kept_texts
 
     def _group_ids(self, group: Group) -> tuple[int, ...]:
         "The in-vocabulary token ids of a group's gold-scope sentences."
@@ -645,12 +659,10 @@ class Environment:
         "The reply's true emotion: its gold label, or on the learned channel the classifier's label of its scope."
         if self.channel == "oracle":
             return reply.gold_emotion
-        texts = [s.text for s in reply.sentences]
-        mask = self.scope_model.keep_mask(texts)
-        kept = tuple(t for t, keep in zip(texts, mask) if keep)
+        scoped = self.scope_model.scope(reply.sentences)
+        kept = tuple(scoped.kept_texts)
         label = self._labels.get(kept)
         if label is None:
-            scoped = ScopedMessage(reply.sentences, mask)
             label = self._labels[kept] = classify_emotion(self.emotion_model, scoped)[0]
         return label
 

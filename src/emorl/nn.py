@@ -428,7 +428,7 @@ class PackedRows:
     """Input rows and their targets, packed row by row into flat arrays. Row
     i's entries are `cols`/`vals`[bounds[i]:bounds[i + 1]]: the columns
     (int16 when the width allows) that hold anything but +0.0, and their
-    float64 values. `row(i)` rebuilds row i bit for bit."""
+    float64 values."""
 
     def __init__(self, rows: Iterable[np.ndarray], targets: Sequence, width: int):
         cols, vals, bounds = array("q"), array("d"), array("q", [0])
@@ -446,11 +446,13 @@ class PackedRows:
         if len(self.targets) != len(self.bounds) - 1:
             raise ValueError(f"{len(self.targets)} targets for {len(self.bounds) - 1} rows")
 
-    def row(self, i: int) -> np.ndarray:
-        a, b = self.bounds[i : i + 2].tolist()
-        x = np.zeros(self.width)
-        x[self.cols[a:b]] = self.vals[a:b]
-        return x
+
+def holdout_split(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(held out, trained on) of n rows: the first fifth, rounded, of one
+    `rng.permutation(n)`, then the rest. The rest is never empty for n >= 1."""
+    order = rng.permutation(n)
+    n_hold = round(0.2 * n)
+    return order[:n_hold], order[n_hold:]
 
 
 def fit(net: Network, data: PackedRows, rows, epochs: int, opt: SGD, rng: np.random.Generator) -> None:

@@ -12,12 +12,13 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .nn import SGD, CheckpointFormatError, ParamTensor, apply_update, read_tensors, sigmoid, write_tensors
+from .nn import SGD, CheckpointFormatError, ParamTensor, apply_update, holdout_split, read_tensors, sigmoid, write_tensors
 from .text import Vocabulary
 
 
@@ -42,7 +43,7 @@ class ScopedMessage:
 
     @property
     def kept_texts(self) -> list[str]:
-        return [s.text for s in self.kept_sentences]
+        return [s.text for s, keep in zip(self.sentences, self.keep_mask) if keep]
 
 
 class ScopeModel:
@@ -292,23 +293,21 @@ def train_scope(
 ) -> dict:
     """Train the filter with per-message SGD on mean binary cross-entropy.
 
-    `corpus` holds messages with per-sentence gold flags; a fifth of them
-    is held out. The token ids are packed once, before the epochs, and a
-    step moves only the embedding rows of its message's tokens: the other
-    rows have zero gradient, and v - lr * 0 = v, -0.0 included. Returns
-    training BCE per epoch plus held-out F1/accuracy for the keep class;
-    warns if the training loss fails to decrease monotonically over the
-    first 3 epochs.
+    `corpus` holds messages with per-sentence gold flags; `nn.holdout_split`
+    holds a fifth of them out. The token ids are packed once, before the
+    epochs, and a step moves only the embedding rows of its message's
+    tokens: the other rows have zero gradient, and v - lr * 0 = v, -0.0
+    included. Returns training BCE per epoch plus held-out F1/accuracy for
+    the keep class, scored on the trained model's `scope` of each held-out
+    message; warns if the training loss fails to decrease monotonically
+    over the first 3 epochs.
     """
     if not corpus:
         raise ValueError("cannot train the scope filter on an empty corpus")
     packs = _Packs(model, corpus)
     model._rows.clear()  # the steps move embed and mix
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(corpus))
-    # round(0.2 * n) < n for every n >= 1, so some message is always trained on
-    n_hold = int(round(0.2 * len(corpus)))
-    hold_idx, train_idx = order[:n_hold], order[n_hold:]
+    hold_idx, train_idx = holdout_split(len(corpus), rng)
 
     opt = SGD(learning_rate=lr)
     epoch_bce: list[float] = []
@@ -344,24 +343,13 @@ def train_scope(
     if any(b >= a for a, b in zip(first, first[1:])):
         warnings.warn("scope training BCE did not decrease monotonically over the first epochs")
 
-    metrics = {"train_bce": epoch_bce}
-    metrics.update(_holdout_metrics(model, packs, hold_idx))
-    return metrics
+    return {"train_bce": epoch_bce, **_holdout_metrics(model, [corpus[i] for i in hold_idx])}
 
 
-def _holdout_metrics(model: ScopeModel, packs: _Packs, hold_idx) -> dict:
-    tp = fp = fn = hits = total = 0
-    for i in hold_idx:
-        ids, starts, lens, y = packs[i][:4]
-        if len(y) == 0:
-            continue
-        pred = model.keep(_means(model.embed.values, ids, starts, lens))
-        gold = y >= 0.5
-        tp += int(np.sum(pred & gold))
-        fp += int(np.sum(pred & ~gold))
-        fn += int(np.sum(~pred & gold))
-        hits += int(np.sum(pred == gold))
-        total += len(y)
+def _holdout_metrics(model: ScopeModel, messages: Sequence) -> dict:
+    "F1 and accuracy for the keep class: `scope`'s keep masks of `messages` against their gold keep labels."
+    pairs = Counter(pair for m in messages for pair in zip(model.scope(m.sentences).keep_mask, keep_labels(m)))
+    tp, fp, fn = pairs[True, 1], pairs[True, 0], pairs[False, 1]
     f1 = 2.0 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
-    accuracy = hits / total if total else 0.0
+    accuracy = (tp + pairs[False, 0]) / sum(pairs.values()) if pairs else 0.0
     return {"holdout_f1": f1, "holdout_accuracy": accuracy}

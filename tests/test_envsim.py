@@ -746,9 +746,12 @@ def test_an_environment_follows_its_scope_model_through_retraining_and_tokenizes
     rng = np.random.default_rng(12)
 
     def loop():
+        calls = len(scope_calls)
         for _ in range(300):
             env.serve()
             env.step(int(rng.integers(3)))
+        # each message is scored by ScopeModel.scope: one served email and one reply per interaction
+        assert len(scope_calls) - calls == 600
         return len(classified)
 
     untrained = exact_kept()
@@ -763,7 +766,6 @@ def test_an_environment_follows_its_scope_model_through_retraining_and_tokenizes
     assert [env.scoped_texts(m) for m in probe] == retrained
     first = loop() - before
     second = loop() - before - first
-    assert scope_calls == []
     assert len(classified) == len(set(classified)) == len(env._labels)
     assert second < first  # the second loop mostly hits the memo
     # every text the loop met was tokenized, once, whichever of the environment or the models met it first

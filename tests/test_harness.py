@@ -551,8 +551,22 @@ _RECORD = {"text": "Hi.", "sentences": [_SENTENCE], "intent": 0, "emotion": "neu
         (json.dumps({**_RECORD, "source": "mail"}), "'source'"),
         (json.dumps({**_RECORD, "emotion": "joyful"}), "unknown emotion 'joyful'"),
         ("[1, 2]", "record fields must be"),
+        (json.dumps({**_RECORD, "sentences": [{**_SENTENCE, "task_relevant": "no"}]}), "task_relevant must be true or false, got 'no'"),
+        (json.dumps({**_RECORD, "sentences": [{**_SENTENCE, "task_relevant": 1}]}), "task_relevant must be true or false, got 1"),
+        (json.dumps({**_RECORD, "sentences": [{**_SENTENCE, "directed": "sideways"}]}), "directed must be one of"),
+        (json.dumps({**_RECORD, "sentences": [{**_SENTENCE, "general": ["pos"]}]}), "general must be one of"),
+        (json.dumps({**_RECORD, "intent": -1}), "intent must be a non-negative int or a list of 0/1 ints, got -1"),
+        (json.dumps({**_RECORD, "intent": "modify"}), "intent must be"),
+        (json.dumps({**_RECORD, "intent": [1, 2]}), "intent must be"),
+        (json.dumps({**_RECORD, "intent": True}), "intent must be"),
+        (json.dumps({**_RECORD, "text": "Hi.  "}), "is not its sentences' texts joined by single spaces"),
+        (json.dumps({**_RECORD, "text": "Hello."}), "is not its sentences' texts joined by single spaces"),
     ],
-    ids=["bad_json", "missing_sentence_field", "unknown_sentence_field", "missing_field", "unknown_field", "emotion", "not_an_object"],
+    ids=[
+        "bad_json", "missing_sentence_field", "unknown_sentence_field", "missing_field", "unknown_field", "emotion",
+        "not_an_object", "task_relevant_word", "task_relevant_int", "directed", "general", "intent_negative",
+        "intent_word", "intent_bits", "intent_bool", "text_spacing", "text_other",
+    ],
 )
 def test_cli_names_the_file_and_line_of_a_corpus_record_it_cannot_read(command, line, message, config_file, tmp_path, capsys):
     data, out = tmp_path / "corpus.jsonl", tmp_path / "out"

@@ -26,6 +26,7 @@ from emorl.nn import (
     TrainingFault,
     apply_update,
     fit,
+    holdout_split,
     load_checkpoint,
     read_tensors,
     save_checkpoint,
@@ -765,6 +766,14 @@ def test_fit_refuses_rows_of_another_width():
         fit(net, PackedRows([np.ones(12)], [0], 12), 1, 1, SGD(), np.random.default_rng(0))
 
 
+def _packed_row(packed: PackedRows, i: int) -> np.ndarray:
+    "Row i of a pack, rebuilt dense from its entries."
+    a, b = packed.bounds[i : i + 2].tolist()
+    x = np.zeros(packed.width)
+    x[packed.cols[a:b]] = packed.vals[a:b]
+    return x
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(
     width=st.integers(1, 40),
@@ -778,8 +787,20 @@ def test_packed_rows_rebuild_each_row_bit_for_bit(width, data):
     rows = data.draw(st.lists(st.lists(sparse, min_size=width, max_size=width).map(np.array), max_size=6))
     packed = PackedRows(iter(rows), list(range(len(rows))), width)
     assert len(packed.bounds) == len(rows) + 1
-    assert [packed.row(i).tobytes() for i in range(len(rows))] == [r.tobytes() for r in rows]
+    assert [_packed_row(packed, i).tobytes() for i in range(len(rows))] == [r.tobytes() for r in rows]
     assert packed.cols.dtype == np.int16
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(n=st.integers(1, 500), seed=st.integers(0, 2**32 - 1))
+def test_holdout_split_holds_out_the_first_fifth_of_one_permutation(n, seed):
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    held, trained = holdout_split(n, rng)
+    order = reference.permutation(n)
+    assert len(held) == round(0.2 * n) and len(trained) >= 1
+    assert sorted([*held.tolist(), *trained.tolist()]) == list(range(n))
+    assert [*held.tolist(), *trained.tolist()] == order.tolist()
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_optimizer_validation():

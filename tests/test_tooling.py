@@ -97,6 +97,27 @@ def test_the_tracer_sees_every_call_of_the_environment_layers(monkeypatch):
     assert calls["envsim.generate_email"] >= config.interactions
 
 
+def test_the_tracer_sees_every_scoring_of_the_learned_loop(trained_scope, trained_emotion, monkeypatch):
+    # the learned loop scores each served email and each reply where
+    # bench/spans.py wraps scope.scope, and the eval set once
+    from emorl.harness import ExperimentConfig, run_online
+
+    calls = []
+    for owner, attr in traced_lookup_sites()["scope.scope"]:
+        real = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr, lambda *args, real=real, **kwargs: calls.append(1) or real(*args, **kwargs))
+    config = ExperimentConfig(channel="learned", interactions=60, eval_every=30, window=30, eval_size=10, seeds=(1,))
+    run_online(config, 1, scope_model=trained_scope, emotion_model=trained_emotion)
+    assert len(calls) == 2 * config.interactions + config.eval_size
+
+
+def test_the_package_and_its_metadata_carry_one_version():
+    # every manifest.json records emorl.__version__
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["version"] == emorl.__version__
+
+
 TRACER_MARK = "the benchmark's span tracer wraps it at this name"
 
 

@@ -33,7 +33,7 @@ def loss(target, scale):
 
 
 for mode, target, reward in (("reinforce", 1, +1.0), ("reinforce", 2, -1.0), ("supervised", 0, 1.0)):
-    grads = net.reinforce_backward(x, target, reward) if mode == "reinforce" else net.supervised_backward(x, target)[0]
+    grads = net.reinforce_backward(x, target, reward) if mode == "reinforce" else net.supervised_backward(x, target)
     # each entry is (tensor, the index it covers, its gradient there); the gradient is zero elsewhere
     dense = {p: np.zeros(p.shape) for p in net.params()}
     for p, at, g in grads:

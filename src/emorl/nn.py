@@ -22,16 +22,24 @@ import re
 import struct
 from array import array
 from dataclasses import dataclass
+from math import exp
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+
+try:  # numpy >= 2
+    from numpy._core.umath import clip as _clip
+except ImportError:
+    from numpy.core.umath import clip as _clip
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 HEADS = ("softmax", "sigmoid")
 
 CHECKPOINT_MAGIC = b"NARL"
 CHECKPOINT_VERSION = 1
+
+_ONE_LESS = 1.0 - 1e-12
 
 _LAYER_NAME = re.compile(r"^L(\d+)\.(relu|tanh|identity)\.(W|b)$")
 
@@ -128,9 +136,37 @@ def sigmoid(u: np.ndarray) -> np.ndarray:
     interval (0, 1): 1 / (1 + exp(-u)) where u >= 0, else exp(u) / (1 + exp(u)),
     so that no exp overflows."""
     e = np.exp(np.minimum(u, -u))
-    d = 1.0 + e
-    # np.clip's Python wrapper costs about as much as the rest on a small array
-    return np.minimum(np.maximum(np.where(u >= 0, 1.0 / d, e / d), 1e-12), 1.0 - 1e-12)
+    # the clip ufunc, as np.clip's Python wrapper costs about as much as the rest on a small array
+    return _clip(np.where(u >= 0, 1.0, e) / (1.0 + e), 1e-12, 1.0 - 1e-12)
+
+
+def _head_one(h: np.ndarray, head: str) -> np.ndarray:
+    """`softmax(h)` or `sigmoid(h)` of one example's head input, stacked or
+    not, in Python floats: the same max shift, branches, clip and order of
+    every sum, at a fraction of the numpy calls. libm's exp may differ from
+    numpy's in the last bit. numpy adds fewer than eight terms left to
+    right, so a wider softmax stays with numpy."""
+    out = []
+    if head == "sigmoid":
+        for v in h.ravel().tolist():
+            e = exp(min(v, -v))
+            p = 1.0 / (1.0 + e) if v >= 0 else e / (1.0 + e)
+            # comparisons with NaN fail, so NaN passes as np.minimum/np.maximum pass it
+            out.append(1e-12 if p < 1e-12 else _ONE_LESS if p > _ONE_LESS else p)
+    elif h.shape[-1] >= 8:
+        return softmax(h)
+    else:
+        for row in (h.tolist(),) if h.ndim == 1 else h.reshape(-1, h.shape[-1]).tolist():
+            # a NaN anywhere makes the sum, and so every probability, NaN, whichever max is picked
+            m = max(row)
+            e = [exp(v - m) for v in row]
+            s = 0.0  # not sum(), which compensates its float sums from Python 3.12 on
+            for x in e:
+                s += x
+            for x in e:
+                out.append(x / s)
+    probs = np.array(out)
+    return probs if h.ndim == 1 else probs.reshape(h.shape)
 
 
 class Trace(NamedTuple):
@@ -173,11 +209,22 @@ class Network:
         self._w0t[...] = np.swapaxes(w, -1, -2)
         first.values = np.swapaxes(self._w0t, -1, -2)
         size = sum(p.values.size for p in rest)
-        self._flat, self._grad = _aligned(size), np.empty(size)
+        self._flat = _aligned(size)
         for p, v in zip(rest, _views(self._flat, rest)):
             v[...] = p.values
             p.values = v
-        self._grads = [None, *_views(self._grad, rest)]  # where `_backprop` writes
+        self._grad = self._new = np.empty(0)
+        self._scratch(size)
+
+    def _scratch(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """A step's scratch, laid out as [flat | block] and `size` long: the
+        gradient, which `_backprop` writes into the flat part's views, and
+        the float32 values. It grows to the widest block a step has met, as
+        an input's nonzero columns are few."""
+        if len(self._grad) < size:
+            self._grad, self._new = np.empty(size), np.empty(size, dtype=np.float32)
+            self._grads = [None, *_views(self._grad, self.params()[1:])]
+        return self._grad[:size], self._new[:size]
 
     def __reduce__(self):
         "Pickling builds the network again from its layers, and so a layout of its own."
@@ -272,20 +319,18 @@ class Network:
         "`trace` of the input whose entries at columns `cols` are `vals`, every other entry zero."
         # each head's rows contiguous, so that its product is the one it takes alone
         block = self._w0t.take(cols, axis=-2)
-        probs, zs, hs = self._pass(vals, np.matmul(vals, block) + self.layers[0].b.values)
-        return Trace(probs, zs, hs, cols, block)
+        zs, hs = self._pass(vals, np.matmul(vals, block) + self.layers[0].b.values)
+        return Trace(_head_one(hs[-1], self.head), zs, hs, cols, block)
 
-    def _pass(self, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        "The probabilities, pre-activations and inputs of the input `x`, given its first layer's pre-activation `z`."
+    def _pass(self, x: np.ndarray, z: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        "The pre-activations and the inputs of the input `x`, the head's last, given its first layer's pre-activation `z`."
         zs, hs = [], [x]
         for i, layer in enumerate(self.layers):
             if i:
-                z = np.matmul(layer.w.values, h[..., None])[..., 0] + layer.b.values
-            h = _activate(z, layer.activation)
+                z = np.matmul(layer.w.values, hs[-1][..., None])[..., 0] + layer.b.values
             zs.append(z)
-            hs.append(h)
-        probs = softmax(h) if self.head == "softmax" else sigmoid(h)
-        return probs, zs, hs
+            hs.append(_activate(z, layer.activation))
+        return zs, hs
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Map an input vector, or a batch along leading axes, to the head's
@@ -295,7 +340,8 @@ class Network:
         x = self._input(x)
         rows = x.reshape(x.shape[:-1] + (1,) * len(self.stack_shape) + (1, x.shape[-1]))
         z = np.matmul(rows, self._w0t)[..., 0, :] + self.layers[0].b.values
-        return self._pass(x, z)[0]
+        h = self._pass(x, z)[1][-1]
+        return softmax(h) if self.head == "softmax" else sigmoid(h)
 
     # -- backward --------------------------------------------------------
 
@@ -317,7 +363,7 @@ class Network:
         # the input's zero columns get an exactly zero gradient, so the
         # first layer's entry covers the trace's columns only
         w0 = (first, (..., trace.cols), _float32(gz[..., :, None] * trace.hs[0]))
-        return [w0, *((p, ..., g) for p, g in zip(rest, _views(_float32(self._grad), rest)))]
+        return [w0, *((p, ..., g) for p, g in zip(rest, _views(_float32(self._grad[: self._flat.size]), rest)))]
 
     def _target(self, target) -> np.ndarray:
         "A one-hot vector for a softmax index, or the 0/1 bits shaped as one input's probabilities."
@@ -360,30 +406,35 @@ class Network:
         trace = trace if trace is not None else self.trace(x)
         self._step(trace, reward * (trace.probs - self._target(action)), opt.learning_rate)
 
-    def supervised_backward(self, x: np.ndarray, label) -> tuple[list[GradEntry], np.ndarray]:
-        """The cross-entropy gradient against a gold label, as entries for
-        `apply_update`, and the head's probabilities for `x` that it used.
+    def supervised_backward(self, x: np.ndarray, label) -> list[GradEntry]:
+        """The cross-entropy gradient against a gold label, as entries for `apply_update`.
 
         Softmax head: categorical cross-entropy with an index label.
         Sigmoid head: summed per-unit binary cross-entropy with a bit vector.
         """
         trace = self.trace(x)
-        return self._entries(trace.probs - self._target(label), trace), trace.probs
+        return self._entries(trace.probs - self._target(label), trace)
 
     def _step(self, trace: Trace, g_head: np.ndarray, lr: float) -> None:
         """One SGD step at rate `lr` for dLoss/d(pre-head output) `g_head` at
-        `trace` of the current parameters: one float32 rounding, one check
-        before any write, which raises `apply_update`'s TrainingFault, and one
-        write each of the block and the flat buffer. A -0.0 input entry's
-        gradient is +0.0, which moves no weight."""
+        `trace` of the current parameters, on the scratch laid out as
+        [flat | block]: one float32 rounding, one check before any write,
+        which raises `apply_update`'s TrainingFault, and one write each of
+        the block and the flat buffer. A -0.0 input entry's gradient is +0.0,
+        which moves no weight."""
+        block, n = trace.block, self._flat.size
+        grad, new = self._scratch(n + block.size)  # before `_backprop` writes into it
         gz = self._backprop(g_head, trace)
-        new_block = np.subtract(trace.block, lr * _float32(trace.hs[0][:, None] * gz[..., None, :]), dtype=np.float32)
-        new = np.subtract(self._flat, lr * _float32(self._grad), dtype=np.float32)
-        if not (np.isfinite(new_block).all() and np.isfinite(new).all()):
+        np.multiply(trace.hs[0][:, None], gz[..., None, :], out=grad[n:].reshape(block.shape))
+        step = lr * np.add(grad, 0.0, out=new, casting="same_kind")  # `lr * _float32(grad)`
+        # the values are float32 numbers: copied exactly, they take the step in float32, as in `apply_update`
+        new[:n], new[n:] = self._flat, block.ravel()
+        np.subtract(new, step, out=new, dtype=np.float32)
+        if not np.isfinite(new).all():
             first, *rest = self.params()
-            raise _fault([(first, new_block), *zip(rest, _views(new, rest))])
-        self._w0t[..., trace.cols, :] = new_block
-        self._flat[...] = new
+            raise _fault([(first, new[n:].reshape(block.shape)), *zip(rest, _views(new, rest))])
+        self._w0t[..., trace.cols, :] = new[n:].reshape(block.shape)
+        self._flat[...] = new[:n]
 
 
 # -- optimizer -----------------------------------------------------------
@@ -475,11 +526,11 @@ def fit(net: Network, data: PackedRows, rows, epochs: int, opt: SGD, rng: np.ran
         raise ValueError(f"row index {outside[0]} out of range for {n} rows")
     targets = np.array([net._target(t) for t in data.targets])
     # numpy would widen narrow indices on every use, and slice bounds read from an array cost a conversion each
-    bounds, cols, vals = data.bounds.tolist(), data.cols.astype(np.intp), data.vals
+    bounds, cols, vals, lr = data.bounds.tolist(), data.cols.astype(np.intp), data.vals, opt.learning_rate
     for _ in range(epochs):
         for i in rng.permutation(rows).tolist():
             trace = net._trace_at(cols[bounds[i] : bounds[i + 1]], vals[bounds[i] : bounds[i + 1]])
-            net._step(trace, trace.probs - targets[i], opt.learning_rate)
+            net._step(trace, trace.probs - targets[i], lr)
 
 
 # -- checkpoint format ---------------------------------------------------

@@ -205,18 +205,49 @@ def save_agent(agent: PolicyAgent, out_dir) -> None:
 
 
 def load_agent(in_dir, lr: float = 0.05, seed: int = 0) -> PolicyAgent:
+    """Inverse of save_agent. Raises CheckpointFormatError, naming the file,
+    on a malformed `agent.json`: one that is not a JSON object of exactly
+    `task` ("multiclass" or "multilabel"), `heads` (file names, one for a
+    multiclass agent), `input_dim` (the heads' input size) and
+    `valid_combos` (lists of one 0/1 bit per head, none for a multiclass
+    agent); and on a head checkpoint that is malformed, of the wrong kind
+    for the task, or unlike the other heads."""
     in_dir = Path(in_dir)
-    manifest = json.loads((in_dir / "agent.json").read_text(encoding="utf-8"))
-    nets = [load_checkpoint(in_dir / name) for name in manifest["heads"]]
-    if manifest["task"] == "multiclass":
-        agent = MulticlassPolicy(manifest["input_dim"], n_actions=nets[0].output_dim, lr=lr, seed=seed)
+    path = in_dir / "agent.json"
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointFormatError(f"{path}: not a JSON agent manifest: {exc}") from None
+    keys = sorted(manifest) if isinstance(manifest, dict) else type(manifest).__name__
+    if keys != ["heads", "input_dim", "task", "valid_combos"]:
+        raise CheckpointFormatError(f"{path}: an agent manifest holds task, heads, input_dim and valid_combos, not {keys}")
+    task, heads, dim, combos = manifest["task"], manifest["heads"], manifest["input_dim"], manifest["valid_combos"]
+    if task not in ("multiclass", "multilabel"):
+        raise CheckpointFormatError(f"{path}: unknown task {task!r}")
+    if not isinstance(heads, list) or not heads or not all(isinstance(h, str) for h in heads):
+        raise CheckpointFormatError(f"{path}: heads must be a non-empty list of file names, not {heads!r}")
+    if task == "multiclass" and len(heads) != 1:
+        raise CheckpointFormatError(f"{path}: a multiclass agent has one head, not {len(heads)}")
+    bits = isinstance(combos, list) and all(
+        isinstance(c, list) and len(c) == len(heads) and all(type(b) is int and b in (0, 1) for b in c) for c in combos
+    )
+    if not bits or (task == "multiclass" and combos):
+        raise CheckpointFormatError(f"{path}: valid_combos must be lists of one bit per head, and none for a multiclass agent")
+    nets = [load_checkpoint(in_dir / name) for name in heads]
+    for name, net in zip(heads, nets):
+        if type(dim) is not int or net.input_dim != dim:
+            raise CheckpointFormatError(f"{path}: input_dim {dim!r} does not match head {name}'s {net.input_dim}")
+        # a multiclass head is a softmax, a multilabel head one sigmoid unit
+        if net.head != ("softmax" if task == "multiclass" else "sigmoid") or (task == "multilabel" and net.output_dim != 1):
+            raise CheckpointFormatError(f"{path}: head {name} is a {net.head} head over {net.output_dim} outputs")
+    if task == "multiclass":
+        agent = MulticlassPolicy(dim, n_actions=nets[0].output_dim, lr=lr, seed=seed)
         agent.net = nets[0]
         return agent
-    combos = tuple(tuple(c) for c in manifest["valid_combos"])
     try:
         net = Network.stack(nets)
     except ValueError as exc:
         raise CheckpointFormatError(f"{in_dir}: {exc}") from exc
-    agent = MultilabelPolicy(manifest["input_dim"], n_bits=len(nets), lr=lr, seed=seed, valid_combos=combos)
+    agent = MultilabelPolicy(dim, n_bits=len(nets), lr=lr, seed=seed, valid_combos=tuple(map(tuple, combos)))
     agent.net = net
     return agent

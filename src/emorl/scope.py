@@ -18,7 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .nn import SGD, CheckpointFormatError, ParamTensor, apply_update, holdout_split, read_tensors, sigmoid, write_tensors
+from .nn import SGD, CheckpointFormatError, ParamTensor, _fault, holdout_split, read_tensors, sigmoid, write_tensors
+from .nn import apply_update  # noqa: F401  the benchmark's span tracer wraps it at this name
 from .text import Vocabulary
 
 
@@ -67,9 +68,24 @@ class ScopeModel:
         self.embed = ParamTensor("embed", rng.normal(0.0, 0.1, (vocab.size, dim)))
         self.mix = ParamTensor("mix", rng.normal(0.0, 0.1, (2 * window + 1, dim)))
         self.bias = ParamTensor("bias", np.zeros(1, dtype=np.float32))
+        # mix and bias as views of one flat buffer, for the model's life, as `Network` holds its tensors
+        self._flat = np.concatenate((self.mix.values, self.bias.values), axis=None)
+        self.mix.values, self.bias.values = self._flat[: self.mix.values.size].reshape(self.mix.shape), self._flat[-1:]
         # sentence text -> `_row(text)`, from embed and mix as they were when
         # the text was first met; train_scope empties it
         self._rows: dict[str, tuple[np.ndarray, tuple[float, ...]]] = {}
+
+    def __reduce__(self):
+        "Copying and pickling build the model again from its tensors, and so a flat buffer of its own."
+        return ScopeModel._of, (self.vocab, {p.name: p.values for p in self.params()})
+
+    @classmethod
+    def _of(cls, vocab: Vocabulary, tensors: dict[str, np.ndarray]) -> "ScopeModel":
+        "A model on `vocab` holding the embed, mix and bias arrays of `tensors`."
+        model = cls(vocab, dim=tensors["embed"].shape[1], window=(tensors["mix"].shape[0] - 1) // 2)
+        for p in model.params():
+            p.values[...] = tensors[p.name]
+        return model
 
     def params(self) -> list[ParamTensor]:
         return [self.embed, self.mix, self.bias]
@@ -201,10 +217,7 @@ class ScopeModel:
             )
         if embed.shape[0] != vocab.size:
             raise ValueError(f"checkpoint vocab size {embed.shape[0]} != vocabulary {vocab.size}")
-        model = cls(vocab, dim=embed.shape[1], window=(mix.shape[0] - 1) // 2)
-        for p in model.params():
-            p.values[...] = tensors[p.name]
-        return model
+        return cls._of(vocab, tensors)
 
 
 def in_gold_scope(sentence) -> bool:
@@ -230,7 +243,7 @@ def _means(values: np.ndarray, ids: np.ndarray, starts: np.ndarray, lens: np.nda
     `values[run].mean(axis=0)` does before it divides, so each row equals the
     sentence's own mean bit for bit.
     """
-    if lens.all():
+    if np.logical_and.reduce(lens):  # lens.all(), without its Python wrapper
         return np.add.reduceat(values[ids], starts, axis=0) / lens[:, None]
     rows = np.zeros((len(lens), values.shape[1]))
     full = lens > 0
@@ -242,45 +255,65 @@ def _means(values: np.ndarray, ids: np.ndarray, starts: np.ndarray, lens: np.nda
 class _Packs:
     """A corpus's sentence token ids, packed once into flat arrays.
 
-    Per sentence: the offset of its first token in its message, its length
-    and its gold keep label. Per token: its id, in sentence order. Per
-    message: its touched embedding rows, sorted, and where each row's run
-    starts in the message's tokens ordered stably by id, with the index of
-    each token's sentence in that order. The integer arrays are int16 when
-    that holds their values. `packs[i]` is message i's
-    (ids, starts, lens, labels, rows, row_starts, token_sentence), as views.
+    The integers are int16 when that holds their values. Per token: its id,
+    in sentence order. Per sentence: its length and its gold keep label.
+    Per message, one run of:
+    - its tokens' sentence indices, ordered stably by id, those of the
+      tokens that alone touch their embedding row first;
+    - its touched embedding rows in that order;
+    - where each row touched by more than one token starts among those
+      tokens' indices;
+    - per sentence, the offset of its first token.
+    `packs[i]` is message i's (ids, starts, lens, labels, rows, singles,
+    token_sentence, shared_starts), the indices widened to intp once, where
+    `singles` counts the rows touched by one token.
     """
 
     def __init__(self, model: ScopeModel, corpus: Sequence):
         flat = itertools.chain.from_iterable
         token_ids = [[model.vocab.text_ids(s.text) for s in m.sentences] for m in corpus]
         counts, sizes = [len(t) for t in token_ids], [sum(map(len, t)) for t in token_ids]
-        touched = [len(set(flat(t))) for t in token_ids]
         narrow = np.int16 if max([model.vocab.size, *counts, *sizes]) <= np.iinfo(np.int16).max else np.intp
         self.ids = np.fromiter(flat(flat(token_ids)), narrow, sum(sizes))
         self.lens = np.fromiter((len(ids) for t in token_ids for ids in t), narrow, sum(counts))
         self.labels = np.fromiter((k for m in corpus for k in keep_labels(m)), np.float64, sum(counts))
-        self.starts, self.token_sentence = np.empty_like(self.lens), np.empty_like(self.ids)
-        self.rows, self.row_starts = np.empty(sum(touched), narrow), np.empty(sum(touched), narrow)
+        # a run is at most a message's sentences and twice its tokens long, as
+        # a row touched by several tokens is touched by at least two
+        runs, touched, singles = np.empty(sum(counts) + 2 * sum(sizes), narrow), [], []
         # message by message, so that no temporary spans the corpus
-        s0 = t0 = r0 = 0
-        for count, size, n_rows in zip(counts, sizes, touched):
-            ids, lens = self.ids[t0 : t0 + size], self.lens[s0 : s0 + count]
-            self.starts[s0 : s0 + count] = np.add.accumulate(lens) - lens
-            # the message's tokens ordered stably by id: a run of one id is one touched row
-            order = np.argsort(ids, kind="stable")
-            by_id = ids[order]
-            first = np.flatnonzero(np.diff(by_id, prepend=-1))
-            self.rows[r0 : r0 + n_rows], self.row_starts[r0 : r0 + n_rows] = by_id[first], first
-            self.token_sentence[t0 : t0 + size] = np.repeat(np.arange(count), lens)[order]
-            s0, t0, r0 = s0 + count, t0 + size, r0 + n_rows
-        self.offsets = np.cumsum(np.transpose([[0, *counts], [0, *sizes], [0, *touched]]), axis=0)
+        s0 = t0 = at = 0
+        for count, size in zip(counts, sizes):
+            ids, lens = self.ids[t0 : t0 + size].astype(np.intp), self.lens[s0 : s0 + count]
+            uses = np.bincount(ids)
+            alone, shared = (uses == 1).nonzero()[0], (uses > 1).nonzero()[0]
+            # ordered stably by id, the tokens that alone touch their row first
+            order = (ids + (uses[ids] > 1) * len(uses)).argsort(kind="stable")
+            run = np.concatenate((
+                np.repeat(np.arange(count), lens)[order], alone, shared,
+                np.add.accumulate(uses[shared]) - uses[shared], np.add.accumulate(lens) - lens,
+            ))
+            runs[at : at + len(run)] = run
+            touched.append(len(alone) + len(shared))
+            singles.append(len(alone))
+            s0, t0, at = s0 + count, t0 + size, at + len(run)
+        self.runs = runs[:at]
+        self.offsets = np.cumsum(np.transpose([[0, *counts], [0, *sizes], [0, *touched], [0, *singles]]), axis=0)
 
-    def __getitem__(self, i: int) -> tuple[np.ndarray, ...]:
-        (s0, t0, r0), (s1, t1, r1) = self.offsets[i : i + 2].tolist()
+    @staticmethod
+    def _at(sentences: int, tokens: int, rows: int, singles: int) -> int:
+        "The start of the run of the message whose offsets these are."
+        return sentences + tokens + 2 * rows - singles
+
+    def __getitem__(self, i: int) -> tuple:
+        (s0, t0, r0, u0), (s1, t1, r1, u1) = self.offsets[i : i + 2].tolist()
+        run = self.runs[self._at(s0, t0, r0, u0) : self._at(s1, t1, r1, u1)].astype(np.intp)
+        # where the run's rows, shared row starts and sentence starts begin
+        rows_at = t1 - t0
+        shared_at = rows_at + r1 - r0
+        starts_at = shared_at + (r1 - r0) - (u1 - u0)
         return (
-            self.ids[t0:t1], self.starts[s0:s1], self.lens[s0:s1], self.labels[s0:s1],
-            self.rows[r0:r1], self.row_starts[r0:r1], self.token_sentence[t0:t1],
+            self.ids[t0:t1].astype(np.intp), run[starts_at:], self.lens[s0:s1], self.labels[s0:s1],
+            run[rows_at:shared_at], u1 - u0, run[:rows_at], run[shared_at:starts_at],
         )
 
 
@@ -297,10 +330,13 @@ def train_scope(
     holds a fifth of them out. The token ids are packed once, before the
     epochs, and a step moves only the embedding rows of its message's
     tokens: the other rows have zero gradient, and v - lr * 0 = v, -0.0
-    included. Returns training BCE per epoch plus held-out F1/accuracy for
-    the keep class, scored on the trained model's `scope` of each held-out
-    message; warns if the training loss fails to decrease monotonically
-    over the first 3 epochs.
+    included. Each step is `apply_update`'s on the three tensors, fused:
+    one float32 rounding of the gradient laid out as [mix | bias | rows],
+    one check before any write, which raises its TrainingFault, and one
+    write each of the flat buffer and the rows. Returns training BCE per
+    epoch plus held-out F1/accuracy for the keep class, scored on the
+    trained model's `scope` of each held-out message; warns if the training
+    loss fails to decrease monotonically over the first 3 epochs.
     """
     if not corpus:
         raise ValueError("cannot train the scope filter on an empty corpus")
@@ -309,35 +345,52 @@ def train_scope(
     rng = np.random.default_rng(seed)
     hold_idx, train_idx = holdout_split(len(corpus), rng)
 
-    opt = SGD(learning_rate=lr)
+    lr = SGD(learning_rate=lr).learning_rate
+    embed, mix, flat = model.embed.values, model.mix.values, model._flat
+    m = mix.size
     epoch_bce: list[float] = []
     for _ in range(epochs):
         total, count = 0.0, 0
-        for i in rng.permutation(train_idx):
-            ids, starts, lens, y, touched, row_starts, token_sentence = packs[i]
+        for i in rng.permutation(train_idx).tolist():
+            ids, starts, lens, y, touched, singles, token_sentence, shared_starts = packs[i]
             n = len(y)
             if n == 0:
                 continue
-            vecs = _means(model.embed.values, ids, starts, lens)
+            vecs = _means(embed, ids, starts, lens)
             p = sigmoid(model._logits(vecs))
-            total += float(-np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+            # each term is y * log(p) + (1 - y) * log(1 - p), whose other half is a zero
+            total -= float(np.add.reduce(np.log(np.where(y, p, 1.0 - p))))
             count += n
             g = (p - y) / n
-            # head and mixer gradients
-            mix_grad = np.zeros(model.mix.values.shape)
+            # [mix | bias | rows]: head and mixer gradients, then the embeddings'
+            grad = np.zeros(m + 1 + len(touched) * model.dim)
+            mix_grad, g_col = grad[:m].reshape(mix.shape), g[:, None]
             d_vecs = np.zeros(vecs.shape)
             for j, rows, nbrs in model._offsets(model.window, n):
-                mix_grad[j] = g[rows] @ vecs[nbrs]
-                d_vecs[nbrs] += g[rows, None] * model.mix.values[j]
-            # embeddings: each token of sentence i adds d_vecs[i] / lens[i] to its row.
-            # reduceat sums a row's tokens in message order, as np.add.at onto zeros
-            # does but for the leading 0.0; that changes only the sign of a zero sum,
-            # which the + 0.0 below clears. An empty sentence's divisor of 1 is never read.
-            shares = (d_vecs / np.maximum(lens, 1)[:, None])[token_sentence]
-            emb_grad = np.add.reduceat(shares, row_starts, axis=0)
-            # float32 blocks plus 0.0, so that a gradient rounded to -0.0 steps as 0.0
-            grads = [(model.embed, touched, emb_grad), (model.mix, ..., mix_grad), (model.bias, ..., np.array([g.sum()]))]
-            apply_update([(p, at, d.astype(np.float32) + 0.0) for p, at, d in grads], opt)
+                np.matmul(g[rows], vecs[nbrs], out=mix_grad[j])
+                to = d_vecs[nbrs]
+                to += g_col[rows] * mix[j]
+            grad[m] = np.add.reduce(g)
+            # each token of sentence i adds d_vecs[i] / lens[i] to its row: a row's
+            # tokens in message order, as np.add.at onto zeros adds them but for the
+            # leading 0.0; that changes only the sign of a zero sum, which the + 0.0
+            # below clears. An empty sentence's divisor of 1 is never read.
+            shares = d_vecs / np.maximum(lens, 1)[:, None]
+            rows_grad = grad[m + 1 :].reshape(len(touched), model.dim)
+            shares.take(token_sentence[:singles], axis=0, out=rows_grad[:singles])
+            if singles < len(touched):
+                np.add.reduceat(shares[token_sentence[singles:]], shared_starts, axis=0, out=rows_grad[singles:])
+            # float32 plus 0.0, so that a gradient rounded to -0.0 steps as 0.0
+            new = np.subtract(
+                np.concatenate((flat, embed.take(touched, axis=0)), axis=None),
+                lr * (grad.astype(np.float32) + 0.0),
+                dtype=np.float32,
+            )
+            if not np.isfinite(new).all():
+                new_rows = new[m + 1 :].reshape(len(touched), model.dim)
+                raise _fault([(model.embed, new_rows), (model.mix, new[:m]), (model.bias, new[m : m + 1])])
+            flat[...] = new[: m + 1]
+            embed[touched] = new[m + 1 :].reshape(len(touched), model.dim)
         epoch_bce.append(total / max(count, 1))
     first = epoch_bce[: min(3, len(epoch_bce))]
     if any(b >= a for a, b in zip(first, first[1:])):

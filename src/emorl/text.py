@@ -8,6 +8,7 @@ counts over a frequency-built vocabulary.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -17,6 +18,12 @@ import numpy as np
 from .nn import replacing
 
 SPLIT_PUNCT = frozenset(",.:?!")
+
+# one piece of a segmentation, its leading whitespace skipped: up to and
+# including the next mark, or else the rest of the text up to its last
+# character that is not whitespace; `\s` is what str.strip strips
+_MARKS = re.escape("".join(sorted(SPLIT_PUNCT)))
+_PIECE = re.compile(rf"\s*([^{_MARKS}]*[{_MARKS}]|[^{_MARKS}]*[^{_MARKS}\s])")
 
 UNK_TOKEN = "<unk>"
 UNK_ID = 0
@@ -47,23 +54,11 @@ def segment(text: str, vocab: "Vocabulary | None" = None) -> list[Sentence]:
     of its trimmed text in the source, so the source string can be
     reconstructed from spans plus the skipped delimiters.
     """
-    pieces: list[tuple[int, str]] = []
-    start = 0
-    for i, ch in enumerate(text):
-        if ch in SPLIT_PUNCT:
-            pieces.append((start, text[start : i + 1]))
-            start = i + 1
-    if start < len(text):
-        pieces.append((start, text[start:]))
     out: list[Sentence] = []
-    for offset, raw in pieces:
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        lead = len(raw) - len(raw.lstrip())
-        begin = offset + lead
+    for m in _PIECE.finditer(text):
+        stripped = m.group(1)
         ids = vocab.text_ids(stripped) if vocab is not None else ()
-        out.append(Sentence(text=stripped, token_ids=ids, span=(begin, begin + len(stripped))))
+        out.append(Sentence(text=stripped, token_ids=ids, span=m.span(1)))
     return out
 
 

@@ -92,7 +92,7 @@ def test_criterion_1_gradient_correctness():
         if mode == "reinforce":
             grads = net.reinforce_backward(x, target, reward)
         else:
-            grads, _ = net.supervised_backward(x, target)
+            grads = net.supervised_backward(x, target)
         worst = max(worst, max_rel_error(net, grads, fd_oracle_grads(net, x, mode, target, reward)))
     elapsed = time.time() - start
     check(

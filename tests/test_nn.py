@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emorl.nn import (
+    HEADS,
     SGD,
     CheckpointFormatError,
     Network,
@@ -29,8 +30,10 @@ from emorl.nn import (
     holdout_split,
     load_checkpoint,
     read_tensors,
+    _head_one,
     save_checkpoint,
     sigmoid,
+    softmax,
     write_tensors,
 )
 from emorl.scope import ScopeModel
@@ -217,6 +220,38 @@ def test_sigmoid_bounds_its_output_as_np_clip_does(shift, step):
     assert sigmoid(u).tobytes() == _two_branch_sigmoid(u).tobytes()
 
 
+def _ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    "How many float64 steps apart two arrays of non-negative numbers are, entry by entry."
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+_HEAD_INPUTS = st.floats(width=64) | st.sampled_from([0.0, -0.0, 800.0, -800.0, 1e300, -1e300, 27.631021115928547, -27.631021115928547])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    head=st.sampled_from(HEADS),
+    shape=st.sampled_from([(1,), (3,), (7,), (9,), (6, 1), (4, 3), (2, 8)]),
+    data=st.data(),
+)
+def test_the_single_example_head_agrees_with_the_batch_head(head, shape, data):
+    # trace's head, in Python floats, against forward's numpy head on
+    # stacked and unstacked head inputs with wild, clipped and NaN entries:
+    # NaN where numpy gives NaN, else within 4 float64 steps. The two exps
+    # may differ in the last bit, and the sum and the quotient then round
+    # different inputs: a softmax was seen 3 steps away (2 entries in
+    # 300000), a sigmoid 2. A softmax of 8 or more classes is numpy's own.
+    h = np.array(data.draw(st.lists(_HEAD_INPUTS, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+    with np.errstate(all="ignore"):
+        got, expected = _head_one(h, head), (softmax if head == "softmax" else sigmoid)(h)
+    assert got.shape == expected.shape and got.dtype == np.float64
+    nan = np.isnan(expected)
+    assert (np.isnan(got) == nan).all()
+    assert (_ulps(got[~nan], expected[~nan]) <= 4).all()
+    if head == "softmax" and shape[-1] >= 8:
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_forward_dimension_mismatch_raises():
     net = Network.build([5, 3], head="softmax")
     with pytest.raises(ValueError, match="input dim"):
@@ -261,7 +296,7 @@ def test_supervised_matches_finite_differences():
     rng = np.random.default_rng(8)
     for _ in range(8):
         net, x, _, target, _ = random_case(rng, mode="supervised")
-        grads, _ = net.supervised_backward(x, target)
+        grads = net.supervised_backward(x, target)
         ref = fd_oracle_grads(net, x, "supervised", target, 1.0)
         assert max_rel_error(net, grads, ref) < 1e-4
 
@@ -269,7 +304,7 @@ def test_supervised_matches_finite_differences():
 def test_perfect_prediction_has_vanishing_gradient():
     net = Network.build([3, 3], head="softmax")
     net.layers[0].b.values[:] = np.array([40.0, 0.0, 0.0], dtype=np.float32)
-    grads, _ = net.supervised_backward(np.zeros(3), 0)
+    grads = net.supervised_backward(np.zeros(3), 0)
     norm = sum(float(np.abs(g).sum()) for _, _, g in grads)
     assert norm < 1e-6
 
@@ -321,7 +356,7 @@ def test_gradient_check_on_stacked_heads():
         if mode == "reinforce":
             grads = stacked.reinforce_backward(x, target, reward)
         else:
-            grads, _ = stacked.supervised_backward(x, target)
+            grads = stacked.supervised_backward(x, target)
         dense = dense_grads(stacked.params(), grads)
         for k, head in enumerate(stacked.unstack()):
             entries = [(p, ..., g[k]) for p, g in zip(head.params(), dense)]
@@ -339,9 +374,9 @@ def test_stacked_forward_and_gradients_equal_each_head_alone():
     assert stacked.forward(x).tobytes() == np.stack([n.forward(x) for n in nets]).tobytes()
     assert stacked.forward(batch).tobytes() == np.stack([[n.forward(r) for n in nets] for r in batch]).tobytes()
     target = rng.integers(0, 2, (3, 3))
-    stacked_grads = dense_grads(stacked.params(), stacked.supervised_backward(x, target)[0])
+    stacked_grads = dense_grads(stacked.params(), stacked.supervised_backward(x, target))
     for net, t, k in zip(nets, target, range(3)):
-        for a, b in zip(stacked_grads, dense_grads(net.params(), net.supervised_backward(x, t)[0])):
+        for a, b in zip(stacked_grads, dense_grads(net.params(), net.supervised_backward(x, t))):
             assert a[k].tobytes() == b.tobytes()
 
 
@@ -421,7 +456,7 @@ def test_update_determinism_bit_identical():
 
 def test_non_finite_update_raises_training_fault():
     net = Network.build([3, 2], head="softmax", rng=np.random.default_rng(18))
-    grads, _ = net.supervised_backward(np.ones(3), 0)
+    grads = net.supervised_backward(np.ones(3), 0)
     grads[0][2][...] = np.inf
     before = values_bytes(net)
     with pytest.raises(TrainingFault):
@@ -432,7 +467,7 @@ def test_non_finite_update_raises_training_fault():
     for bad in (np.nan, np.inf, -np.inf):
         heads = [Network.build([3, 4, 2], head="sigmoid", rng=np.random.default_rng(s)) for s in (18, 19)]
         stacked = Network.stack(heads)
-        grads, _ = stacked.supervised_backward(np.ones(3), np.ones((2, 2)))
+        grads = stacked.supervised_backward(np.ones(3), np.ones((2, 2)))
         tensor, _, block = grads[2]
         assert tensor is stacked.layers[1].w
         block[1, 0, 2] = bad
@@ -480,7 +515,7 @@ def test_update_on_touched_columns_equals_whole_tensor_update(heads):
     opt = SGD(learning_rate=0.3)
     for x in (_bag(1, 4, 4, 8), _bag(4, 6, 9, 9), _bag(0, 4), _bag(), _bag(2, 10)):
         target, reward = _target(heads, rng), float(rng.choice([-1.0, 1.0]))
-        passes = (lambda n: n.reinforce_backward(x, target, reward), lambda n: n.supervised_backward(x, target)[0])
+        passes = (lambda n: n.reinforce_backward(x, target, reward), lambda n: n.supervised_backward(x, target))
         for backward in passes:
             grads = backward(sparse)
             assert grads[0][0] is sparse.layers[0].w
@@ -495,7 +530,7 @@ def test_non_finite_step_in_touched_column_raises_training_fault(heads):
     target = 1 if heads == 0 else np.ones((heads, 2))
     for bad in (np.nan, np.inf, -np.inf):
         net = _sparse_case_net(heads, np.random.default_rng(50))
-        grads, _ = net.supervised_backward(_bag(3, 5), target)
+        grads = net.supervised_backward(_bag(3, 5), target)
         _, (_, cols), block = grads[0]
         assert cols.tolist() == [3, 5]
         block[..., 4, 1] = bad  # row 4 of column 5
@@ -528,7 +563,7 @@ def test_applied_entries_equal_a_dense_gradient_step(heads, seed, passes):
     for cols, reward in passes:
         x, target = _bag(*cols), _target(heads, rng)
         if reward is None:
-            grads, _ = net.supervised_backward(x, target)
+            grads = net.supervised_backward(x, target)
         else:
             grads = net.reinforce_backward(x, target, reward)
             assert (grads == []) == (reward == 0.0)
@@ -607,7 +642,7 @@ def per_step_fit(net, examples, order, opt) -> tuple[list[bytes], str | None]:
     for i in order:
         before = values_bytes(net)
         state, label = examples[i]
-        grads, _ = net.supervised_backward(state, label)
+        grads = net.supervised_backward(state, label)
         try:
             apply_update(grads, opt)
         except TrainingFault as fault:

@@ -1,6 +1,8 @@
 import contextlib
 import copy
+import json
 import pickle
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -175,7 +177,7 @@ def test_multilabel_update_decomposes_per_head():
         for i in order.permutation(len(examples)):
             state, combo = examples[i]
             for k, head in enumerate(heads):
-                grads, _ = head.supervised_backward(state, (combo[k],))
+                grads = head.supervised_backward(state, (combo[k],))
                 apply_update(grads, opt)
     assert agent_bytes(agent) == [p.values.tobytes() for head in heads for p in head.params()]
 
@@ -428,6 +430,61 @@ def test_save_load_multilabel_round_trip(tmp_path):
         assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "agent" / name).read_bytes()
     manifest = (tmp_path / "agent" / "agent.json").read_text(encoding="utf-8")
     assert "head5.ckpt" in manifest and "valid_combos" in manifest
+
+
+def _set(key, value):
+    return lambda manifest: {**manifest, key: value}
+
+
+@pytest.mark.parametrize(
+    "task, edit",
+    [
+        ("multiclass", lambda manifest: manifest),
+        ("multilabel", lambda manifest: manifest),
+        ("multiclass", _set("task", "foo")),
+        ("multilabel", _set("task", "multiclass")),
+        ("multiclass", _set("heads", None)),
+        ("multilabel", _set("heads", [])),
+        ("multiclass", _set("heads", ["head0.ckpt", "head0.ckpt"])),
+        ("multiclass", _set("input_dim", DIM + 1)),
+        ("multilabel", _set("input_dim", DIM - 1)),
+        ("multilabel", _set("input_dim", "12")),
+        ("multiclass", lambda manifest: {k: v for k, v in manifest.items() if k != "valid_combos"}),
+        ("multilabel", lambda manifest: {k: v for k, v in manifest.items() if k != "valid_combos"}),
+        ("multiclass", _set("valid_combos", [[1]])),
+        ("multilabel", _set("valid_combos", [[1, 0, 0, 0, 0]])),
+        ("multilabel", _set("valid_combos", [[1, 0, 0, 0, 0, 2]])),
+        ("multilabel", _set("valid_combos", [[True, False, False, False, False, False]])),
+        ("multilabel", lambda manifest: {**manifest, "extra": 1}),
+        ("multiclass", lambda manifest: [manifest]),
+        ("multiclass", lambda manifest: "{"),
+    ],
+)
+def test_load_agent_refuses_a_malformed_manifest_naming_it(tmp_path, task, edit):
+    # save_agent's own manifest loads back; each edit of it is refused with
+    # CheckpointFormatError, and nothing else, naming agent.json
+    agent = AGENTS[task](DIM, seed=23)
+    save_agent(agent, tmp_path / "agent")
+    path = tmp_path / "agent" / "agent.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    edited = edit(manifest)
+    path.write_text(edited if isinstance(edited, str) else json.dumps(edited), encoding="utf-8")
+    if edited is manifest:
+        assert agent_bytes(load_agent(tmp_path / "agent")) == agent_bytes(agent)
+    else:
+        with pytest.raises(CheckpointFormatError, match=re.escape(str(path))):
+            load_agent(tmp_path / "agent")
+
+
+def test_load_agent_refuses_a_head_of_the_wrong_kind(tmp_path):
+    save_agent(MultilabelPolicy(DIM, seed=24), tmp_path / "agent")
+    save_checkpoint(Network.build([DIM, 32, 2], head="sigmoid", rng=np.random.default_rng(0)), tmp_path / "agent" / "head2.ckpt")
+    with pytest.raises(CheckpointFormatError, match="head2.ckpt"):
+        load_agent(tmp_path / "agent")
+    save_agent(MulticlassPolicy(DIM, seed=24), tmp_path / "agent")
+    save_checkpoint(Network.build([DIM, 64, 3], head="sigmoid"), tmp_path / "agent" / "head0.ckpt")
+    with pytest.raises(CheckpointFormatError, match="head0.ckpt"):
+        load_agent(tmp_path / "agent")
 
 
 @pytest.mark.parametrize("odd_head", [dict(dims=[DIM, 16, 1]), dict(dims=[DIM, 32, 1], activations=["tanh", "identity"])])

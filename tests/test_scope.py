@@ -1,3 +1,5 @@
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -253,17 +255,44 @@ def test_train_scope_matches_the_dense_gradient_loop(window, epochs, dim, lr, se
     assert results[0] == results[1]
 
 
-def test_non_finite_step_on_touched_rows_raises_and_keeps_every_tensor():
-    corpus = separable_corpus(n=20)
-    vocab = build_vocab([s.text for m in corpus for s in m.sentences], 64)
-    model = ScopeModel(vocab, dim=4, seed=0)
-    before = [p.values.tobytes() for p in model.params()]
-    # a rate beyond float32's range makes every step of the first message inf or nan
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(TrainingFault, match="'embed'"):
-            train_scope(model, corpus, epochs=1, lr=1e39, seed=0)
-    assert [p.values.tobytes() for p in model.params()] == before
+def _faulting_case(name: str):
+    """A one-sentence corpus, a model and a rate whose first step leaves the
+    tensors from `name` on in params() order non-finite, and the ones
+    before it finite: a rate beyond float32 makes every step inf; a huge
+    embedding row, against a label its logit gets wrong, makes the mixer's
+    gradient overflow at a rate that keeps the row's step finite, beside an
+    infinite bias; an infinite bias alone moves nothing else, as the
+    mixed-in row and the mixer are zero."""
+    corpus = [make_message([("taskword move it.", 0)])]
+    vocab = build_vocab(["taskword move it."], 16)
+    model = ScopeModel(vocab, dim=4, window=1, seed=3)
+    rows = list(vocab.text_ids("taskword move it."))
+    if name == "embed":
+        return corpus, model, 1e39
+    if name == "mix":
+        model.embed.values[rows] = 1e30
+        model.mix.values[...] = 0.1  # a logit of about +1e30, against a drop label
+        model.bias.values[0] = np.inf
+        return corpus, model, 1e10
+    model.embed.values[rows] = 0.0
+    model.mix.values[...] = 0.0
+    model.bias.values[0] = np.inf
+    return corpus, model, 0.5
+
+
+@pytest.mark.parametrize("name", ["embed", "mix", "bias"])
+def test_a_faulting_step_names_the_first_non_finite_tensor_and_writes_none(name):
+    # train_scope's fused step raises apply_update's TrainingFault, as the
+    # dense loop does, naming each of embed, mix and bias in params() order,
+    # with every tensor as the faulting step found it
+    for train in (train_scope, _dense_train_scope):
+        corpus, model, lr = _faulting_case(name)
+        before = [p.values.tobytes() for p in model.params()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(TrainingFault, match=f"'{name}'"):
+                train(model, corpus, epochs=1, lr=lr, seed=0)
+        assert [p.values.tobytes() for p in model.params()] == before
 
 
 def test_train_scope_empty_corpus_raises(vocab):
@@ -336,6 +365,22 @@ def test_scope_model_save_load_round_trip(tmp_path, vocab, trained_scope):
     assert loaded.window == trained_scope.window
     ids = [vocab.ids(["great", "job,"]), vocab.ids(["the", "sky"])]
     assert np.array_equal(_scores(loaded, ids), _scores(trained_scope, ids))
+
+
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
+def test_a_copied_scope_model_trains_on_tensors_of_its_own(duplicate):
+    # mix and bias are views of the model's flat buffer, which train_scope
+    # writes: a copy trains exactly as the original and leaves it as it was
+    corpus = separable_corpus(n=30, seed=4)
+    vocab = build_vocab([s.text for m in corpus for s in m.sentences], 64)
+    model = ScopeModel(vocab, dim=4, window=1, seed=5)
+    before = [p.values.tobytes() for p in model.params()]
+    twin = duplicate(model)
+    assert [p.values.tobytes() for p in twin.params()] == before and twin.window == model.window
+    twin_result = train_scope(twin, corpus, epochs=2, lr=0.5, seed=6)
+    assert [p.values.tobytes() for p in model.params()] == before
+    assert train_scope(model, corpus, epochs=2, lr=0.5, seed=6) == twin_result
+    assert [p.values.tobytes() for p in model.params()] == [p.values.tobytes() for p in twin.params()]
 
 
 def test_scope_model_load_vocab_mismatch(tmp_path, trained_scope):

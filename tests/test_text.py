@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from emorl.text import (
     SPLIT_PUNCT,
+    Sentence,
     UNK_ID,
     UNK_TOKEN,
     Vocabulary,
@@ -42,6 +43,40 @@ def test_segment_without_punctuation_is_whole_string():
 def test_segment_handles_colon_and_exclamation():
     texts = [s.text for s in segment("Agenda: budget! then lunch.")]
     assert texts == ["Agenda:", "budget!", "then lunch."]
+
+
+def _segment_by_chars(text, vocab=None):
+    "`segment`'s reference: the character loop it replaced, one piece per mark, each stripped."
+    pieces, start = [], 0
+    for i, ch in enumerate(text):
+        if ch in SPLIT_PUNCT:
+            pieces.append((start, text[start : i + 1]))
+            start = i + 1
+    if start < len(text):
+        pieces.append((start, text[start:]))
+    out = []
+    for offset, raw in pieces:
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        begin = offset + len(raw) - len(raw.lstrip())
+        ids = vocab.text_ids(stripped) if vocab is not None else ()
+        out.append(Sentence(text=stripped, token_ids=ids, span=(begin, begin + len(stripped))))
+    return out
+
+
+# every character str.strip strips, the five marks, and a few that are neither
+_UNICODE_WHITESPACE = [chr(c) for c in range(0x3001) if chr(c).isspace()]
+_ANY_TEXT = st.text(st.sampled_from(_UNICODE_WHITESPACE + sorted(SPLIT_PUNCT) + list("aZ;-\u00e9\u200b")) | st.characters())
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(src=_ANY_TEXT)
+@example(src=" \u3000,,\x1c.a\u00a0?!\u2029 b \x85")
+def test_segment_equals_the_character_loop(src):
+    vocab = build_vocab(["a b z, a. b!"], max_size=8)
+    assert segment(src) == _segment_by_chars(src)
+    assert segment(src, vocab) == _segment_by_chars(src, vocab)
 
 
 # short strings over letters, splitting marks and whitespace, where every segmentation case lives

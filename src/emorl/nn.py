@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import math
+import numbers
 import os
 import re
 import struct
@@ -447,8 +448,10 @@ class SGD:
     learning_rate: float = 0.05
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.learning_rate < float("inf"):
-            raise ValueError(f"lr must be positive and finite, got {self.learning_rate}")
+        if not isinstance(self.learning_rate, numbers.Real) or not 0.0 < self.learning_rate < float("inf"):
+            raise ValueError(f"lr must be positive and finite, got {self.learning_rate!r}")
+        # a Python float, which scales a float32 gradient in float32 whatever type of rate was given
+        self.learning_rate = float(self.learning_rate)
 
 
 def _fault(steps: Iterable[tuple[ParamTensor, np.ndarray]]) -> TrainingFault:

@@ -71,9 +71,8 @@ class ScopeModel:
         # mix and bias as views of one flat buffer, for the model's life, as `Network` holds its tensors
         self._flat = np.concatenate((self.mix.values, self.bias.values), axis=None)
         self.mix.values, self.bias.values = self._flat[: self.mix.values.size].reshape(self.mix.shape), self._flat[-1:]
-        # sentence text -> `_row(text)`, from embed and mix as they were when
-        # the text was first met; train_scope empties it
-        self._rows: dict[str, tuple[np.ndarray, tuple[float, ...]]] = {}
+        # sentence text -> its `_products` row, for `keep_mask`
+        self._rows: dict[str, tuple[float, ...]] = {}
 
     def __reduce__(self):
         "Copying and pickling build the model again from its tensors, and so a flat buffer of its own."
@@ -111,79 +110,42 @@ class ScopeModel:
                 out.append((j, slice(lo, hi), slice(lo + k, hi + k)))
         return tuple(out)
 
+    def _products(self, sent_vecs: np.ndarray) -> np.ndarray:
+        """`sent_vecs[i] @ mix[j]` for each sentence i and mixer row j, shape
+        (n, 2 * window + 1). Not by BLAS, which may round a row of a matrix
+        product otherwise than the row alone: `np.add.reduce` adds each
+        product's terms along their contiguous axis in an order fixed by dim."""
+        return np.add.reduce(sent_vecs[:, None, :] * self.mix.values, axis=2)
+
     def _logits(self, sent_vecs: np.ndarray) -> np.ndarray:
         logits = np.full(sent_vecs.shape[0], float(self.bias.values[0]))
-        mix = self.mix.values
+        products = self._products(sent_vecs)
         for j, rows, nbrs in self._offsets(self.window, len(logits)):
-            logits[rows] += sent_vecs[nbrs] @ mix[j]
+            logits[rows] += products[nbrs, j]
         return logits
 
-    def keep(self, sent_vecs: np.ndarray) -> np.ndarray:
-        """Keep mask of a message's `sentence_matrix`: a score of at least 0.5.
-
-        Not `logits >= 0`: a logit just below zero (about -1e-17) scores
-        exactly 0.5, because its exp rounds to 1.
-        """
-        return sigmoid(self._logits(sent_vecs)) >= 0.5
-
     def keep_mask(self, texts: Sequence[str]) -> list[bool]:
-        """`keep`'s mask of the message whose sentence texts are `texts`, each
-        tokenized with this model's vocabulary: by `_certified_keep` from the
-        texts' logit terms, else by `keep` on their rows. Both are kept per
-        text: after the first call, only `train_scope` may change embed or mix."""
-        facts = [self._rows.get(t) or self._row(t) for t in texts]
-        keep = self._certified_keep([terms for _, terms in facts])
-        if keep is None:
-            # np.array stacks the rows as np.stack does, at a third of its cost
-            keep = self.keep(np.array([row for row, _ in facts])).tolist()
-        return keep
+        """Keep mask of the message whose sentence texts are `texts`, each
+        tokenized with this model's vocabulary: a score of at least 0.5.
 
-    def _row(self, text: str) -> tuple[np.ndarray, tuple[float, ...]]:
-        """A sentence text's `sentence_matrix` row and the row's terms for
-        `_certified_keep`: `mix[j] @ row` for each mixer row j, then
-        `|mix[j]| @ |row|` for each."""
-        row = self.sentence_matrix([self.vocab.text_ids(text)])[0]
-        mix = self.mix.values
-        self._rows[text] = facts = (row, (*(mix @ row).tolist(), *(np.abs(mix) @ np.abs(row)).tolist()))
-        return facts
-
-    def _certified_keep(self, terms: Sequence[tuple[float, ...]]) -> list[bool] | None:
-        """`keep`'s mask of a message from its sentences' logit terms (`_row`),
-        or None where this cannot prove it equal.
-
-        Sentence i's logit l_i is the bias b plus the term c_j of each
-        neighbour that `_offsets` gives, added in j order as `_logits` adds
-        them, and m_i = |b| + sum of their a_j = |mix[j]| @ |row|. Let
-        n = dim + 2 * window + 1 and u = 2**-53. A dot product of length dim
-        in any order is within gamma_dim * (|x| @ |y|) of its real value
-        (gamma_k = k * u / (1 - k * u); Higham, Accuracy and Stability of
-        Numerical Algorithms, ch. 3), and adding at most 2 * window + 1
-        terms to b costs gamma_(2 * window + 1) more, so this l_i and the
-        one `_logits` computes with its own matrix products each lie within
-        gamma_n * m_i of the real logit; the computed m_i, the margin and
-        its product round by a few u more. If |l_i| > (n + 2) * 2**-50 *
-        (1 + m_i), the two logits therefore differ by less than half the
-        margin: `_logits`' logit has l_i's sign and is at least
-        1.5 * 2**-50 (about 1.3e-15) from zero. A positive logit scores at
-        least 0.5; a logit below -1.3e-15 scores below 0.5, as its exp
-        lies an ulp or more below 1. So keep_i is l_i > 0. A NaN or
-        infinity among the values a sentence mixes in makes its m_i NaN or
-        infinite, and the comparison fails.
+        A text's `_products` row is kept from its first call on; after it,
+        only `train_scope`, which empties the cache, may change embed or
+        mix. Added onto the bias in `_logits`' order, the rows give its
+        logits bit for bit. A logit of at least 0 scores at least 0.5; a NaN
+        one, or one below -1e-15, less, as its exp lies an ulp or more below
+        1. Between, `sigmoid` decides: a logit of -1e-17 scores exactly 0.5.
         """
-        n, width = len(terms), 2 * self.window + 1
-        bias = float(self.bias.values[0])
-        logits, sizes = [bias] * n, [abs(bias)] * n
+        cache = self._rows
+        for t in texts:
+            if t not in cache:
+                cache[t] = tuple(self._products(self.sentence_matrix([self.vocab.text_ids(t)]))[0].tolist())
+        terms = [cache[t] for t in texts]
+        n = len(terms)
+        logits = [float(self.bias.values[0])] * n
         for j, rows, nbrs in self._offsets(self.window, n):
             for i, t in zip(range(n)[rows], terms[nbrs]):
                 logits[i] += t[j]
-                sizes[i] += t[width + j]
-        margin = (self.dim + width + 2) * 2.0**-50
-        keep = []
-        for logit, size in zip(logits, sizes):
-            if not abs(logit) > margin * (1.0 + size):
-                return None
-            keep.append(logit > 0.0)
-        return keep
+        return [l >= 0.0 or (l >= -1e-15 and bool(sigmoid(np.array([l]))[0] >= 0.5)) for l in logits]
 
     def scope(self, sentences: Iterable) -> ScopedMessage:
         """Apply the filter: keep sentences whose score is at least 0.5.

@@ -5,7 +5,16 @@ import pytest
 
 from emorl.emotion import EmotionModel, train_emotion
 from emorl.envsim import build_offline_corpus, config_vocab, default_config
+from emorl.nn import sigmoid
 from emorl.scope import ScopeModel, train_scope
+
+
+def exact_keep(model: ScopeModel, sent_vecs: np.ndarray) -> np.ndarray:
+    """The filter's keep rule on a message's `sentence_matrix`: a score of at
+    least 0.5, the reference for `ScopeModel.keep_mask`. Not `logits >= 0`:
+    a logit just below zero (about -1e-17) scores exactly 0.5, because its
+    exp rounds to 1."""
+    return sigmoid(model._logits(sent_vecs)) >= 0.5
 
 
 @pytest.fixture(scope="session")

@@ -31,9 +31,12 @@ from emorl.envsim import (
     respond,
 )
 from emorl.harness import ExperimentConfig, run_online
+from emorl.nn import sigmoid
 from emorl.policy import MulticlassPolicy
 from emorl.scope import ScopeModel, gold_scope_texts, train_scope
 from emorl.text import Vocabulary, featurize_texts, insertion_positions, segment, tokenize
+
+from conftest import exact_keep
 
 
 # -- configuration ------------------------------------------------------------
@@ -721,7 +724,7 @@ def test_an_environment_follows_its_scope_model_through_retraining_and_tokenizes
         out = []
         for m in probe:
             texts = [s.text for s in m.sentences]
-            mask = scope_model.keep(scope_model.sentence_matrix([vocab.text_ids(t) for t in texts]))
+            mask = exact_keep(scope_model, scope_model.sentence_matrix([vocab.text_ids(t) for t in texts]))
             out.append([t for t, keep in zip(texts, mask) if keep])
         return out
 
@@ -788,12 +791,6 @@ def test_a_reply_is_scoped_once_whether_its_label_is_new_or_memoised(gen_config,
     assert 1 < len(env._labels) < len(replies)
 
 
-def _spying_on_keep(calls: list):
-    "A patch of ScopeModel.keep that notes each call in `calls`."
-    real_keep = ScopeModel.keep
-    return mock.patch.object(ScopeModel, "keep", lambda self, vecs: calls.append(1) or real_keep(self, vecs))
-
-
 @settings(max_examples=300, deadline=None, database=None)
 @given(data=st.data())
 def test_the_environments_keep_mask_is_scopes_and_the_boundary_takes_the_exact_rule(gen_config, vocab, data):
@@ -820,27 +817,28 @@ def test_the_environments_keep_mask_is_scopes_and_the_boundary_takes_the_exact_r
         # the centre mixer row, which every sentence mixes in
         model.mix.values[model.window, data.draw(st.integers(0, model.dim - 1))] = bad
     env = Environment(gen_config, channel="learned", scope_model=model, emotion_model=EmotionModel(vocab))
-    exact = []
     with np.errstate(invalid="ignore", over="ignore"):
-        expected = model.keep(model.sentence_matrix(token_ids)).tolist()
-        with _spying_on_keep(exact):
-            assert model.scope(sents).keep_mask == expected
-            assert env.scoped_texts(message) == [s.text for s, keep in zip(sents, expected) if keep]
-    if boundary or bad is not None:
-        assert exact == [1, 1]
+        expected = exact_keep(model, model.sentence_matrix(token_ids)).tolist()
+        assert model.scope(sents).keep_mask == expected
+        assert env.scoped_texts(message) == [s.text for s, keep in zip(sents, expected) if keep]
 
 
-def test_a_seeded_learned_run_decides_every_keep_mask_by_certificate(trained_scope, trained_emotion):
-    # the golden learned run's online config: a change that sends messages down
-    # the exact rule, losing the certificate's speed, fails here
+def test_a_seeded_learned_run_takes_each_texts_products_once_and_never_the_sigmoid_band(trained_scope, trained_emotion):
+    # the golden learned run's online config: a change that computes a text's
+    # products more than once, or that calls `sigmoid` outside the band just
+    # below zero, loses speed and fails here
     config = ExperimentConfig(
         task="multiclass", init="pretrained", channel="learned", interactions=300, eval_every=100, window=100, eval_size=60
     )
-    certified, exact = [], []
-    real_certified = ScopeModel._certified_keep
-    with _spying_on_keep(exact), mock.patch.object(
-        ScopeModel, "_certified_keep", lambda self, terms: certified.append(1) or real_certified(self, terms)
-    ):
+    texts, products, band = [], [], []
+    real_keep_mask, real_products = ScopeModel.keep_mask, ScopeModel._products
+    trained_scope._rows.clear()  # a cache, which earlier tests may have filled
+    with mock.patch.object(
+        ScopeModel, "keep_mask", lambda self, ts: texts.extend(ts) or real_keep_mask(self, ts)
+    ), mock.patch.object(
+        ScopeModel, "_products", lambda self, vecs: products.append(len(vecs)) or real_products(self, vecs)
+    ), mock.patch("emorl.scope.sigmoid", lambda u: band.append(u) or sigmoid(u)):
         run_online(config, 3, scope_model=trained_scope, emotion_model=trained_emotion)
-    assert len(certified) >= 2 * config.interactions
-    assert exact == []
+    assert len(texts) >= 2 * config.interactions
+    assert products == [1] * len(set(texts))
+    assert band == []

@@ -11,6 +11,7 @@ import math
 import pickle
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from emorl.nn import (
     softmax,
     write_tensors,
 )
-from emorl.scope import ScopeModel
+from emorl.scope import ScopeModel, train_scope
 from emorl.text import build_vocab
 
 # -- independent oracle -------------------------------------------------------
@@ -843,9 +844,40 @@ def test_optimizer_validation():
         SGD(learning_rate=0.0)
     with pytest.raises(ValueError):
         SGD(learning_rate=-0.1)
-    for lr in (float("nan"), float("inf")):
+    for lr in (float("nan"), float("inf"), None, "0.3", np.array([0.3])):
         with pytest.raises(ValueError, match="positive and finite"):
             SGD(learning_rate=lr)
+
+
+def _train_with_rate(path: str, rate, vocab, corpus) -> list[bytes]:
+    "The parameter bytes after a few steps of one step path at `rate`."
+    rng = np.random.default_rng(8)
+    net = Network.build([20, 8, 3], head="softmax", rng=rng)
+    states, labels = rng.random((12, 20)), rng.integers(0, 3, 12).tolist()
+    if path == "apply_update":
+        for x, y in zip(states, labels):
+            apply_update(net.supervised_backward(x, y), SGD(rate))
+    elif path == "reinforce_step":
+        for x, y in zip(states, labels):
+            net.reinforce_step(x, y, 0.7, SGD(rate))
+    elif path == "fit":
+        fit(net, PackedRows(states, labels, 20), 12, 2, SGD(rate), rng)
+    else:
+        model = ScopeModel(vocab, dim=8, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            train_scope(model, corpus, epochs=1, lr=rate, seed=2)
+        return [p.values.tobytes() for p in model.params()]
+    return values_bytes(net)
+
+
+@pytest.mark.parametrize("path", ["apply_update", "reinforce_step", "fit", "train_scope"])
+def test_a_numpy_rate_trains_to_the_bytes_of_the_same_python_rate(path, vocab, corpus3000):
+    # a NumPy float64 rate would scale a float32 gradient in float64, a Python one in float32
+    corpus = corpus3000[:40]
+    python = _train_with_rate(path, 0.3, vocab, corpus)
+    assert _train_with_rate(path, np.float64(0.3), vocab, corpus) == python
+    assert type(SGD(np.float64(0.3)).learning_rate) is float
 
 
 # -- checkpoints --------------------------------------------------------------

@@ -13,6 +13,8 @@ from emorl.nn import SGD, CheckpointFormatError, TrainingFault, apply_update, si
 from emorl.scope import ScopeModel, ScopedMessage, keep_labels, train_scope
 from emorl.text import build_vocab, segment
 
+from conftest import exact_keep
+
 
 def make_message(specs):
     "specs: list of (text, keep) pairs; keep sets the task_relevant flag."
@@ -210,7 +212,7 @@ def _dense_train_scope(model, corpus, epochs, lr, seed):
         ids, y = data[i]
         if len(ids) == 0:
             continue
-        pred = model.keep(_loop_sentence_matrix(model, ids))
+        pred = exact_keep(model, _loop_sentence_matrix(model, ids))
         gold = y >= 0.5
         tp += int(np.sum(pred & gold))
         fp += int(np.sum(pred & ~gold))
@@ -419,5 +421,27 @@ def test_keep_holds_a_logit_just_below_zero_whose_score_rounds_to_one_half(vocab
     sents = segment("First part, second part.", vocab)
     vecs = model.sentence_matrix([s.token_ids for s in sents])
     assert np.all(model._logits(vecs) < 0.0)
-    assert model.keep(vecs).tolist() == [True, True]
+    assert exact_keep(model, vecs).tolist() == [True, True]
     assert model.scope(sents).keep_mask == [True, True]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_a_products_row_has_the_bits_of_the_same_row_alone(data):
+    # keep_mask's per-text terms are `_logits`' own only if a row's products
+    # do not depend on the rows stacked with it; dims past 128 cross numpy's
+    # pairwise block, and NaN and infinities must land where they did alone
+    dim, n, window = data.draw(st.integers(1, 300)), data.draw(st.integers(1, 12)), data.draw(st.integers(0, 2))
+    model = ScopeModel(build_vocab(["a b"], 3), dim=dim, window=window, seed=data.draw(st.integers(0, 99)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vecs = rng.normal(0.0, data.draw(st.sampled_from([1e-3, 1.0, 1e3])), (n, dim))
+    specials = st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 1e308, 5e-324])
+    for value in data.draw(st.lists(specials, max_size=3)):
+        vecs[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, dim - 1))] = value
+    if data.draw(st.booleans()):
+        model.mix.values[data.draw(st.integers(0, 2 * window)), data.draw(st.integers(0, dim - 1))] = data.draw(specials)
+    with np.errstate(invalid="ignore", over="ignore"):
+        products = model._products(vecs)
+        alone = [model._products(vecs[i : i + 1])[0].tobytes() for i in range(n)]
+    assert products.shape == (n, 2 * window + 1)
+    assert [row.tobytes() for row in products] == alone

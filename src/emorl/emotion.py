@@ -138,6 +138,8 @@ def train_emotion(
     passes of `nn.fit`. Returns `evaluate_emotion`'s accuracy and macro-F1
     on the held-out messages, and their count.
     """
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
     if not corpus:
         raise ValueError("cannot train the emotion model on an empty corpus")
     scoper = scoper or gold_scope_texts

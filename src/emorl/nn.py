@@ -89,7 +89,7 @@ def _aligned(n: int) -> np.ndarray:
     return raw[-raw.ctypes.data % 64 // 8 :][:n]
 
 
-def _views(buf: np.ndarray, params: Sequence[ParamTensor]) -> list[np.ndarray]:
+def flat_views(buf: np.ndarray, params: Sequence[ParamTensor]) -> list[np.ndarray]:
     "Consecutive views of the flat array `buf`, one shaped as each of `params`."
     ends = np.cumsum([p.values.size for p in params]).tolist()
     return [buf[e - p.values.size : e].reshape(p.shape) for p, e in zip(params, ends)]
@@ -211,7 +211,7 @@ class Network:
         first.values = np.swapaxes(self._w0t, -1, -2)
         size = sum(p.values.size for p in rest)
         self._flat = _aligned(size)
-        for p, v in zip(rest, _views(self._flat, rest)):
+        for p, v in zip(rest, flat_views(self._flat, rest)):
             v[...] = p.values
             p.values = v
         self._grad = self._new = np.empty(0)
@@ -224,7 +224,7 @@ class Network:
         an input's nonzero columns are few."""
         if len(self._grad) < size:
             self._grad, self._new = np.empty(size), np.empty(size, dtype=np.float32)
-            self._grads = [None, *_views(self._grad, self.params()[1:])]
+            self._grads = [None, *flat_views(self._grad, self.params()[1:])]
         return self._grad[:size], self._new[:size]
 
     def __reduce__(self):
@@ -364,7 +364,7 @@ class Network:
         # the input's zero columns get an exactly zero gradient, so the
         # first layer's entry covers the trace's columns only
         w0 = (first, (..., trace.cols), _float32(gz[..., :, None] * trace.hs[0]))
-        return [w0, *((p, ..., g) for p, g in zip(rest, _views(_float32(self._grad[: self._flat.size]), rest)))]
+        return [w0, *((p, ..., g) for p, g in zip(rest, flat_views(_float32(self._grad[: self._flat.size]), rest)))]
 
     def _target(self, target) -> np.ndarray:
         "A one-hot vector for a softmax index, or the 0/1 bits shaped as one input's probabilities."
@@ -418,24 +418,14 @@ class Network:
 
     def _step(self, trace: Trace, g_head: np.ndarray, lr: float) -> None:
         """One SGD step at rate `lr` for dLoss/d(pre-head output) `g_head` at
-        `trace` of the current parameters, on the scratch laid out as
-        [flat | block]: one float32 rounding, one check before any write,
-        which raises `apply_update`'s TrainingFault, and one write each of
-        the block and the flat buffer. A -0.0 input entry's gradient is +0.0,
-        which moves no weight."""
+        `trace` of the current parameters: the gradient goes into the scratch
+        laid out as [flat | block], and `sgd_write` takes the step. A -0.0
+        input entry's gradient is +0.0, which moves no weight."""
         block, n = trace.block, self._flat.size
         grad, new = self._scratch(n + block.size)  # before `_backprop` writes into it
         gz = self._backprop(g_head, trace)
         np.multiply(trace.hs[0][:, None], gz[..., None, :], out=grad[n:].reshape(block.shape))
-        step = lr * np.add(grad, 0.0, out=new, casting="same_kind")  # `lr * _float32(grad)`
-        # the values are float32 numbers: copied exactly, they take the step in float32, as in `apply_update`
-        new[:n], new[n:] = self._flat, block.ravel()
-        np.subtract(new, step, out=new, dtype=np.float32)
-        if not np.isfinite(new).all():
-            first, *rest = self.params()
-            raise _fault([(first, new[n:].reshape(block.shape)), *zip(rest, _views(new, rest))])
-        self._w0t[..., trace.cols, :] = new[n:].reshape(block.shape)
-        self._flat[...] = new[:n]
+        sgd_write(self._flat, self._w0t, trace.cols, block, grad, new, lr, self.params)
 
 
 # -- optimizer -----------------------------------------------------------
@@ -458,6 +448,26 @@ def _fault(steps: Iterable[tuple[ParamTensor, np.ndarray]]) -> TrainingFault:
     "The TrainingFault naming the first tensor of the (tensor, updated values) pairs `steps` with a non-finite value."
     bad = next(p for p, new in steps if not np.isfinite(new).all())
     return TrainingFault(f"non-finite values in tensor {bad.name!r} after update")
+
+
+def sgd_write(flat, table, rows, block, grad, new, lr: float, params) -> None:
+    """`apply_update`'s step at rate `lr`, fused, on parameters laid out as
+    [flat | block]: the flat buffer `flat`, then `block`, the rows `rows` of
+    `table`'s second-to-last axis. `grad` is their float64 gradient in that
+    layout and `new` a float32 array as long. The gradient rounds to float32
+    once, as `_float32` rounds it, and the step is taken in float32. One
+    check before any write raises the TrainingFault naming the first
+    non-finite tensor of `params()`, called only then: the table's, then
+    those `flat` lays out. Then `table[..., rows, :]` and `flat` are written."""
+    n = flat.size
+    step = lr * np.add(grad, 0.0, out=new, casting="same_kind")  # `lr * _float32(grad)`
+    new[:n], new[n:] = flat, block.ravel()
+    np.subtract(new, step, out=new, dtype=np.float32)
+    if not np.isfinite(new).all():
+        first, *rest = params()
+        raise _fault([(first, new[n:]), *zip(rest, flat_views(new, rest))])
+    table[..., rows, :] = new[n:].reshape(block.shape)
+    flat[...] = new[:n]
 
 
 def apply_update(grads: Iterable[GradEntry], opt: SGD) -> None:
@@ -513,13 +523,16 @@ def fit(net: Network, data: PackedRows, rows, epochs: int, opt: SGD, rng: np.ran
     """Supervised cross-entropy training: each epoch, the step of
     `supervised_backward` and `apply_update` on row `i` of `data` and its
     target for each `i` of `rng.permutation(rows)`; `rows` is an array of
-    row indices, or a count n for rows 0..n-1. The width, every index of
-    `rows` and every target are checked before the first step.
+    row indices, or a count n for rows 0..n-1. The epoch count, which may
+    be 0, the width, every index of `rows` and every target are checked
+    before the first step.
 
     Each step is the network's fused `_step` on the row's packed entries,
     -0.0 ones included; a TrainingFault stops the fit with every tensor as
     the faulting step found it.
     """
+    if epochs < 0:
+        raise ValueError(f"epochs must be non-negative, got {epochs}")
     if data.width != net.input_dim:
         raise ValueError(f"rows of width {data.width} do not match network input dim {net.input_dim}")
     n = len(data.targets)

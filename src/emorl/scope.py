@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .nn import SGD, CheckpointFormatError, ParamTensor, _fault, holdout_split, read_tensors, sigmoid, write_tensors
+from .nn import SGD, CheckpointFormatError, ParamTensor, flat_views, holdout_split, read_tensors, sgd_write, sigmoid, write_tensors
 from .nn import apply_update  # noqa: F401  the benchmark's span tracer wraps it at this name
 from .text import Vocabulary
 
@@ -70,7 +70,7 @@ class ScopeModel:
         self.bias = ParamTensor("bias", np.zeros(1, dtype=np.float32))
         # mix and bias as views of one flat buffer, for the model's life, as `Network` holds its tensors
         self._flat = np.concatenate((self.mix.values, self.bias.values), axis=None)
-        self.mix.values, self.bias.values = self._flat[: self.mix.values.size].reshape(self.mix.shape), self._flat[-1:]
+        self.mix.values, self.bias.values = flat_views(self._flat, [self.mix, self.bias])
         # sentence text -> its `_products` row, for `keep_mask`
         self._rows: dict[str, tuple[float, ...]] = {}
 
@@ -220,15 +220,12 @@ class _Packs:
     The integers are int16 when that holds their values. Per token: its id,
     in sentence order. Per sentence: its length and its gold keep label.
     Per message, one run of:
-    - its tokens' sentence indices, ordered stably by id, those of the
-      tokens that alone touch their embedding row first;
-    - its touched embedding rows in that order;
-    - where each row touched by more than one token starts among those
-      tokens' indices;
+    - its tokens' sentence indices, ordered stably by id;
+    - its touched embedding rows, in id order;
+    - where each row starts among those indices;
     - per sentence, the offset of its first token.
-    `packs[i]` is message i's (ids, starts, lens, labels, rows, singles,
-    token_sentence, shared_starts), the indices widened to intp once, where
-    `singles` counts the rows touched by one token.
+    `packs[i]` is message i's (ids, starts, lens, labels, rows,
+    token_sentence, row_starts), the indices widened to intp once.
     """
 
     def __init__(self, model: ScopeModel, corpus: Sequence):
@@ -239,44 +236,27 @@ class _Packs:
         self.ids = np.fromiter(flat(flat(token_ids)), narrow, sum(sizes))
         self.lens = np.fromiter((len(ids) for t in token_ids for ids in t), narrow, sum(counts))
         self.labels = np.fromiter((k for m in corpus for k in keep_labels(m)), np.float64, sum(counts))
-        # a run is at most a message's sentences and twice its tokens long, as
-        # a row touched by several tokens is touched by at least two
-        runs, touched, singles = np.empty(sum(counts) + 2 * sum(sizes), narrow), [], []
+        # a run is at most a message's sentences and three times its tokens long
+        runs, touched = np.empty(sum(counts) + 3 * sum(sizes), narrow), []
         # message by message, so that no temporary spans the corpus
         s0 = t0 = at = 0
         for count, size in zip(counts, sizes):
-            ids, lens = self.ids[t0 : t0 + size].astype(np.intp), self.lens[s0 : s0 + count]
-            uses = np.bincount(ids)
-            alone, shared = (uses == 1).nonzero()[0], (uses > 1).nonzero()[0]
-            # ordered stably by id, the tokens that alone touch their row first
-            order = (ids + (uses[ids] > 1) * len(uses)).argsort(kind="stable")
-            run = np.concatenate((
-                np.repeat(np.arange(count), lens)[order], alone, shared,
-                np.add.accumulate(uses[shared]) - uses[shared], np.add.accumulate(lens) - lens,
-            ))
+            ids, lens = self.ids[t0 : t0 + size], self.lens[s0 : s0 + count]
+            order = ids.argsort(kind="stable")
+            rows, row_starts = np.unique(ids[order], return_index=True)
+            run = np.concatenate((np.repeat(np.arange(count), lens)[order], rows, row_starts, np.add.accumulate(lens) - lens))
             runs[at : at + len(run)] = run
-            touched.append(len(alone) + len(shared))
-            singles.append(len(alone))
+            touched.append(len(rows))
             s0, t0, at = s0 + count, t0 + size, at + len(run)
         self.runs = runs[:at]
-        self.offsets = np.cumsum(np.transpose([[0, *counts], [0, *sizes], [0, *touched], [0, *singles]]), axis=0)
-
-    @staticmethod
-    def _at(sentences: int, tokens: int, rows: int, singles: int) -> int:
-        "The start of the run of the message whose offsets these are."
-        return sentences + tokens + 2 * rows - singles
+        self.offsets = np.cumsum(np.transpose([[0, *counts], [0, *sizes], [0, *touched]]), axis=0)
 
     def __getitem__(self, i: int) -> tuple:
-        (s0, t0, r0, u0), (s1, t1, r1, u1) = self.offsets[i : i + 2].tolist()
-        run = self.runs[self._at(s0, t0, r0, u0) : self._at(s1, t1, r1, u1)].astype(np.intp)
-        # where the run's rows, shared row starts and sentence starts begin
-        rows_at = t1 - t0
-        shared_at = rows_at + r1 - r0
-        starts_at = shared_at + (r1 - r0) - (u1 - u0)
-        return (
-            self.ids[t0:t1].astype(np.intp), run[starts_at:], self.lens[s0:s1], self.labels[s0:s1],
-            run[rows_at:shared_at], u1 - u0, run[:rows_at], run[shared_at:starts_at],
-        )
+        (s0, t0, r0), (s1, t1, r1) = self.offsets[i : i + 2].tolist()
+        run = self.runs[s0 + t0 + 2 * r0 : s1 + t1 + 2 * r1].astype(np.intp)
+        # where the run's rows, row starts and sentence starts begin
+        a, b, c = t1 - t0, t1 - t0 + r1 - r0, t1 - t0 + 2 * (r1 - r0)
+        return self.ids[t0:t1].astype(np.intp), run[c:], self.lens[s0:s1], self.labels[s0:s1], run[a:b], run[:a], run[b:c]
 
 
 def train_scope(
@@ -292,14 +272,15 @@ def train_scope(
     holds a fifth of them out. The token ids are packed once, before the
     epochs, and a step moves only the embedding rows of its message's
     tokens: the other rows have zero gradient, and v - lr * 0 = v, -0.0
-    included. Each step is `apply_update`'s on the three tensors, fused:
-    one float32 rounding of the gradient laid out as [mix | bias | rows],
-    one check before any write, which raises its TrainingFault, and one
-    write each of the flat buffer and the rows. Returns training BCE per
-    epoch plus held-out F1/accuracy for the keep class, scored on the
-    trained model's `scope` of each held-out message; warns if the training
-    loss fails to decrease monotonically over the first 3 epochs.
+    included. Each step is `nn.sgd_write`'s on the gradient laid out as
+    [mix | bias | rows], which raises `apply_update`'s TrainingFault.
+    Returns training BCE per epoch plus held-out F1/accuracy for the keep
+    class, scored on the trained model's `scope` of each held-out message;
+    warns if the training loss fails to decrease monotonically over the
+    first 3 epochs.
     """
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
     if not corpus:
         raise ValueError("cannot train the scope filter on an empty corpus")
     packs = _Packs(model, corpus)
@@ -314,7 +295,7 @@ def train_scope(
     for _ in range(epochs):
         total, count = 0.0, 0
         for i in rng.permutation(train_idx).tolist():
-            ids, starts, lens, y, touched, singles, token_sentence, shared_starts = packs[i]
+            ids, starts, lens, y, touched, token_sentence, row_starts = packs[i]
             n = len(y)
             if n == 0:
                 continue
@@ -335,24 +316,13 @@ def train_scope(
             grad[m] = np.add.reduce(g)
             # each token of sentence i adds d_vecs[i] / lens[i] to its row: a row's
             # tokens in message order, as np.add.at onto zeros adds them but for the
-            # leading 0.0; that changes only the sign of a zero sum, which the + 0.0
-            # below clears. An empty sentence's divisor of 1 is never read.
-            shares = d_vecs / np.maximum(lens, 1)[:, None]
-            rows_grad = grad[m + 1 :].reshape(len(touched), model.dim)
-            shares.take(token_sentence[:singles], axis=0, out=rows_grad[:singles])
-            if singles < len(touched):
-                np.add.reduceat(shares[token_sentence[singles:]], shared_starts, axis=0, out=rows_grad[singles:])
-            # float32 plus 0.0, so that a gradient rounded to -0.0 steps as 0.0
-            new = np.subtract(
-                np.concatenate((flat, embed.take(touched, axis=0)), axis=None),
-                lr * (grad.astype(np.float32) + 0.0),
-                dtype=np.float32,
-            )
-            if not np.isfinite(new).all():
-                new_rows = new[m + 1 :].reshape(len(touched), model.dim)
-                raise _fault([(model.embed, new_rows), (model.mix, new[:m]), (model.bias, new[m : m + 1])])
-            flat[...] = new[: m + 1]
-            embed[touched] = new[m + 1 :].reshape(len(touched), model.dim)
+            # leading 0.0; that changes only the sign of a zero sum, which the
+            # float32 rounding's + 0.0 clears. A row of one token takes its share
+            # as it is. An empty sentence's divisor of 1 is never read.
+            shares = (d_vecs / np.maximum(lens, 1)[:, None]).take(token_sentence, axis=0)
+            np.add.reduceat(shares, row_starts, axis=0, out=grad[m + 1 :].reshape(len(touched), model.dim))
+            new = np.empty(len(grad), np.float32)
+            sgd_write(flat, embed, touched, embed.take(touched, axis=0), grad, new, lr, model.params)
         epoch_bce.append(total / max(count, 1))
     first = epoch_bce[: min(3, len(epoch_bce))]
     if any(b >= a for a, b in zip(first, first[1:])):

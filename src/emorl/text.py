@@ -107,18 +107,26 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        "Inverse of save; raises ValueError, naming `path`, on an id listed twice or ids not contiguous from zero."
+        """Inverse of save; raises ValueError, naming `path`, on ids not
+        contiguous from zero, and naming its line too on a line that is not
+        `token<TAB>id` or that repeats an id or a token."""
         entries: dict[int, str] = {}
+        tokens: set[str] = set()
         with open(path, encoding="utf-8") as f:
-            for line in f:
+            for n, line in enumerate(f, 1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                tok, _, id_str = line.rpartition("\t")
+                tok, tab, id_str = line.rpartition("\t")
+                if not tab or not id_str.isdecimal():
+                    raise ValueError(f"{path}:{n}: expected token<TAB>id, got {line!r}")
                 i = int(id_str)
                 if i in entries:
-                    raise ValueError(f"{path}: vocabulary id {i} is listed twice")
+                    raise ValueError(f"{path}:{n}: vocabulary id {i} is listed twice")
+                if tok in tokens:
+                    raise ValueError(f"{path}:{n}: vocabulary token {tok!r} is listed twice")
                 entries[i] = tok
+                tokens.add(tok)
         if sorted(entries) != list(range(len(entries))):
             raise ValueError(f"{path}: vocabulary ids must be contiguous from zero")
         return cls([entries[i] for i in range(len(entries))])

@@ -504,6 +504,9 @@ def test_cli_refuses_a_negative_or_malformed_seed_before_writing(seed, env, seed
         (["run-online", "--run-dir", "{out}"], "[data]", "[dataset]", "unknown section [dataset]"),
         (["gen-data", "--out", "{out}/corpus.jsonl"], "[data]", "[DEFAULT]", "unknown section [DEFAULT]"),
         (["train-scope", "--data", "{data}", "--out", "{out}"], "epochs = 3", "epochs = 3\ndim = 0", "dim must be at least 1"),
+        (["train-scope", "--data", "{data}", "--out", "{out}"], "epochs = 3", "epochs = -3", "epochs must be at least 1"),
+        (["train-scope", "--data", "{data}", "--out", "{out}"], "epochs = 3", "epochs = 0", "epochs must be at least 1"),
+        (["train-emotion", "--data", "{data}", "--out", "{out}"], "epochs = 6", "epochs = -2", "epochs must be at least 1"),
     ],
 )
 def test_cli_refuses_an_unknown_key_or_section_before_writing(argv, old, new, message, tmp_path, capsys):

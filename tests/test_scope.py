@@ -4,14 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emorl.envsim import EmailMessage, LabeledSentence, generate_email
 from emorl.emotion import EmotionLabel
 from emorl.nn import SGD, CheckpointFormatError, TrainingFault, apply_update, sigmoid, write_tensors
 from emorl.scope import ScopeModel, ScopedMessage, keep_labels, train_scope
-from emorl.text import build_vocab, segment
+from emorl.text import UNK_TOKEN, Vocabulary, build_vocab, segment
 
 from conftest import exact_keep
 
@@ -226,8 +226,11 @@ def _dense_train_scope(model, corpus, epochs, lr, seed):
 
 _ORACLE_WORDS = ["taskword", "move", "sky", "blue", "lunch", "rare"]
 _ORACLE_VOCAB = build_vocab(_ORACLE_WORDS[:-1], 16)  # "rare" is unknown: id 0
+# the same words past int16's ids, so that the packs hold intp
+_WIDE_VOCAB = Vocabulary([UNK_TOKEN, *(f"filler{i}" for i in range(32768)), *_ORACLE_VOCAB.id_to_token[1:]])
 # an empty text is a sentence with no token ids
 _ORACLE_SENTENCE = st.lists(st.sampled_from(_ORACLE_WORDS), max_size=7).map(" ".join)
+_SPREAD = [[("taskword move sky", True), ("blue lunch rare taskword", False)], [("move move", True), ("", False)]]
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -240,12 +243,19 @@ _ORACLE_SENTENCE = st.lists(st.sampled_from(_ORACLE_WORDS), max_size=7).map(" ".
     messages=st.lists(
         st.lists(st.tuples(_ORACLE_SENTENCE, st.booleans()), min_size=1, max_size=6), min_size=1, max_size=10
     ),
+    vocab=st.just(_ORACLE_VOCAB),
 )
-def test_train_scope_matches_the_dense_gradient_loop(window, epochs, dim, lr, seed, messages):
+# packs wider than int16; a message whose sentences touch no row; one whose tokens all touch one row
+@example(window=1, epochs=2, dim=3, lr=0.5, seed=7, messages=_SPREAD, vocab=_WIDE_VOCAB)
+@example(window=1, epochs=2, dim=3, lr=0.5, seed=7, messages=[[("", True), ("", False)], *_SPREAD], vocab=_ORACLE_VOCAB)
+@example(
+    window=1, epochs=2, dim=3, lr=0.5, seed=7, messages=[[("sky sky", True), ("sky", False)], *_SPREAD], vocab=_ORACLE_VOCAB
+)
+def test_train_scope_matches_the_dense_gradient_loop(window, epochs, dim, lr, seed, messages, vocab):
     corpus = [make_message(specs) for specs in messages]
     models, results = [], []
     for train in (train_scope, _dense_train_scope):
-        model = ScopeModel(_ORACLE_VOCAB, dim=dim, window=window, seed=seed)
+        model = ScopeModel(vocab, dim=dim, window=window, seed=seed)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             metrics = train(model, corpus, epochs=epochs, lr=lr, seed=seed)

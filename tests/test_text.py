@@ -208,11 +208,21 @@ def test_vocab_rejects_gapped_ids(tmp_path):
         Vocabulary.load(path)
 
 
-def test_vocab_rejects_an_id_listed_twice(tmp_path):
-    # keeping the last line would load ['<unk>', 'b'] and drop 'a' without a word
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        # keeping the last line would load ['<unk>', 'b'] and drop 'a' without a word
+        ("<unk>\t0\na\t1\nb\t1\n", ":3: vocabulary id 1 is listed twice"),
+        ("<unk>\t0\na\t1\na\t2\n", ":3: vocabulary token 'a' is listed twice"),
+        ("<unk>\t0\nfoo\n", ":2: expected token<TAB>id, got 'foo'"),
+        ("<unk>\t0\na\tone\n", ":2: expected token<TAB>id, got 'a\\tone'"),
+    ],
+    ids=["id_twice", "token_twice", "no_tab", "id_not_a_number"],
+)
+def test_vocab_names_the_file_and_line_it_cannot_read(tmp_path, text, message):
     path = tmp_path / "vocab.tsv"
-    path.write_text("<unk>\t0\na\t1\nb\t1\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: vocabulary id 1 is listed twice"):
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
         Vocabulary.load(path)
 
 

@@ -145,6 +145,17 @@ def test_imports_kept_for_the_tracer_are_exactly_its_unused_lookup_sites():
     assert sites & unused <= marked, sorted(sites & unused - marked)
 
 
+def test_no_module_imports_a_private_name_from_another():
+    # a name two modules need is public in the one that defines it; a dunder such as __version__ is public
+    private = []
+    for path in sorted((ROOT / "src" / "emorl").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "emorl"):
+                names = [alias.name for alias in node.names]
+                private += [f"{path.name}: {n}" for n in names if n.startswith("_") and not n.startswith("__")]
+    assert not private
+
+
 def test_readme_names_exactly_the_cli_subcommands():
     import argparse
     import re

@@ -164,13 +164,11 @@ def cmd_train_scope(args) -> int:
     config, stages, _ = _load(args)
     params = stages.get("scope", {})
     corpus = corpus_from_jsonl(args.data)
-    vocab = config_vocab(config.generator)
-    model = ScopeModel(vocab, **arguments_for(ScopeModel, params), seed=config.seeds[0])
+    model = ScopeModel(config_vocab(config.generator), **arguments_for(ScopeModel, params), seed=config.seeds[0])
     metrics = train_scope(model, corpus, **arguments_for(train_scope, params), seed=config.seeds[0])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "scope.ckpt")
-    vocab.save(out / "vocab.tsv")
     print(f"scope filter: holdout F1 {metrics['holdout_f1']:.4f}, accuracy {metrics['holdout_accuracy']:.4f}")
     print(f"saved {out / 'scope.ckpt'}")
     return 0

@@ -90,8 +90,10 @@ class ExperimentConfig:
             raise ValueError(f"init_scale must be non-negative and finite, got {self.init_scale}")
         if any(width < 1 for width in self.hidden):
             raise ValueError(f"every hidden width must be at least 1, got {self.hidden}")
-        if self.init == "pretrained" and min(self.pretrain_size, self.pretrain_epochs) < 1:
-            raise ValueError("init = pretrained needs pretrain_size and pretrain_epochs of at least 1")
+        if min(self.pretrain_size, self.pretrain_epochs) < 1:
+            raise ValueError(
+                f"pretrain_size and pretrain_epochs must be at least 1, got {self.pretrain_size} and {self.pretrain_epochs}"
+            )
         self.generator = replace(self.generator, task=self.task)
         weights = self.generator.pretrain_intent_weights
         if weights is not None and len(weights) != self.generator.n_intents:

@@ -491,8 +491,7 @@ def apply_update(grads: Iterable[GradEntry], opt: SGD) -> None:
 class PackedRows:
     """Input rows and their targets, packed row by row into flat arrays. Row
     i's entries are `cols`/`vals`[bounds[i]:bounds[i + 1]]: the columns
-    (int16 when the width allows) that hold anything but +0.0, and their
-    float64 values."""
+    that hold anything but +0.0, and their float64 values."""
 
     def __init__(self, rows: Iterable[np.ndarray], targets: Sequence, width: int):
         cols, vals, bounds = array("q"), array("d"), array("q", [0])
@@ -505,7 +504,7 @@ class PackedRows:
             vals.frombytes(row[at].tobytes())
             bounds.append(len(cols))
         self.width, self.targets = width, list(targets)
-        self.cols = np.array(cols, dtype=np.int16 if width <= np.iinfo(np.int16).max else np.intp)
+        self.cols = np.array(cols, dtype=np.intp)
         self.vals, self.bounds = np.frombuffer(vals), np.frombuffer(bounds, dtype=np.int64)
         if len(self.targets) != len(self.bounds) - 1:
             raise ValueError(f"{len(self.targets)} targets for {len(self.bounds) - 1} rows")
@@ -541,8 +540,8 @@ def fit(net: Network, data: PackedRows, rows, epochs: int, opt: SGD, rng: np.ran
     if outside.size:
         raise ValueError(f"row index {outside[0]} out of range for {n} rows")
     targets = np.array([net._target(t) for t in data.targets])
-    # numpy would widen narrow indices on every use, and slice bounds read from an array cost a conversion each
-    bounds, cols, vals, lr = data.bounds.tolist(), data.cols.astype(np.intp), data.vals, opt.learning_rate
+    # slice bounds read from an array cost a conversion each
+    bounds, cols, vals, lr = data.bounds.tolist(), data.cols, data.vals, opt.learning_rate
     for _ in range(epochs):
         for i in rng.permutation(rows).tolist():
             trace = net._trace_at(cols[bounds[i] : bounds[i + 1]], vals[bounds[i] : bounds[i + 1]])

@@ -113,10 +113,6 @@ class MulticlassPolicy(_Policy):
         self.opt = SGD(learning_rate=lr)
         self.rng = np.random.default_rng([seed, 1])
 
-    @property
-    def n_actions(self) -> int:
-        return self.net.output_dim
-
     def act(self, state: np.ndarray, rng: np.random.Generator | None = None) -> int:
         "Sample an action on-policy."
         rng = rng if rng is not None else self.rng

@@ -39,10 +39,6 @@ class ScopedMessage:
             raise ValueError("keep_mask length must equal sentence count")
 
     @property
-    def kept_sentences(self) -> list:
-        return [s for s, keep in zip(self.sentences, self.keep_mask) if keep]
-
-    @property
     def kept_texts(self) -> list[str]:
         return [s.text for s, keep in zip(self.sentences, self.keep_mask) if keep]
 

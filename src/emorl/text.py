@@ -15,8 +15,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .nn import replacing
-
 SPLIT_PUNCT = frozenset(",.:?!")
 
 # one piece of a segmentation, its leading whitespace skipped: up to and
@@ -80,9 +78,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.id_to_token)
 
-    def id(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
     def ids(self, tokens: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.token_to_id.get(t, UNK_ID) for t in tokens)
 
@@ -98,38 +93,6 @@ class Vocabulary:
         "The ids of `text_ids(text)` but the unknown id, in order: those `count_features` counts."
         self.text_ids(text)
         return self._memo[text][1]
-
-    def save(self, path) -> None:
-        "Persist as lexicographically sorted `token<TAB>id` UTF-8 lines, replacing `path` whole."
-        lines = sorted(f"{tok}\t{i}" for i, tok in enumerate(self.id_to_token))
-        with replacing(path, encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        """Inverse of save; raises ValueError, naming `path`, on ids not
-        contiguous from zero, and naming its line too on a line that is not
-        `token<TAB>id` or that repeats an id or a token."""
-        entries: dict[int, str] = {}
-        tokens: set[str] = set()
-        with open(path, encoding="utf-8") as f:
-            for n, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                tok, tab, id_str = line.rpartition("\t")
-                if not tab or not id_str.isdecimal():
-                    raise ValueError(f"{path}:{n}: expected token<TAB>id, got {line!r}")
-                i = int(id_str)
-                if i in entries:
-                    raise ValueError(f"{path}:{n}: vocabulary id {i} is listed twice")
-                if tok in tokens:
-                    raise ValueError(f"{path}:{n}: vocabulary token {tok!r} is listed twice")
-                entries[i] = tok
-                tokens.add(tok)
-        if sorted(entries) != list(range(len(entries))):
-            raise ValueError(f"{path}: vocabulary ids must be contiguous from zero")
-        return cls([entries[i] for i in range(len(entries))])
 
 
 def build_vocab(corpus: Iterable[str], max_size: int = 2048) -> Vocabulary:

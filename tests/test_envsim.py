@@ -679,7 +679,7 @@ def _shared_env(task, channel, scope_model, emotion_model, vocab_size=2048):
     unknown=st.lists(_UNKNOWN_SENTENCE, max_size=3),
 )
 def test_environment_tables_match_the_direct_path(seed, task, trained, unknown, vocab, trained_scope, trained_emotion):
-    assert all(vocab.id(w) == 0 for text in unknown for w in text[:-1].split())
+    assert not any(w in vocab.token_to_id for text in unknown for w in text[:-1].split())
     scope_model, emotion_model = (trained_scope, trained_emotion) if trained else _untrained_models(vocab)
     config = default_config(task)
     rng = np.random.default_rng(seed)

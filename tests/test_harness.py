@@ -31,7 +31,6 @@ from emorl.harness import (
 from emorl.nn import Network, write_tensors
 from emorl.policy import MultilabelPolicy, save_agent
 from emorl.scope import ScopeModel
-from emorl.text import Vocabulary
 
 SMALL = dict(interactions=300, eval_every=100, window=100, eval_size=30, seeds=(1,))
 
@@ -107,6 +106,9 @@ def test_experiment_config_validation():
         dict(hidden=(64, 0)),
         dict(init="pretrained", pretrain_size=0),
         dict(init="pretrained", pretrain_epochs=0),
+        dict(init="scratch", pretrain_size=0, pretrain_epochs=0),
+        dict(init="scratch", pretrain_size=0),
+        dict(init="scratch", pretrain_epochs=-1),
         dict(seeds=(-1,)),
         dict(seeds=(3, -2)),
     ],
@@ -118,8 +120,7 @@ def test_experiment_config_refuses_values_no_run_can_use(bad):
 
 def test_experiment_config_accepts_the_edges_of_its_ranges():
     ExperimentConfig(eval_size=1, init_scale=0.0, hidden=())
-    # the pretraining sizes matter only to a pretrained run
-    ExperimentConfig(init="scratch", pretrain_size=0, pretrain_epochs=0)
+    ExperimentConfig(init="scratch", pretrain_size=1, pretrain_epochs=1)
     ExperimentConfig(init="pretrained", pretrain_size=1, pretrain_epochs=1)
     ExperimentConfig(seeds=(0,))
 
@@ -367,8 +368,8 @@ def test_cli_offline_pipeline_and_run(config_file, tmp_path, capsys):
 
     scope_dir = tmp_path / "scope"
     assert main(["train-scope", "--config", str(config_file), "--data", str(corpus), "--out", str(scope_dir)]) == 0
-    assert (scope_dir / "scope.ckpt").exists()
-    assert (scope_dir / "vocab.tsv").exists()
+    # the token table is config_vocab of the INI, which every later stage rebuilds
+    assert [p.name for p in scope_dir.iterdir()] == ["scope.ckpt"]
 
     emo_dir = tmp_path / "emotion"
     rc = main(
@@ -464,6 +465,8 @@ def _bad_config(tmp_path, old, new):
         ("hidden = 64", "hidden = 0", "hidden width"),
         ("init = scratch", "init = pretrained\npretrain_size = 0", "pretrain_size"),
         ("init = scratch", "init = pretrained\npretrain_epochs = 0", "pretrain_epochs"),
+        # checked under every init, so that no run's manifest hashes a value no run could use
+        ("init = scratch", "init = scratch\npretrain_epochs = -5\npretrain_size = -3", "got -3 and -5"),
     ],
 )
 def test_cli_run_online_refuses_an_unusable_config_before_writing(old, new, message, tmp_path, capsys):
@@ -907,11 +910,6 @@ WRITERS = {
         "corpus.jsonl",
         lambda d: corpus_to_jsonl(_corpus("Thanks."), d / "corpus.jsonl"),
         lambda d: corpus_to_jsonl(_corpus("Fine.") + _corpus("\udc80"), d / "corpus.jsonl"),
-    ),
-    "vocab.tsv": (
-        "vocab.tsv",
-        lambda d: Vocabulary(["<unk>", "a"]).save(d / "vocab.tsv"),
-        lambda d: Vocabulary(["<unk>", "b", "\udc80"]).save(d / "vocab.tsv"),
     ),
     "emotion_eval.csv": (
         "emotion/emotion_eval.csv",

@@ -824,7 +824,7 @@ def test_packed_rows_rebuild_each_row_bit_for_bit(width, data):
     packed = PackedRows(iter(rows), list(range(len(rows))), width)
     assert len(packed.bounds) == len(rows) + 1
     assert [_packed_row(packed, i).tobytes() for i in range(len(rows))] == [r.tobytes() for r in rows]
-    assert packed.cols.dtype == np.int16
+    assert packed.cols.dtype == np.intp
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -50,7 +50,7 @@ def test_scope_empty_message():
     vocab = build_vocab(["a"], 4)
     scoped = ScopeModel(vocab, seed=0).scope([])
     assert scoped.sentences == [] and scoped.keep_mask == []
-    assert scoped.kept_sentences == []
+    assert scoped.kept_texts == []
 
 
 def test_keep_mask_length_matches_input(vocab, trained_scope):
@@ -62,8 +62,9 @@ def test_keep_mask_length_matches_input(vocab, trained_scope):
 def test_scope_preserves_original_order(vocab, trained_scope):
     segs = segment("Please reschedule our sync to next week. By the way, the cafeteria menu changed.", vocab)
     scoped = trained_scope.scope(segs)
-    kept = scoped.kept_sentences
-    positions = [segs.index(s) for s in kept]
+    texts = [s.text for s in segs]
+    assert scoped.kept_texts == [t for t, keep in zip(texts, scoped.keep_mask) if keep]
+    positions = [texts.index(t) for t in scoped.kept_texts]
     assert positions == sorted(positions)
 
 

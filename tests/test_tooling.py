@@ -238,3 +238,81 @@ def test_the_example_config_runs_the_grid(tmp_path):
     assert main(["run-grid", "--config", str(config), "--run-dir", str(tmp_path / "grid")]) == 0
     header, *rows = (tmp_path / "grid" / "report.csv").read_text(encoding="utf-8").splitlines()
     assert len(rows) == 12
+
+
+# the package holds no code that only its unit tests reach: every public
+# name must be read by the package itself, the benchmark, a demo or the
+# acceptance criteria. A name left unread on purpose says why here.
+UNREAD_ON_PURPOSE = {
+    "load_agent": "the inverse of save_agent; resuming a run directory is to be its first caller (ROADMAP item 4)",
+}
+
+
+def unread_public_names(root: Path = ROOT) -> list[str]:
+    "Public module-level functions and classes of emorl named nowhere else, and public methods never read as `.name`."
+    searched = [*(root / "src" / "emorl").glob("*.py"), *root.glob("bench/*.py"), *root.glob("demos/*.py")]
+    acceptance = [path for path in [root / "tests" / "test_acceptance.py"] if path.exists()]
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in [*searched, *acceptance]]
+    named, read = set(), set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name.rpartition(".")[2])
+    unread = []
+    for path in sorted((root / "src" / "emorl").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name.startswith("_"):
+                continue
+            if top.name not in named:
+                unread.append(top.name)
+            if isinstance(top, ast.ClassDef):
+                methods = [f.name for f in top.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+                unread += [f"{top.name}.{m}" for m in methods if m not in read]
+    return unread
+
+
+def test_every_public_name_of_the_package_is_read_by_a_program():
+    unread = unread_public_names()
+    assert sorted(set(unread) - set(UNREAD_ON_PURPOSE)) == []
+    # an entry goes once its name has a reader
+    assert sorted(set(UNREAD_ON_PURPOSE) - set(unread)) == []
+
+
+# a package whose every public name has a reader; each case below adds one
+# name that only a unit test reads, or that nothing reads
+READ_PACKAGE = """
+class Table:
+    def lookup(self, key):
+        return key
+
+    def _private(self):
+        return None
+
+
+def build():
+    return Table().lookup(1)
+"""
+
+
+@pytest.mark.parametrize(
+    ("extra", "unread"),
+    [
+        ("def orphan():\n    return 0\n", ["orphan"]),
+        ("class Table2:\n    @property\n    def width(self):\n        return 0\n", ["Table2", "Table2.width"]),
+        ("def tested():\n    return 0\n", ["tested"]),
+    ],
+    ids=["function", "property", "read_by_a_unit_test"],
+)
+def test_the_unread_name_check_names_what_only_tests_read(tmp_path, extra, unread):
+    package = tmp_path / "src" / "emorl"
+    package.mkdir(parents=True)
+    (package / "table.py").write_text(READ_PACKAGE + "\n\n" + extra, encoding="utf-8")
+    (tmp_path / "demos").mkdir()
+    (tmp_path / "demos" / "demo.py").write_text("from emorl.table import build\nbuild()\n", encoding="utf-8")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_table.py").write_text("from emorl.table import tested\ntested()\n", encoding="utf-8")
+    assert unread_public_names(tmp_path) == unread
